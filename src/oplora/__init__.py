@@ -14,8 +14,8 @@ from .lorsum import LorsumConfig, Metric, apply_inverse_metric, \
 from .optim import (
     AdamwState, OploraConfig, OploraState, ProjMomentumState, SgdState,
     SvdLoraState, adamw_step, kfac_scale_update, momentum_update_lor,
-    momentum_update_naive, momentum_update_proj, oplora_step, prec_lora_step,
-    proj_lora_step, sgd_step, svdlora_step,
+    momentum_update_proj, oplora_step, prec_lora_step, proj_lora_step,
+    sgd_step, svdlora_step,
 )
 from .nets import LinearTask, LoraLinear, MlpTask, linear_task_grad, \
     mlp_forward_backward

@@ -13,7 +13,7 @@ N_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 20250101
 
 
-def _f17(x) -> str:
+def f17(x) -> str:
     return format(float(x), ".17g")
 
 
@@ -55,10 +55,10 @@ def write_aggregate(path, record_sets):
     with open(path, "w") as fh:
         fh.write(AGG_HEADER + "\n")
         for j, step in enumerate(steps):
-            row = [str(step), _f17(loss_med[j]), _f17(loss_lo[j]),
-                   _f17(loss_hi[j])]
+            row = [str(step), f17(loss_med[j]), f17(loss_lo[j]),
+                   f17(loss_hi[j])]
             if has_gap:
-                row += [_f17(gap_med[j]), _f17(gap_lo[j]), _f17(gap_hi[j])]
+                row += [f17(gap_med[j]), f17(gap_lo[j]), f17(gap_hi[j])]
             else:
                 row += ["", "", ""]
             fh.write(",".join(row) + "\n")

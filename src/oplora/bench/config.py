@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import ConfigError
+from .methods import METHODS
 
 SCHEMA_VERSION = 1
 
-METHODS = ("lora_sgd", "lora_adamw", "prec_lora", "oplora", "oplora_proj",
-           "oplora_scaled", "svdlora", "full")
 TASK_KINDS = ("linear", "mlp")
 INITS = ("random", "svd")
 
@@ -179,8 +178,8 @@ class ExperimentConfig:
                f"unsupported schema_version {version!r}", "schema_version")
         task = TaskSpec.from_dict(_take(d, "task", required=True))
         method = _take(d, "method", required=True)
-        _check(method in METHODS, f"method must be one of {METHODS}",
-               "method")
+        _check(method in METHODS,
+               f"method must be one of {tuple(METHODS)}", "method")
         cfg = cls(task=task, method=method)
         cfg.rank = int(_take(d, "rank", 8))
         cfg.k = int(_take(d, "k", 1))

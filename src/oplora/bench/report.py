@@ -89,9 +89,10 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
     """Compare grouped runs against a reference run set.
 
     Groups the method runs by (K, momentum_rank); every group must cover
-    the same etas and seeds as the reference.  Returns (and optionally
-    writes) a JSON document with one row per group plus monotonicity
-    verdicts over K and over momentum rank.
+    the same etas and seeds as the reference, and at most one of the two
+    axes may take more than one value.  Returns (and optionally writes)
+    a JSON document with one row per group plus monotonicity verdicts
+    over K and over momentum rank.
     """
     method_runs = collect_runs(method_dir)
     ref_runs = collect_runs(reference_dir)
@@ -105,6 +106,12 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
     groups = {}
     for run in method_runs:
         groups.setdefault((run.k, run.momentum_rank), []).append(run)
+    k_values = sorted({k for k, _ in groups})
+    rank_values = sorted({m_rank for _, m_rank in groups})
+    if len(k_values) > 1 and len(rank_values) > 1:
+        raise ReportError(
+            f"runs vary both k {k_values} and momentum_rank {rank_values}; "
+            f"report one axis at a time")
 
     rows = []
     for (k, m_rank), runs in sorted(groups.items()):
@@ -132,17 +139,14 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
             "mean_product_distance": float(np.median(dists)),
         })
 
-    k_values = sorted({row["k"] for row in rows})
-    rank_values = sorted({row["momentum_rank"] for row in rows})
+    # rows are sorted by (k, momentum_rank) and at most one axis varies
     verdict_k = None
     if len(k_values) > 1:
-        by_k = {row["k"]: row["mean_product_distance"] for row in rows}
-        verdict_k = _nonincreasing([by_k[k] for k in k_values])
+        verdict_k = _nonincreasing([row["mean_product_distance"]
+                                    for row in rows])
     verdict_rank = None
     if len(rank_values) > 1:
-        by_rank = {row["momentum_rank"]: row["final_loss_gap"]
-                   for row in rows}
-        verdict_rank = _nonincreasing([by_rank[m] for m in rank_values])
+        verdict_rank = _nonincreasing([row["final_loss_gap"] for row in rows])
 
     report = {
         "schema_version": 1,

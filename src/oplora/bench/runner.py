@@ -17,19 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .. import nets, optim
-from ..errors import OploraError
+from .. import nets
+from ..errors import OploraError, SweepError
 from ..instrument import counters
-from ..lowrank import (FactorPair, product_distance, product_distance_to_dense,
-                       truncated_svd)
-from .aggregate import write_aggregate
+from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
+from .aggregate import f17, write_aggregate
 from .config import ExperimentConfig
+from .methods import METHODS
 
 RUN_HEADER = "step,loss,oracle_gap,flops,wall_ms"
-
-
-def _f17(x) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -45,9 +41,9 @@ def write_run_csv(path, records):
     with open(path, "w") as fh:
         fh.write(RUN_HEADER + "\n")
         for rec in records:
-            gap = "" if rec.oracle_gap is None else _f17(rec.oracle_gap)
-            fh.write(f"{rec.step},{_f17(rec.loss)},{gap},"
-                     f"{rec.flops},{_f17(rec.wall_ms)}\n")
+            gap = "" if rec.oracle_gap is None else f17(rec.oracle_gap)
+            fh.write(f"{rec.step},{f17(rec.loss)},{gap},"
+                     f"{rec.flops},{f17(rec.wall_ms)}\n")
 
 
 def read_run_csv(path):
@@ -69,231 +65,107 @@ def _seeded(*keys) -> np.random.Generator:
         np.random.SeedSequence(list(keys))))
 
 
-def _make_oplora_state(cfg, eta, seed, beta):
-    hyper = optim.OploraConfig(
-        eta=eta, alpha=cfg.alpha, lambda_u=cfg.lam, lambda_v=cfg.lam,
-        beta=beta, delta=cfg.delta, num_iters=cfg.k,
-        momentum_rank=cfg.momentum_rank, metric_rank=cfg.metric_rank)
-    return optim.OploraState(hyper, init_seed=seed)
+class _LinearProblem:
+    """The linear task as one adapter-only layer fitted by column sampling.
 
+    The loss column reports the full objective (cheap to get thin);
+    minibatching only affects the gradients.  Dense methods are scored
+    and differentiated at their dense weight.
+    """
 
-class _FactorMethod:
-    """Any method whose iterate is the adapter pair of a single layer."""
-
-    def __init__(self, cfg, eta, seed, init_pair, w0=None):
+    def __init__(self, cfg: ExperimentConfig, seed):
         self.cfg = cfg
-        self.eta = eta
-        self.layer = nets.LoraLinear(w0, init_pair.copy())
-        m = cfg.method
-        if m in ("oplora", "oplora_scaled"):
-            self.state = _make_oplora_state(cfg, eta, seed, cfg.beta)
-        elif m == "oplora_proj":
-            self.state = optim.ProjMomentumState.like(init_pair)
-        elif m == "lora_sgd":
-            self.state = optim.SgdState.like(init_pair)
-        elif m == "lora_adamw":
-            self.state = optim.AdamwState.like(init_pair)
+        target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
+                                         _seeded(cfg.task.seed, 0),
+                                         cfg.task.singular_values)
+        self.task = nets.LinearTask(target, cfg.batch.size,
+                                    seed=cfg.task.seed)
+        if cfg.task.init == "svd":
+            init_pair = nets.init_adapter_svd(target, cfg.rank)
         else:
-            self.state = None  # prec_lora is stateless
+            init_pair = nets.init_adapter_random(
+                cfg.task.d_out, cfg.task.d_in, cfg.rank,
+                _seeded(cfg.task.seed, 1))
+        self.oracle = truncated_svd(target, cfg.rank)
+        self.oracle_dense = self.oracle.u @ self.oracle.v.T
+        self.layers = [nets.LoraLinear(None, init_pair)]
+        self.rng = _seeded(seed, 2)
+        self.trail = []
 
-    @property
-    def pair(self) -> FactorPair:
-        return self.layer.adapter
-
-    def step(self):
-        m = self.cfg.method
-        if m in ("oplora", "oplora_scaled"):
-            optim.oplora_step(self.layer, self.state)
-        elif m == "oplora_proj":
-            optim.proj_lora_step(self.layer, self.state, self.eta,
-                                 self.cfg.alpha, self.cfg.lam)
-        elif m == "prec_lora":
-            optim.prec_lora_step(self.layer, self.eta, self.cfg.lam)
-        elif m == "lora_sgd":
-            grads = nets.factor_grads(self.layer, consume=True)
-            self.layer.adapter = optim.sgd_step(
-                self.layer.adapter, grads, self.eta, self.cfg.alpha,
-                self.state)
-        elif m == "lora_adamw":
-            grads = nets.factor_grads(self.layer, consume=True)
-            self.layer.adapter = optim.adamw_step(
-                self.layer.adapter, grads, self.eta, state=self.state)
+    def evaluate(self, method, layers, states):
+        layer, state = layers[0], states[0]
+        idx = nets.sample_batch(self.task, self.rng)
+        if method.dense:
+            w = state.dense_weight
+            grad, _ = nets.linear_task_grad_dense(self.task, w, idx)
+            loss = 0.5 * float(np.sum((w - self.task.target) ** 2))
+            gap = float(np.linalg.norm(w - self.oracle_dense))
         else:
-            raise OploraError(f"not a factor method: {m}")
+            grad = None
+            left, right, _ = nets.linear_task_grad(self.task, layer.adapter,
+                                                   idx)
+            layer.captured_x, layer.captured_s = right.T, left.T
+            loss = 0.5 * product_distance_to_dense(layer.adapter,
+                                                   self.task.target) ** 2
+            gap = product_distance(layer.adapter, self.oracle)
+        if self.cfg.record_factors and method.low_rank:
+            pair = truncated_svd(w, self.cfg.rank) if method.dense \
+                else layer.adapter
+            self.trail.append((pair.u.copy(), pair.v.copy()))
+        return loss, gap, [grad]
 
 
-def _run_linear(cfg: ExperimentConfig, eta, seed):
-    task_rng = _seeded(cfg.task.seed, 0)
-    target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
-                                     task_rng, cfg.task.singular_values)
-    task = nets.LinearTask(
-        target,
-        None if cfg.batch.mode == "full" else cfg.batch.size,
-        seed=cfg.task.seed)
-    if cfg.task.init == "svd":
-        init_pair = nets.init_adapter_svd(target, cfg.rank)
-    else:
-        init_pair = nets.init_adapter_random(cfg.task.d_out, cfg.task.d_in,
-                                             cfg.rank, _seeded(cfg.task.seed, 1))
-    oracle = truncated_svd(target, cfg.rank)
-    oracle_dense = oracle.u @ oracle.v.T
+class _MlpProblem:
+    """The synthetic MLP task: one adapter layer per weight, row batches."""
 
-    batch_rng = _seeded(seed, 2)
-    method = cfg.method
-    records = []
-    trail_u, trail_v = [], []
-    flops0 = counters().flops
-    t0 = time.perf_counter()
+    def __init__(self, cfg: ExperimentConfig, seed):
+        self.task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
+                                 cfg.task.loss, cfg.task.n_samples,
+                                 seed=cfg.task.seed)
+        self.x, self.y = nets.make_mlp_dataset(self.task,
+                                               _seeded(cfg.task.seed, 3))
+        self.layers = nets.make_mlp_layers(self.task, cfg.rank,
+                                           _seeded(cfg.task.seed, 4))
+        self.rng = _seeded(seed, 5)
+        self.batch_size = cfg.batch.size
+        self.trail = []  # never recorded for the MLP
 
-    def wall_ms():
-        if not cfg.timing:
-            return 0.0
-        return (time.perf_counter() - t0) * 1e3
-
-    # the loss column always reports the full objective (cheap to get
-    # thin for this task); minibatching only affects the gradients
-    if method in ("svdlora", "full"):
-        dense_w = init_pair.u @ init_pair.v.T
-        state = optim.SvdLoraState(dense_w, np.zeros_like(dense_w))
-        for t in range(cfg.steps):
-            idx = nets.sample_batch(task, batch_rng)
-            grad, _ = nets.linear_task_grad_dense(task, state.dense_weight,
-                                                  idx)
-            loss = 0.5 * float(
-                np.sum((state.dense_weight - target) ** 2))
-            gap = float(np.linalg.norm(state.dense_weight - oracle_dense))
-            if cfg.record_factors and method == "svdlora":
-                pair = truncated_svd(state.dense_weight, cfg.rank)
-                trail_u.append(pair.u)
-                trail_v.append(pair.v)
-            records.append(RunRecord(t, loss, gap,
-                                     counters().flops - flops0, wall_ms()))
-            if method == "svdlora":
-                optim.svdlora_step(state, grad, eta, cfg.alpha, cfg.rank)
-            else:
-                state.dense_momentum = cfg.alpha * state.dense_momentum + grad
-                state.dense_weight = state.dense_weight \
-                    - eta * state.dense_momentum
-    else:
-        driver = _FactorMethod(cfg, eta, seed, init_pair)
-        for t in range(cfg.steps):
-            idx = nets.sample_batch(task, batch_rng)
-            left, right, _ = nets.linear_task_grad(task, driver.pair, idx)
-            driver.layer.captured_x = right.T
-            driver.layer.captured_s = left.T
-            loss = 0.5 * product_distance_to_dense(driver.pair, target) ** 2
-            gap = product_distance(driver.pair, oracle)
-            if cfg.record_factors:
-                trail_u.append(driver.pair.u.copy())
-                trail_v.append(driver.pair.v.copy())
-            records.append(RunRecord(t, loss, gap,
-                                     counters().flops - flops0, wall_ms()))
-            driver.step()
-    trail = None
-    if trail_u:
-        trail = (np.stack(trail_u), np.stack(trail_v))
-    return records, trail
-
-
-class _MlpDriver:
-    """Per-layer optimizer states over the synthetic MLP task."""
-
-    def __init__(self, cfg, eta, seed, task, layers):
-        self.cfg, self.eta, self.task = cfg, eta, task
-        self.layers = layers
-        m = cfg.method
-        self.states = []
-        self.dense = None
-        if m == "svdlora":
-            self.dense = [optim.SvdLoraState.from_pair(l.adapter)
-                          for l in layers]
-        elif m == "full":
-            self.dense = [nets.DenseLinear(l.w0.copy()) for l in layers]
-            self.dense_momenta = [np.zeros_like(l.w0) for l in layers]
-        else:
-            for layer in layers:
-                if m in ("oplora", "oplora_scaled"):
-                    self.states.append(
-                        _make_oplora_state(cfg, eta, seed, cfg.beta))
-                elif m == "oplora_proj":
-                    self.states.append(optim.ProjMomentumState.like(layer.adapter))
-                elif m == "lora_sgd":
-                    self.states.append(optim.SgdState.like(layer.adapter))
-                elif m == "lora_adamw":
-                    self.states.append(optim.AdamwState.like(layer.adapter))
-                else:
-                    self.states.append(None)
-
-    def loss_and_capture(self, xb, yb) -> float:
-        if self.cfg.method == "full":
-            return nets.mlp_forward_backward(self.task, self.dense, xb, yb)
-        return nets.mlp_forward_backward(self.task, self.layers, xb, yb)
-
-    def step(self):
-        m = self.cfg.method
-        if m == "full":
-            for layer, mom in zip(self.dense, self.dense_momenta):
-                grad = layer.weight_grad()
-                mom *= self.cfg.alpha
-                mom += grad
-                layer.w = layer.w - self.eta * mom
-                layer.clear_captures()
-            return
-        if m == "svdlora":
-            for layer, state in zip(self.layers, self.dense):
-                # dense baseline: the full gradient S^T X is materialized
-                grad = layer.captured_s.T @ layer.captured_x
-                layer.adapter = optim.svdlora_step(
-                    state, grad, self.eta, self.cfg.alpha, self.cfg.rank)
-                layer.clear_captures()
-            return
-        for layer, state in zip(self.layers, self.states):
-            if m in ("oplora", "oplora_scaled"):
-                optim.oplora_step(layer, state)
-            elif m == "oplora_proj":
-                optim.proj_lora_step(layer, state, self.eta, self.cfg.alpha,
-                                     self.cfg.lam)
-            elif m == "prec_lora":
-                optim.prec_lora_step(layer, self.eta, self.cfg.lam)
-            elif m == "lora_sgd":
-                grads = nets.factor_grads(layer, consume=True)
-                layer.adapter = optim.sgd_step(layer.adapter, grads, self.eta,
-                                               self.cfg.alpha, state)
-            elif m == "lora_adamw":
-                grads = nets.factor_grads(layer, consume=True)
-                layer.adapter = optim.adamw_step(layer.adapter, grads,
-                                                 self.eta, state=state)
-
-
-def _run_mlp(cfg: ExperimentConfig, eta, seed):
-    task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity, cfg.task.loss,
-                        cfg.task.n_samples, seed=cfg.task.seed)
-    data_rng = _seeded(cfg.task.seed, 3)
-    x, y = nets.make_mlp_dataset(task, data_rng)
-    layers = nets.make_mlp_layers(task, cfg.rank, _seeded(cfg.task.seed, 4))
-    batch_rng = _seeded(seed, 5)
-    driver = _MlpDriver(cfg, eta, seed, task, layers)
-    records = []
-    flops0 = counters().flops
-    t0 = time.perf_counter()
-    n = task.n_samples
-    for t in range(cfg.steps):
-        if cfg.batch.mode == "minibatch":
-            rows = batch_rng.choice(n, size=cfg.batch.size, replace=False)
-        else:
+    def evaluate(self, method, layers, states):
+        n = self.task.n_samples
+        if self.batch_size is None:
             rows = np.arange(n)
-        loss = driver.loss_and_capture(x[rows], y[rows])
-        wall = 0.0 if not cfg.timing else (time.perf_counter() - t0) * 1e3
-        records.append(RunRecord(t, loss, None,
-                                 counters().flops - flops0, wall))
-        driver.step()
-    return records, None
+        else:
+            rows = self.rng.choice(n, size=self.batch_size, replace=False)
+        loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
+                                         self.y[rows])
+        return loss, None, [None] * len(layers)
 
 
 def run_single(cfg: ExperimentConfig, eta, seed):
-    if cfg.task.kind == "linear":
-        return _run_linear(cfg, eta, seed)
-    return _run_mlp(cfg, eta, seed)
+    """One (eta, seed) run of the config's method; returns the step
+    records and the factor trail (None when none was recorded)."""
+    method = METHODS[cfg.method]
+    problem_type = _LinearProblem if cfg.task.kind == "linear" else _MlpProblem
+    problem = problem_type(cfg, seed)
+    layers, states = [], []
+    for layer in problem.layers:
+        layer, state = method.init(cfg, eta, seed, layer)
+        layers.append(layer)
+        states.append(state)
+    records = []
+    flops0 = counters().flops
+    t0 = time.perf_counter()
+    for t in range(cfg.steps):
+        loss, gap, grads = problem.evaluate(method, layers, states)
+        wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
+        records.append(RunRecord(t, loss, gap, counters().flops - flops0,
+                                 wall))
+        for layer, state, grad in zip(layers, states, grads):
+            method.step(cfg, eta, layer, state, grad)
+    if not problem.trail:
+        return records, None
+    trail_u, trail_v = zip(*problem.trail)
+    return records, (np.stack(trail_u), np.stack(trail_v))
 
 
 def _run_name(method, eta, seed) -> str:
@@ -359,8 +231,6 @@ def lr_sweep(cfg: ExperimentConfig, out_dir=None, quiet=False):
     the final 10% of steps; ties break toward the smaller eta and
     non-finite runs rank last.  Returns ``(best_eta, manifest)``.
     """
-    from ..errors import SweepError
-
     out_dir = out_dir or cfg.out_dir
     manifest = run_experiment(cfg, out_dir=out_dir, quiet=quiet)
     by_eta = {}
@@ -383,7 +253,7 @@ def lr_sweep(cfg: ExperimentConfig, out_dir=None, quiet=False):
     with open(os.path.join(out_dir, "sweep_summary.csv"), "w") as fh:
         fh.write("eta,score,status\n")
         for eta, score, status in rows:
-            stext = "inf" if not np.isfinite(score) else _f17(score)
+            stext = "inf" if not np.isfinite(score) else f17(score)
             fh.write(f"{format(eta, '.6g')},{stext},{status}\n")
     finite = [r for r in rows if np.isfinite(r[1])]
     if not finite:

@@ -175,10 +175,6 @@ def product_inner(p: FactorPair, q: FactorPair) -> float:
         return float(np.sum(gu * gv))
 
 
-def product_norm(p: FactorPair) -> float:
-    return float(np.sqrt(max(product_inner(p, p), 0.0)))
-
-
 def product_distance(p: FactorPair, q: FactorPair) -> float:
     """``||u_p v_p^T - u_q v_q^T||_F`` computed via r x r grams only."""
     sq = product_inner(p, p) + product_inner(q, q) - 2.0 * product_inner(p, q)
@@ -192,20 +188,3 @@ def product_distance_to_dense(p: FactorPair, w) -> float:
         cross = float(np.sum(p.u * matmul(w, p.v)))
         sq = product_inner(p, p) - 2.0 * cross + float(np.sum(w * w))
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def pad_rank(p: FactorPair, r: int, rng: np.random.Generator) -> FactorPair:
-    """Widen a pair to rank ``r`` without changing its product.
-
-    New left columns are random (so the extra rank is reachable by
-    alternating updates), new right columns are zero.
-    """
-    extra = r - p.rank
-    if extra < 0:
-        raise ShapeError(f"cannot pad rank {p.rank} down to {r}")
-    if extra == 0:
-        return p.copy()
-    scale = float(np.linalg.norm(p.u) / np.sqrt(p.u.size)) or 1.0
-    u_pad = scale * rng.standard_normal((p.d_out, extra))
-    v_pad = np.zeros((p.d_in, extra))
-    return FactorPair(np.hstack([p.u, u_pad]), np.hstack([p.v, v_pad]))

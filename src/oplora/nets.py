@@ -92,14 +92,6 @@ class DenseLinear:
     def __post_init__(self):
         self.w = as_matrix(self.w, "w")
 
-    @property
-    def d_out(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.w.shape[1]
-
     def forward(self, x) -> np.ndarray:
         x = as_matrix(x, "x")
         self.captured_x = x
@@ -119,23 +111,21 @@ class DenseLinear:
         self.captured_s = None
 
 
+def captures(layer):
+    """The layer's ``(X, S)`` captures; raises when either is missing."""
+    if layer.captured_x is None or layer.captured_s is None:
+        raise StaleCaptureError("layer has no fresh forward/backward captures")
+    return layer.captured_x, layer.captured_s
+
+
 def factor_grads(layer: LoraLinear, consume: bool = False):
     """Factor gradients G_u = S^T (X v), G_v = X^T (S u) from captures."""
-    if layer.captured_x is None or layer.captured_s is None:
-        raise StaleCaptureError("no fresh captures for factor gradients")
-    x, s = layer.captured_x, layer.captured_s
+    x, s = captures(layer)
     g_u = matmul(s, matmul(x, layer.adapter.v), transpose_a=True)
     g_v = matmul(x, matmul(s, layer.adapter.u), transpose_a=True)
     if consume:
         layer.clear_captures()
     return g_u, g_v
-
-
-def grad_pair(layer):
-    """The captured full gradient as a thin pair (S^T, X^T)."""
-    if layer.captured_x is None or layer.captured_s is None:
-        raise StaleCaptureError("no fresh captures for the gradient pair")
-    return layer.captured_s.T, layer.captured_x.T
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +145,6 @@ class LinearTask:
                 raise ShapeError(
                     f"batch size {self.batch_size} invalid for "
                     f"{self.target.shape[1]} columns")
-
-    @property
-    def d_out(self) -> int:
-        return self.target.shape[0]
 
     @property
     def d_in(self) -> int:
@@ -209,14 +195,6 @@ def linear_task_grad(task: LinearTask, adapter: FactorPair, indices):
     right[idx, np.arange(idx.size)] = 1.0
     loss = 0.5 * scale * float(np.sum(diff * diff))
     return left, right, loss
-
-
-def linear_task_loss(task: LinearTask, adapter: FactorPair,
-                     indices=None) -> float:
-    if indices is None:
-        indices = np.arange(task.d_in)
-    _, _, loss = linear_task_grad(task, adapter, indices)
-    return loss
 
 
 def linear_task_grad_dense(task: LinearTask, w, indices):
@@ -331,14 +309,6 @@ def _loss_and_logit_grad(task, logits, y):
     grad = probs.copy()
     grad[rows, y] -= 1.0
     return loss, grad / b
-
-
-def mlp_loss(task: MlpTask, layers, x, y) -> float:
-    logits = x
-    for layer in layers[:-1]:
-        logits = _act(task, layer.forward(logits))
-    logits = layers[-1].forward(logits)
-    return _loss_and_logit_grad(task, logits, y)[0]
 
 
 def mlp_forward_backward(task: MlpTask, layers, x, y) -> float:

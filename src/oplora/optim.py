@@ -9,7 +9,7 @@ damped low-rank metrics tracks running averages of X^T X / B and
 S^T S / B as non-Euclidean scales.
 
 Baselines: the one-step preconditioned factor update, heavy-ball SGD
-and AdamW on the factors, projected/naive factor momentum, and the
+and AdamW on the factors, projected factor momentum, and the
 dense projection oracle that takes a full step and truncates back to
 rank r by SVD.
 """
@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError, StaleCaptureError
+from .errors import ShapeError
 from .lowrank import FactorPair, WeightedFactorSum, gram, truncated_svd
 from .lorsum import LorsumConfig, Metric, lorsum
 from .matcore import as_matrix, matmul, solve_spd, thin_qr
+from .nets import captures, factor_grads
 
 # Tiny proximal weight that keeps the r x r systems positive definite
 # when momentum or metric factors are rank-deficient (e.g. right after
@@ -50,7 +51,6 @@ class OploraConfig:
     momentum_rank: Optional[int] = None
     metric_rank: Optional[int] = None
     mode: str = "alternating"
-    start_turn: str = "in_first"
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -178,15 +178,8 @@ def momentum_update_lor(state: OploraState, momentum: FactorPair,
         (1.0, grad_left, grad_right),
     ])
     cfg = LorsumConfig(num_iters=h.num_iters, lambda_u=RESCUE_LAMBDA,
-                       lambda_v=RESCUE_LAMBDA, start_turn=h.start_turn)
+                       lambda_v=RESCUE_LAMBDA)
     return lorsum(momentum, terms, cfg)
-
-
-def _require_captures(layer):
-    if layer.captured_x is None or layer.captured_s is None:
-        raise StaleCaptureError(
-            "optimizer step needs fresh forward/backward captures")
-    return layer.captured_x, layer.captured_s
 
 
 def oplora_step(layer, state: OploraState) -> FactorPair:
@@ -197,7 +190,7 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     terms); the momentum buffer is then refreshed separately.  State and
     layer are only mutated once everything has succeeded.
     """
-    x, s = _require_captures(layer)
+    x, s = captures(layer)
     h = state.hyper
     adapter = layer.adapter
     d_out, d_in = adapter.d_out, adapter.d_in
@@ -225,8 +218,7 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
         term_list.append((-h.eta * h.alpha, momentum.u, momentum.v))
     cfg = LorsumConfig(num_iters=h.num_iters,
                        lambda_u=h.lambda_u * h.eta,
-                       lambda_v=h.lambda_v * h.eta,
-                       start_turn=h.start_turn, mode=h.mode)
+                       lambda_v=h.lambda_v * h.eta, mode=h.mode)
     new_pair = lorsum(adapter, WeightedFactorSum(term_list), cfg,
                       metric_u, metric_v)
 
@@ -250,12 +242,9 @@ def prec_lora_step(layer, eta: float, lam: float = 0.0) -> FactorPair:
     preconditioners evaluated at the pre-step factors.  G is applied as
     thin products G V = S^T (X V).
     """
-    x, s = _require_captures(layer)
+    gv, gtu = factor_grads(layer)
     u, v = layer.adapter.u, layer.adapter.v
-    r = layer.adapter.rank
-    eye = np.eye(r)
-    gv = matmul(s, matmul(x, v), transpose_a=True)
-    gtu = matmul(x, matmul(s, u), transpose_a=True)
+    eye = np.eye(layer.adapter.rank)
     new_u = u - eta * solve_spd(gram(v) + lam * eye, gv.T).T
     new_v = v - eta * solve_spd(gram(u) + lam * eye, gtu.T).T
     pair = FactorPair(new_u, new_v)
@@ -375,32 +364,6 @@ class ProjMomentumState:
         return ProjMomentumState(np.zeros_like(pair.u), np.zeros_like(pair.v))
 
 
-def _factor_grads_thin(layer):
-    x, s = _require_captures(layer)
-    u, v = layer.adapter.u, layer.adapter.v
-    g_u = matmul(s, matmul(x, v), transpose_a=True)
-    g_v = matmul(x, matmul(s, u), transpose_a=True)
-    return g_u, g_v
-
-
-def momentum_update_naive(state: ProjMomentumState, layer,
-                          alpha: float, lam: float = 0.0):
-    """Accumulate preconditioned factor gradients without re-projection:
-
-        M_u <- G_u (V^T V + lam I)^-1 + alpha M_u   (and the V analog).
-    """
-    g_u, g_v = _factor_grads_thin(layer)
-    u, v = layer.adapter.u, layer.adapter.v
-    eye = np.eye(layer.adapter.rank)
-    pre_u = solve_spd(gram(v) + lam * eye, g_u.T).T
-    pre_v = solve_spd(gram(u) + lam * eye, g_v.T).T
-    state.momentum_u = pre_u + alpha * state.momentum_u
-    state.momentum_v = pre_v + alpha * state.momentum_v
-    state.prev_u = u.copy()
-    state.prev_v = v.copy()
-    return state.momentum_u, state.momentum_v
-
-
 def momentum_update_proj(state: ProjMomentumState, layer,
                          alpha: float, lam: float = 0.0):
     """Re-project the momentum through the current factor subspaces:
@@ -411,7 +374,7 @@ def momentum_update_proj(state: ProjMomentumState, layer,
     and the V analog with U grams.  The current factors are stashed as
     the next step's previous iterates.
     """
-    g_u, g_v = _factor_grads_thin(layer)
+    g_u, g_v = factor_grads(layer)
     u, v = layer.adapter.u, layer.adapter.v
     eye = np.eye(layer.adapter.rank)
     num_u = g_u
@@ -429,13 +392,9 @@ def momentum_update_proj(state: ProjMomentumState, layer,
 
 
 def proj_lora_step(layer, state: ProjMomentumState, eta: float,
-                   alpha: float, lam: float = 0.0,
-                   projected: bool = True) -> FactorPair:
-    """Preconditioned factor step driven by projected or naive momentum."""
-    if projected:
-        m_u, m_v = momentum_update_proj(state, layer, alpha, lam)
-    else:
-        m_u, m_v = momentum_update_naive(state, layer, alpha, lam)
+                   alpha: float, lam: float = 0.0) -> FactorPair:
+    """Preconditioned factor step driven by projected momentum."""
+    m_u, m_v = momentum_update_proj(state, layer, alpha, lam)
     pair = FactorPair(layer.adapter.u - eta * m_u,
                       layer.adapter.v - eta * m_v)
     layer.adapter = pair

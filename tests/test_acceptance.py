@@ -21,14 +21,15 @@ from oplora.bench.runner import RUN_HEADER, read_run_csv, run_experiment
 from oplora.instrument import counters, reset_counters
 from oplora.lorsum import LorsumConfig, lorsum
 from oplora.lowrank import (FactorPair, WeightedFactorSum, materialize,
-                            pad_rank, product_distance,
-                            product_distance_to_dense, truncated_svd)
+                            product_distance, product_distance_to_dense,
+                            truncated_svd)
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          init_adapter_random, linear_task_grad,
-                         linear_task_grad_dense, linear_task_loss,
-                         make_linear_target, make_mlp_dataset,
-                         make_mlp_layers, mlp_forward_backward, mlp_loss,
-                         sample_batch)
+                         linear_task_grad_dense, make_linear_target,
+                         make_mlp_dataset, make_mlp_layers,
+                         mlp_forward_backward, sample_batch)
+
+from helpers import linear_task_loss, mlp_loss, pad_rank
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

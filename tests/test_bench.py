@@ -7,6 +7,7 @@ import pytest
 from oplora.bench.aggregate import AGG_HEADER, bootstrap_median_ci
 from oplora.bench.cli import main as cli_main
 from oplora.bench.config import ExperimentConfig, is_125_grid_value
+from oplora.bench.methods import METHODS
 from oplora.bench.report import gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
@@ -176,6 +177,61 @@ class TestRunExperiment:
         assert records[0].oracle_gap is None
 
 
+def _mlp_config(out_dir, **overrides):
+    doc = base_config(out_dir, **overrides)
+    doc["task"] = {"kind": "mlp", "dims": [6, 8, 4], "loss": "mse",
+                   "n_samples": 64, "seed": 2}
+    doc["rank"] = 2
+    return doc
+
+
+REGISTRY_CASES = {
+    "linear_full": lambda out, **kw: base_config(out, **kw),
+    "linear_minibatch": lambda out, **kw: base_config(
+        out, batch={"mode": "minibatch", "size": 8}, **kw),
+    "mlp_minibatch": lambda out, **kw: _mlp_config(
+        out, batch={"mode": "minibatch", "size": 16}, **kw),
+}
+
+
+def _registry_params():
+    for method in sorted(METHODS):
+        for case in REGISTRY_CASES:
+            marks = ()
+            if method == "oplora_scaled" and case == "mlp_minibatch":
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="known fault: at the default delta the metric "
+                           "EMA raises SingularMetricError on the MLP")
+            yield pytest.param(method, case, marks=marks,
+                               id=f"{method}-{case}")
+
+
+class TestMethodRegistry:
+    @pytest.mark.parametrize("method,case", _registry_params())
+    def test_every_method_runs_reproducibly(self, method, case, tmp_path):
+        extra = {"beta": 0.9} if method == "oplora_scaled" else {}
+        outputs = []
+        for name in ("a", "b"):
+            doc = REGISTRY_CASES[case](tmp_path / name, method=method,
+                                       eta=0.05, alpha=0.5, **extra)
+            manifest = run_experiment(ExperimentConfig.from_dict(doc),
+                                      quiet=True)
+            entry = manifest["runs"][0]
+            assert entry["status"] == "ok", entry["error"]
+            path = tmp_path / name / entry["csv"]
+            records = read_run_csv(str(path))
+            assert len(records) == doc["steps"]
+            assert all(np.isfinite(r.loss) for r in records)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_unknown_method_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(base_config(tmp_path, method="nope"))
+        assert err.value.field == "method"
+
+
 class TestSweep:
     def test_single_point_grid_selects_it(self, tmp_path):
         doc = base_config(tmp_path, steps=5)
@@ -254,6 +310,17 @@ class TestGapReport:
         assert ks == sorted(ks)
         assert report["monotone_distance_in_k"] is True
         assert (tmp_path / "gap_report.json").exists()
+
+    def test_mixed_k_and_momentum_rank_grid_rejected(self, tmp_path):
+        ref = self._run(tmp_path, "ref3", method="svdlora")
+        for k in (1, 2):
+            for m_rank in (4, 8):
+                self._run(tmp_path / "mixed", f"k{k}_m{m_rank}",
+                          method="oplora", k=k, alpha=0.5,
+                          momentum_rank=m_rank)
+        with pytest.raises(ReportError) as err:
+            gap_report(str(tmp_path / "mixed"), str(ref))
+        assert "momentum_rank" in str(err.value)
 
     def test_mismatched_seeds_rejected(self, tmp_path):
         ref = self._run(tmp_path, "ref2", method="svdlora")

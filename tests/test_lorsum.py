@@ -8,10 +8,11 @@ from oplora.instrument import counters, reset_counters
 from oplora.lorsum import (LorsumConfig, Metric, apply_inverse_metric,
                            apply_metric_gram, lorsum)
 from oplora.lowrank import (FactorPair, WeightedFactorSum, gram, materialize,
-                            pad_rank, truncated_svd)
+                            truncated_svd)
 from oplora.matcore import solve_spd
 
 from conftest import rng
+from helpers import pad_rank
 
 
 def random_pair(g, d_out, d_in, r):

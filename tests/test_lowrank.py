@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from oplora.errors import DensePolicyError, ShapeError, SingularMetricError
 from oplora.instrument import counters
 from oplora.lowrank import (FactorPair, WeightedFactorSum, gram, materialize,
-                            pad_rank, product_distance,
-                            product_distance_to_dense, product_inner,
-                            project_onto_colspace, truncated_svd)
+                            product_distance, product_distance_to_dense,
+                            product_inner, project_onto_colspace,
+                            truncated_svd)
 from oplora.matcore import matmul, svd_dense
 
 from conftest import rng
+from helpers import pad_rank
 
 
 def random_pair(g, d_out, d_in, r):

@@ -12,6 +12,7 @@ from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
                          linear_task_grad_dense, make_linear_target)
 
 from conftest import rng
+from helpers import momentum_update_naive
 
 
 def well_conditioned_pair(g, d_out, d_in, r):
@@ -408,10 +409,10 @@ class TestProjAndNaiveMomentum:
         state = optim.ProjMomentumState.like(layer.adapter)
         x, s = layer.captured_x, layer.captured_s
         alpha = 0.5
-        m1, _ = optim.momentum_update_naive(state, layer, alpha, lam=0.0)
+        m1, _ = momentum_update_naive(state, layer, alpha, lam=0.0)
         first = m1.copy()
         layer.captured_x, layer.captured_s = x, s
-        m2, _ = optim.momentum_update_naive(state, layer, alpha, lam=0.0)
+        m2, _ = momentum_update_naive(state, layer, alpha, lam=0.0)
         assert np.allclose(m2, (1 + alpha) * first, atol=1e-10)
 
     def test_proj_equals_naive_on_fixed_orthonormal_factors(self):
@@ -430,7 +431,7 @@ class TestProjAndNaiveMomentum:
             layer_a.captured_x = layer_b.captured_x = x
             layer_a.captured_s = layer_b.captured_s = s
             ma = optim.momentum_update_proj(state_a, layer_a, 0.7, 0.0)
-            mb = optim.momentum_update_naive(state_b, layer_b, 0.7, 0.0)
+            mb = momentum_update_naive(state_b, layer_b, 0.7, 0.0)
         assert np.allclose(ma[0], mb[0], atol=1e-9)
         assert np.allclose(ma[1], mb[1], atol=1e-9)
 
