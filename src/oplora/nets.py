@@ -303,9 +303,11 @@ def _loss_and_logit_grad(task, logits, y):
         return 0.5 * float(np.sum(diff * diff)) / b, diff / b
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    total = expz.sum(axis=1, keepdims=True)
+    probs = expz / total
     rows = np.arange(b)
-    loss = float(-np.mean(np.log(probs[rows, y])))
+    # log-sum-exp: the probability of the label may underflow to 0
+    loss = float(-np.mean(shifted[rows, y] - np.log(total[:, 0])))
     grad = probs.copy()
     grad[rows, y] -= 1.0
     return loss, grad / b

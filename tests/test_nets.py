@@ -298,6 +298,16 @@ class TestMlpTask:
             assert layer.captured_x is not None
             assert layer.captured_s is not None
 
+    def test_cross_entropy_is_finite_for_a_large_logit_gap(self):
+        # logits (400, -400): the label's softmax probability underflows
+        task = MlpTask([1, 2], loss="cross_entropy", n_samples=1)
+        layer = LoraLinear(np.array([[400.0], [-400.0]]),
+                           FactorPair(np.zeros((2, 1)), np.zeros((1, 1))))
+        loss = mlp_forward_backward(task, [layer], np.ones((1, 1)),
+                                    np.array([1]))
+        assert loss == pytest.approx(800.0, rel=1e-12)
+        assert np.allclose(layer.captured_s, [[1.0, -1.0]])
+
     def test_dense_layer_matches_lora_with_zero_adapter(self):
         g = rng(22)
         w = g.standard_normal((5, 4))
