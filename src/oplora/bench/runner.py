@@ -78,8 +78,7 @@ class _LinearProblem:
         target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
                                          _seeded(cfg.task.seed, 0),
                                          cfg.task.singular_values)
-        self.task = nets.LinearTask(target, cfg.batch.size,
-                                    seed=cfg.task.seed)
+        self.task = nets.LinearTask(target, cfg.batch.size)
         if cfg.task.init == "svd":
             init_pair = nets.init_adapter_svd(target, cfg.rank)
         else:
@@ -93,6 +92,8 @@ class _LinearProblem:
         self.trail = []
 
     def evaluate(self, method, layers, states):
+        """Draw a batch; return (loss, gap, per-layer dense gradients or
+        None where the step reads the captures this sets)."""
         layer, state = layers[0], states[0]
         idx = nets.sample_batch(self.task, self.rng)
         if method.dense:

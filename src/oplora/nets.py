@@ -136,7 +136,6 @@ def factor_grads(layer: LoraLinear, consume: bool = False):
 class LinearTask:
     target: np.ndarray
     batch_size: Optional[int] = None  # None means full batch
-    seed: int = 0
 
     def __post_init__(self):
         self.target = as_matrix(self.target, "target")
