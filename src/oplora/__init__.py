@@ -7,7 +7,7 @@ from .errors import (
 )
 from .lowrank import (
     FactorPair, WeightedFactorSum, gram, materialize, product_distance,
-    project_onto_colspace, truncated_svd,
+    truncated_svd,
 )
 from .lorsum import LorsumConfig, Metric, apply_inverse_metric, \
     apply_metric_gram, lorsum

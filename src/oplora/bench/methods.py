@@ -34,9 +34,9 @@ def _like(state_type):
 
 def _oplora_init(cfg, eta, seed, layer):
     hyper = optim.OploraConfig(
-        eta=eta, alpha=cfg.alpha, lambda_u=cfg.lam, lambda_v=cfg.lam,
-        beta=cfg.beta, delta=cfg.delta, num_iters=cfg.k,
-        momentum_rank=cfg.momentum_rank, metric_rank=cfg.metric_rank)
+        eta=eta, alpha=cfg.alpha, lam=cfg.lam, beta=cfg.beta,
+        delta=cfg.delta, num_iters=cfg.k, momentum_rank=cfg.momentum_rank,
+        metric_rank=cfg.metric_rank)
     return layer, optim.OploraState(hyper, init_seed=seed)
 
 

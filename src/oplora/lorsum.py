@@ -6,18 +6,19 @@ product), :func:`lorsum` refines the pair toward the best rank-r
 approximation of the target.  Each half-step solves one r x r symmetric
 system:
 
-    V <- (lam_v * V1 + sum_i c_i Dv^-1 V_i (U_i^T U)) (U^T Du U + lam_v I)^-1
-    U <- (lam_u * U1 + sum_i c_i Du^-1 U_i (V_i^T V)) (V^T Dv V + lam_u I)^-1
+    V <- (lam * V1 + sum_i c_i Dv^-1 V_i (U_i^T U)) (U^T Du U + lam I)^-1
+    U <- (lam * U1 + sum_i c_i Du^-1 U_i (V_i^T V)) (V^T Dv V + lam I)^-1
 
-where the anchor term (i = 1) is never metric-scaled, ``lam_u`` /
-``lam_v`` are proximal weights pulling toward the anchor, and ``Du`` /
+where the anchor term (i = 1) is never metric-scaled, ``lam`` is the
+proximal weight pulling both factors toward the anchor, and ``Du`` /
 ``Dv`` are damped low-rank metrics applied through the Woodbury
-identity.  Work per call is O(K * max(d_out, d_in) * sum_i k_i * r) and
-no full-size matrix is ever formed.
+identity (Euclidean when absent).  The two half-steps are one routine
+applied to either side.  Work per call is
+O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
+formed.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,120 +27,84 @@ from .instrument import charge
 from .lowrank import FactorPair, WeightedFactorSum, gram
 from .matcore import as_matrix, matmul, solve_spd
 
-START_TURNS = ("in_first", "out_first")
 MODES = ("alternating", "simultaneous")
 
 
 @dataclass(frozen=True)
 class Metric:
-    """A damped symmetric PSD scale ``coeff * factor @ factor.T + delta I``.
+    """A damped symmetric PSD scale ``factor @ factor.T + delta I``.
 
-    ``kind == "identity"`` ignores the other fields and acts as the
-    Euclidean metric.
+    Wherever a metric is optional, ``None`` stands for the Euclidean
+    metric.
     """
 
-    kind: str = "identity"
-    factor: Optional[np.ndarray] = None
-    coeff: float = 1.0
+    factor: np.ndarray
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "damped_lowrank"):
-            raise ShapeError(f"unknown metric kind {self.kind!r}")
         if self.delta < 0:
             raise ShapeError("metric damping must be nonnegative")
-        if self.coeff < 0:
-            raise ShapeError("metric coefficient must be nonnegative")
-        if self.factor is not None:
-            object.__setattr__(
-                self, "factor", as_matrix(self.factor, "metric factor"))
-
-    @staticmethod
-    def identity() -> "Metric":
-        return Metric()
-
-    @staticmethod
-    def damped(factor, coeff: float = 1.0, delta: float = 0.0) -> "Metric":
-        return Metric("damped_lowrank", factor, coeff, delta)
-
-    @property
-    def has_lowrank_part(self) -> bool:
-        return (self.kind == "damped_lowrank" and self.factor is not None
-                and self.factor.shape[1] > 0 and self.coeff > 0.0)
-
-    def scalar_count(self) -> int:
-        return 0 if self.factor is None else self.factor.size
+        object.__setattr__(
+            self, "factor", as_matrix(self.factor, "metric factor"))
 
 
-_IDENTITY = Metric.identity()
+def _check_rows(m: Metric, x):
+    if m.factor.shape[0] != x.shape[0]:
+        raise ShapeError(
+            f"metric dimension {m.factor.shape[0]} does not match "
+            f"rows {x.shape[0]}")
 
 
 def apply_inverse_metric(m: Metric, x) -> np.ndarray:
-    """``(D + delta I)^{-1} x`` via Woodbury; only thin solves occur.
+    """``(F F^T + delta I)^{-1} x`` via Woodbury; only thin solves occur.
 
-    The identity metric returns ``x`` unchanged (possibly the same
-    array).  A damped low-rank metric requires ``delta > 0``: the
-    low-rank part alone is never invertible.
+    ``None`` returns ``x`` unchanged (possibly the same array).  A metric
+    requires ``delta > 0``: the low-rank part alone is never invertible.
     """
     x = as_matrix(x, "x")
-    if m.kind == "identity":
+    if m is None:
         return x
     if m.delta <= 0.0:
         raise SingularMetricError(
             "damped low-rank metric needs delta > 0 to be invertible")
-    if not m.has_lowrank_part:
-        charge(flops=x.size, alloc=x.size)
-        return x / m.delta
+    _check_rows(m, x)
     f = m.factor
-    if f.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"metric dimension {f.shape[0]} does not match rows {x.shape[0]}")
-    width = f.shape[1]
     y = matmul(f, x, transpose_a=True)
-    small = gram(f) / m.delta + np.eye(width) / m.coeff
+    small = gram(f) / m.delta + np.eye(f.shape[1])
     z = solve_spd(small, y)
     return (x - matmul(f, z) / m.delta) / m.delta
 
 
 def apply_metric_gram(m: Metric, x) -> np.ndarray:
-    """``x^T (D + delta I) x`` using thin products only; symmetric PSD."""
+    """``x^T (F F^T + delta I) x`` using thin products only; symmetric PSD."""
     x = as_matrix(x, "x")
-    if m.kind == "identity":
+    if m is None:
         return gram(x)
-    out = m.delta * gram(x)
-    if m.has_lowrank_part:
-        if m.factor.shape[0] != x.shape[0]:
-            raise ShapeError(
-                f"metric dimension {m.factor.shape[0]} does not match "
-                f"rows {x.shape[0]}")
-        out = out + m.coeff * gram(matmul(m.factor, x, transpose_a=True))
+    _check_rows(m, x)
+    out = m.delta * gram(x) + gram(matmul(m.factor, x, transpose_a=True))
     return (out + out.T) / 2.0
 
 
 @dataclass(frozen=True)
 class LorsumConfig:
-    """Iteration count, proximal weights, and update scheduling.
+    """Iteration count, proximal weight, and update scheduling.
 
-    ``lambda_u`` anchors the out-side factor, ``lambda_v`` the in-side
-    factor; both are taken as already scaled (callers fold in any
-    learning-rate factor).  ``in_first`` updates the input-side factor
-    first; ``simultaneous`` computes both half-updates from the same
-    estimates before committing either.
+    ``lam`` pulls both factors toward the anchor and is taken as already
+    scaled (callers fold in any learning-rate factor).  ``alternating``
+    updates the input-side factor V and then U from the new V;
+    ``simultaneous`` computes both half-updates from the same estimates
+    before committing either.
     """
 
     num_iters: int = 1
-    lambda_u: float = 0.0
-    lambda_v: float = 0.0
-    start_turn: str = "in_first"
+    lam: float = 0.0
     mode: str = "alternating"
 
     def __post_init__(self):
         if self.num_iters < 1:
             raise ShapeError("num_iters must be at least 1")
-        if self.lambda_u < 0 or self.lambda_v < 0:
-            raise ShapeError("proximal weights must be nonnegative")
-        if self.start_turn not in START_TURNS:
-            raise ShapeError(f"start_turn must be one of {START_TURNS}")
+        if self.lam < 0:
+            raise ShapeError("the proximal weight must be nonnegative")
         if self.mode not in MODES:
             raise ShapeError(f"mode must be one of {MODES}")
 
@@ -154,6 +119,31 @@ def _note(trace, side, iteration, cur_u, cur_v):
         })
 
 
+def _half_step(side, other, k, weights, lam):
+    """Solve for one factor given the other side's current estimate.
+
+    ``side`` is ``(name, anchor, outs, ins, metric)``: this side's anchor
+    factor, its metric-scaled term factors, the other side's term
+    factors, and the metric of the other side's Gram.
+    """
+    name, anchor, outs, ins, metric = side
+    num = np.zeros(anchor.shape)
+    if lam > 0:
+        num += lam * anchor
+    for c, out, inn in zip(weights, outs, ins):
+        num += c * matmul(out, matmul(inn, other, transpose_a=True))
+    charge(alloc=num.size)
+    den = apply_metric_gram(metric, other)
+    if lam > 0:
+        den = den + lam * np.eye(other.shape[1])
+    try:
+        return solve_spd(den, num.T).T
+    except SingularMetricError as exc:
+        raise SingularMetricError(
+            f"singular system on the {name} side at iteration {k}: {exc}",
+            pivot_index=exc.pivot_index, side=name, iteration=k) from exc
+
+
 def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
            cfg: LorsumConfig = None, metric_u: Metric = None,
            metric_v: Metric = None, trace: list = None) -> FactorPair:
@@ -163,11 +153,9 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
     both the starting estimate and the proximal pull.  Raises
     :class:`SingularMetricError` naming the updated side and iteration
     when an r x r system is not positive definite (a degenerate anchor
-    needs ``lambda > 0`` or metric damping to be rescued).
+    needs ``lam > 0`` or metric damping to be rescued).
     """
     cfg = cfg or LorsumConfig()
-    metric_u = metric_u or _IDENTITY
-    metric_v = metric_v or _IDENTITY
     if terms.d_out != anchor.d_out or terms.d_in != anchor.d_in:
         raise ShapeError(
             f"anchor {anchor.d_out} x {anchor.d_in} does not match terms "
@@ -178,72 +166,27 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
                  and np.array_equal(right0, anchor.v)):
         raise ShapeError("terms[0] must carry the anchor's own factors")
 
-    coeffs = [c for c, _, _ in terms]
+    weights = [c for c, _, _ in terms]
     lefts = [left for _, left, _ in terms]
     rights = [right for _, _, right in terms]
     # The inverse-metric scaling of non-anchor terms does not depend on
     # the evolving estimates, so it is applied once up front.
-    lefts_u = [lefts[0]] + [apply_inverse_metric(metric_u, l)
-                            for l in lefts[1:]]
-    rights_v = [rights[0]] + [apply_inverse_metric(metric_v, r)
-                              for r in rights[1:]]
+    u_side = ("U", anchor.u, lefts[:1] + [apply_inverse_metric(metric_u, l)
+                                          for l in lefts[1:]],
+              rights, metric_v)
+    v_side = ("V", anchor.v, rights[:1] + [apply_inverse_metric(metric_v, r)
+                                           for r in rights[1:]],
+              lefts, metric_u)
 
-    r = anchor.rank
-    eye = np.eye(r)
-    cur_u = anchor.u.copy()
-    cur_v = anchor.v.copy()
-
-    def update_u(vcur, k):
-        num = np.zeros((anchor.d_out, r))
-        if cfg.lambda_u > 0:
-            num += cfg.lambda_u * anchor.u
-        for c, left, right in zip(coeffs, lefts_u, rights):
-            num += c * matmul(left, matmul(right, vcur, transpose_a=True))
-        charge(alloc=num.size)
-        den = apply_metric_gram(metric_v, vcur)
-        if cfg.lambda_u > 0:
-            den = den + cfg.lambda_u * eye
-        try:
-            return solve_spd(den, num.T).T
-        except SingularMetricError as exc:
-            raise SingularMetricError(
-                f"singular system on the U side at iteration {k}: {exc}",
-                pivot_index=exc.pivot_index, side="U", iteration=k) from exc
-
-    def update_v(ucur, k):
-        num = np.zeros((anchor.d_in, r))
-        if cfg.lambda_v > 0:
-            num += cfg.lambda_v * anchor.v
-        for c, left, right in zip(coeffs, lefts, rights_v):
-            num += c * matmul(right, matmul(left, ucur, transpose_a=True))
-        charge(alloc=num.size)
-        den = apply_metric_gram(metric_u, ucur)
-        if cfg.lambda_v > 0:
-            den = den + cfg.lambda_v * eye
-        try:
-            return solve_spd(den, num.T).T
-        except SingularMetricError as exc:
-            raise SingularMetricError(
-                f"singular system on the V side at iteration {k}: {exc}",
-                pivot_index=exc.pivot_index, side="V", iteration=k) from exc
-
-    if cfg.mode == "simultaneous":
-        for k in range(cfg.num_iters):
-            new_u = update_u(cur_v, k)
-            new_v = update_v(cur_u, k)
-            cur_u, cur_v = new_u, new_v
+    cur_u, cur_v = anchor.u, anchor.v
+    for k in range(cfg.num_iters):
+        if cfg.mode == "simultaneous":
+            cur_u, cur_v = (_half_step(u_side, cur_v, k, weights, cfg.lam),
+                            _half_step(v_side, cur_u, k, weights, cfg.lam))
             _note(trace, "UV", k, cur_u, cur_v)
-    else:
-        in_first = cfg.start_turn == "in_first"
-        for k in range(cfg.num_iters):
-            if in_first:
-                cur_v = update_v(cur_u, k)
-                _note(trace, "V", k, cur_u, cur_v)
-                cur_u = update_u(cur_v, k)
-                _note(trace, "U", k, cur_u, cur_v)
-            else:
-                cur_u = update_u(cur_v, k)
-                _note(trace, "U", k, cur_u, cur_v)
-                cur_v = update_v(cur_u, k)
-                _note(trace, "V", k, cur_u, cur_v)
+        else:
+            cur_v = _half_step(v_side, cur_u, k, weights, cfg.lam)
+            _note(trace, "V", k, cur_u, cur_v)
+            cur_u = _half_step(u_side, cur_v, k, weights, cfg.lam)
+            _note(trace, "U", k, cur_u, cur_v)
     return FactorPair(cur_u, cur_v)

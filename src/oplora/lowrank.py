@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DensePolicyError, ShapeError
 from .instrument import note_materialize
-from .matcore import as_matrix, matmul, solve_spd, svd_dense
+from .matcore import as_matrix, matmul, svd_dense
 
 # Largest dimension materialize will densify without an explicit override.
 DENSE_DIM_CAP = 512
@@ -58,7 +58,7 @@ class FactorPair:
 
 @dataclass
 class WeightedFactorSum:
-    """An ordered sum ``sum_i coeff_i * left_i @ right_i.T``.
+    """An ordered sum ``sum_i c_i * left_i @ right_i.T``.
 
     Term widths k_i may differ; all terms must share d_out and d_in.
     """
@@ -70,9 +70,9 @@ class WeightedFactorSum:
             raise ShapeError("a weighted factor sum needs at least one term")
         clean = []
         d_out = d_in = None
-        for i, (coeff, left, right) in enumerate(self.terms):
-            coeff = float(coeff)
-            if not np.isfinite(coeff):
+        for i, (c, left, right) in enumerate(self.terms):
+            c = float(c)
+            if not np.isfinite(c):
                 raise ShapeError(f"term {i} has a non-finite coefficient")
             left = as_matrix(left, f"terms[{i}].left")
             right = as_matrix(right, f"terms[{i}].right")
@@ -83,7 +83,7 @@ class WeightedFactorSum:
                 d_out, d_in = left.shape[0], right.shape[0]
             elif left.shape[0] != d_out or right.shape[0] != d_in:
                 raise ShapeError(f"term {i} dimensions disagree with term 0")
-            clean.append((coeff, left, right))
+            clean.append((c, left, right))
         self.terms = clean
 
     @property
@@ -116,8 +116,8 @@ def materialize(s, max_dim=DENSE_DIM_CAP) -> np.ndarray:
             f"materializing {s.d_out} x {s.d_in} exceeds the dense cap "
             f"{max_dim}")
     out = np.zeros((s.d_out, s.d_in))
-    for coeff, left, right in s:
-        out += coeff * matmul(left, right, transpose_b=True)
+    for c, left, right in s:
+        out += c * matmul(left, right, transpose_b=True)
     return out
 
 
@@ -144,23 +144,6 @@ def gram(a) -> np.ndarray:
     """``a.T @ a``, symmetrized to remove roundoff asymmetry."""
     g = matmul(a, a, transpose_a=True)
     return (g + g.T) / 2.0
-
-
-def project_onto_colspace(x, target, lam: float = 0.0) -> np.ndarray:
-    """Apply ``x (x^T x + lam I)^{-1} x^T`` to ``target``.
-
-    With ``lam == 0`` this is the orthogonal projection onto the column
-    space of ``x`` (and raises if ``x`` is rank deficient).
-    """
-    x = as_matrix(x, "x")
-    target = as_matrix(target, "target")
-    if lam < 0:
-        raise ShapeError("lam must be nonnegative")
-    g = gram(x)
-    if lam > 0:
-        g = g + lam * np.eye(g.shape[0])
-    rhs = matmul(x, target, transpose_a=True)
-    return matmul(x, solve_spd(g, rhs))
 
 
 def product_inner(p: FactorPair, q: FactorPair) -> float:

@@ -14,7 +14,7 @@ dense projection oracle that takes a full step and truncates back to
 rank r by SVD.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,15 +36,14 @@ RESCUE_LAMBDA = 1e-9
 class OploraConfig:
     """Hyperparameters of the alternating-update optimizer.
 
-    ``lambda_u`` / ``lambda_v`` are the proximal weights of the weight
-    sub-problem; the step multiplies them by ``eta`` before handing them
-    to the subroutine.  ``beta == 1`` disables metric scaling entirely.
+    ``lam`` is the proximal weight of the weight sub-problem; the step
+    multiplies it by ``eta`` before handing it to the subroutine.
+    ``beta == 1`` disables metric scaling entirely.
     """
 
     eta: float
     alpha: float = 0.0
-    lambda_u: float = 1e-3
-    lambda_v: float = 1e-3
+    lam: float = 1e-3
     beta: float = 1.0
     delta: float = 1e-4
     num_iters: int = 1
@@ -57,7 +56,7 @@ class OploraConfig:
             raise ShapeError("momentum coefficient must lie in [0, 1)")
         if not 0.0 < self.beta <= 1.0:
             raise ShapeError("scale smoothing must lie in (0, 1]")
-        if self.delta < 0 or self.lambda_u < 0 or self.lambda_v < 0:
+        if self.delta < 0 or self.lam < 0:
             raise ShapeError("weights and damping must be nonnegative")
         if self.num_iters < 1:
             raise ShapeError("num_iters must be at least 1")
@@ -65,13 +64,16 @@ class OploraConfig:
 
 @dataclass
 class OploraState:
-    """Per-layer optimizer state; mutated only by a successful step."""
+    """Per-layer optimizer state; mutated only by a successful step.
+
+    The metrics stay ``None`` (Euclidean) until the first scaled step.
+    """
 
     hyper: OploraConfig
     init_seed: int = 0
     momentum: Optional[FactorPair] = None
-    metric_u: Metric = field(default_factory=Metric.identity)
-    metric_v: Metric = field(default_factory=Metric.identity)
+    metric_u: Optional[Metric] = None
+    metric_v: Optional[Metric] = None
     step_count: int = 0
 
     def scalar_count(self) -> int:
@@ -79,8 +81,9 @@ class OploraState:
         total = 0
         if self.momentum is not None:
             total += self.momentum.scalar_count()
-        total += self.metric_u.scalar_count()
-        total += self.metric_v.scalar_count()
+        for m in (self.metric_u, self.metric_v):
+            if m is not None:
+                total += m.factor.size
         return total
 
 
@@ -103,7 +106,7 @@ def _init_metric(dim, rank, delta, seed, tag) -> Metric:
     # QQ^T; delta supplies the remaining mass of the identity.
     rng = _stream(seed, tag)
     q, _ = thin_qr(rng.standard_normal((dim, rank)))
-    return Metric.damped(q, coeff=1.0, delta=delta)
+    return Metric(q, delta)
 
 
 def _sym_psd_factor(u, v, rank) -> np.ndarray:
@@ -133,14 +136,13 @@ def _metric_ema(metric: Metric, batch, beta, num_iters) -> Metric:
     f = metric.factor
     anchor = FactorPair(f, f)
     terms = WeightedFactorSum([
-        (beta * metric.coeff, f, f),
+        (beta, f, f),
         ((1.0 - beta) / b, batch.T, batch.T),
     ])
-    cfg = LorsumConfig(num_iters=num_iters, lambda_u=RESCUE_LAMBDA,
-                       lambda_v=RESCUE_LAMBDA)
+    cfg = LorsumConfig(num_iters=num_iters, lam=RESCUE_LAMBDA)
     est = lorsum(anchor, terms, cfg)
     factor = _sym_psd_factor(est.u, est.v, f.shape[1])
-    return Metric.damped(factor, coeff=1.0, delta=metric.delta)
+    return Metric(factor, metric.delta)
 
 
 def kfac_scale_update(state: OploraState, x_batch, s_batch, beta):
@@ -155,8 +157,7 @@ def kfac_scale_update(state: OploraState, x_batch, s_batch, beta):
     s_batch = as_matrix(s_batch, "s_batch")
     if x_batch.shape[0] == 0 or s_batch.shape[0] == 0:
         raise ShapeError("metric update needs a nonempty batch")
-    if state.metric_u.kind != "damped_lowrank" or \
-            state.metric_v.kind != "damped_lowrank":
+    if state.metric_u is None or state.metric_v is None:
         raise ShapeError("metric factors are not initialized")
     k = state.hyper.num_iters
     metric_u = _metric_ema(state.metric_u, s_batch, beta, k)
@@ -177,8 +178,7 @@ def momentum_update_lor(state: OploraState, momentum: FactorPair,
         (h.alpha, momentum.u, momentum.v),
         (1.0, grad_left, grad_right),
     ])
-    cfg = LorsumConfig(num_iters=h.num_iters, lambda_u=RESCUE_LAMBDA,
-                       lambda_v=RESCUE_LAMBDA)
+    cfg = LorsumConfig(num_iters=h.num_iters, lam=RESCUE_LAMBDA)
     return lorsum(momentum, terms, cfg)
 
 
@@ -198,7 +198,7 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     metric_u, metric_v = state.metric_u, state.metric_v
     if h.beta < 1.0:
         m_rank = h.metric_rank or adapter.rank
-        if metric_u.kind != "damped_lowrank":
+        if metric_u is None:
             metric_u = _init_metric(d_out, m_rank, h.delta, state.init_seed, 21)
             metric_v = _init_metric(d_in, m_rank, h.delta, state.init_seed, 22)
         else:
@@ -216,9 +216,8 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     ]
     if h.alpha > 0.0:
         term_list.append((-h.eta * h.alpha, momentum.u, momentum.v))
-    cfg = LorsumConfig(num_iters=h.num_iters,
-                       lambda_u=h.lambda_u * h.eta,
-                       lambda_v=h.lambda_v * h.eta, mode=h.mode)
+    cfg = LorsumConfig(num_iters=h.num_iters, lam=h.lam * h.eta,
+                       mode=h.mode)
     new_pair = lorsum(adapter, WeightedFactorSum(term_list), cfg,
                       metric_u, metric_v)
 

@@ -137,8 +137,8 @@ def test_criterion_03_one_step_recovers_preconditioned_lora():
                 layer_a = LoraLinear(None, pair.copy())
                 layer_a.captured_x, layer_a.captured_s = x, s
                 state = optim.OploraState(
-                    optim.OploraConfig(eta=eta, lambda_u=lam, lambda_v=lam,
-                                       num_iters=1, mode="simultaneous"),
+                    optim.OploraConfig(eta=eta, lam=lam, num_iters=1,
+                                       mode="simultaneous"),
                     init_seed=0)
                 out = optim.oplora_step(layer_a, state)
                 layer_b = LoraLinear(None, pair.copy())
@@ -223,8 +223,8 @@ def test_criterion_05_iteration_count_closes_gap_deterministic():
         for k in (1, 2, 8):
             iterates, final = _run_alternating(
                 target, init,
-                dict(eta=eta, alpha=0.0, lambda_u=1e-3, lambda_v=1e-3,
-                     num_iters=k), steps, seed=0)
+                dict(eta=eta, alpha=0.0, lam=1e-3, num_iters=k), steps,
+                seed=0)
             dists = [product_distance_to_dense(p, w)
                      for p, w in zip(iterates, ref_iterates)]
             mean_dists[k] = float(np.mean(dists))
@@ -252,8 +252,8 @@ def test_criterion_06_momentum_rank_closes_gap_minibatch():
             for seed in seeds:
                 _, final = _run_alternating(
                     target, init,
-                    dict(eta=eta, alpha=alpha, lambda_u=1e-3, lambda_v=1e-3,
-                         num_iters=2, momentum_rank=m_rank),
+                    dict(eta=eta, alpha=alpha, lam=1e-3, num_iters=2,
+                         momentum_rank=m_rank),
                     steps, seed=seed, batch_size=bs)
                 gaps.append(abs(final - ref_final[seed]))
             median_gap[m_rank] = float(np.median(gaps))
@@ -357,17 +357,15 @@ def test_criterion_09_memory_contract():
 
         # momentum only: persistent state within 2x the adapter size
         state = optim.OploraState(
-            optim.OploraConfig(eta=0.1, alpha=0.75, lambda_u=1e-3,
-                               lambda_v=1e-3, num_iters=2,
+            optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3, num_iters=2,
                                momentum_rank=2 * r), init_seed=0)
         run(state)
         assert state.scalar_count() <= 2 * adapter_params
 
         # momentum + metric scaling: within 4x
         state = optim.OploraState(
-            optim.OploraConfig(eta=0.1, alpha=0.75, lambda_u=1e-3,
-                               lambda_v=1e-3, num_iters=2, beta=0.95,
-                               delta=1.0, momentum_rank=2 * r,
+            optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3, num_iters=2,
+                               beta=0.95, delta=1.0, momentum_rank=2 * r,
                                metric_rank=r), init_seed=0)
         run(state)
         assert state.scalar_count() <= 4 * adapter_params

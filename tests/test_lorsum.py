@@ -47,10 +47,7 @@ def gapped_sum(g, d_out, d_in, term_ranks, sigma):
 
 
 def dense_metric(m: Metric, dim):
-    out = m.delta * np.eye(dim)
-    if m.factor is not None:
-        out = out + m.coeff * (m.factor @ m.factor.T)
-    return out
+    return m.delta * np.eye(dim) + m.factor @ m.factor.T
 
 
 def reference_lorsum(anchor, terms, cfg, du, dv):
@@ -60,64 +57,61 @@ def reference_lorsum(anchor, terms, cfg, du, dv):
     cur_u, cur_v = anchor.u.copy(), anchor.v.copy()
 
     def upd_u(vc):
-        num = cfg.lambda_u * anchor.u
+        num = cfg.lam * anchor.u
         for i, (c, left, right) in enumerate(terms):
             scaled = left if i == 0 else inv_du @ left
             num = num + c * scaled @ (right.T @ vc)
-        den = vc.T @ dv @ vc + cfg.lambda_u * np.eye(r)
+        den = vc.T @ dv @ vc + cfg.lam * np.eye(r)
         return num @ np.linalg.inv(den)
 
     def upd_v(uc):
-        num = cfg.lambda_v * anchor.v
+        num = cfg.lam * anchor.v
         for i, (c, left, right) in enumerate(terms):
             scaled = right if i == 0 else inv_dv @ right
             num = num + c * scaled @ (left.T @ uc)
-        den = uc.T @ du @ uc + cfg.lambda_v * np.eye(r)
+        den = uc.T @ du @ uc + cfg.lam * np.eye(r)
         return num @ np.linalg.inv(den)
 
     for _ in range(cfg.num_iters):
         if cfg.mode == "simultaneous":
             cur_u, cur_v = upd_u(cur_v), upd_v(cur_u)
-        elif cfg.start_turn == "in_first":
-            cur_v = upd_v(cur_u)
-            cur_u = upd_u(cur_v)
         else:
-            cur_u = upd_u(cur_v)
             cur_v = upd_v(cur_u)
+            cur_u = upd_u(cur_v)
     return FactorPair(cur_u, cur_v)
 
 
 class TestMetricOps:
     def test_identity_inverse_is_noop(self):
         x = rng(0).standard_normal((7, 3))
-        assert apply_inverse_metric(Metric.identity(), x) is x
+        assert apply_inverse_metric(None, x) is x
 
     def test_pure_damping(self):
         x = rng(1).standard_normal((5, 2))
-        m = Metric.damped(np.zeros((5, 3)), coeff=1.0, delta=2.0)
+        m = Metric(np.zeros((5, 3)), delta=2.0)
         assert np.allclose(apply_inverse_metric(m, x), x / 2.0)
 
     def test_inverse_matches_dense_solve(self):
         g = rng(2)
         f = g.standard_normal((12, 3))
-        m = Metric.damped(f, coeff=0.7, delta=0.1)
+        m = Metric(f, delta=0.1)
         x = g.standard_normal((12, 4))
         dense = dense_metric(m, 12)
         expected = solve_spd(dense, x)
         assert np.allclose(apply_inverse_metric(m, x), expected, atol=1e-10)
 
     def test_inverse_requires_damping(self):
-        m = Metric.damped(np.ones((4, 1)), delta=0.0)
+        m = Metric(np.ones((4, 1)), delta=0.0)
         with pytest.raises(SingularMetricError):
             apply_inverse_metric(m, np.ones((4, 1)))
 
     def test_gram_identity(self):
         x = rng(3).standard_normal((6, 3))
-        assert np.allclose(apply_metric_gram(Metric.identity(), x), gram(x))
+        assert np.allclose(apply_metric_gram(None, x), gram(x))
 
     def test_gram_zero_factor_unit_damping(self):
         x = rng(4).standard_normal((6, 3))
-        m = Metric.damped(np.zeros((6, 2)), delta=1.0)
+        m = Metric(np.zeros((6, 2)), delta=1.0)
         assert np.allclose(apply_metric_gram(m, x), gram(x))
 
     @settings(deadline=None, max_examples=25)
@@ -125,7 +119,7 @@ class TestMetricOps:
     def test_gram_matches_dense(self, seed):
         g = rng(seed)
         f = g.standard_normal((10, 3))
-        m = Metric.damped(f, coeff=1.3, delta=0.2)
+        m = Metric(f, delta=0.2)
         x = g.standard_normal((10, 4))
         expected = x.T @ dense_metric(m, 10) @ x
         assert np.allclose(apply_metric_gram(m, x), expected, atol=1e-10)
@@ -149,13 +143,13 @@ class TestLorsumBasics:
         zero = FactorPair(np.zeros((5, 2)), np.zeros((4, 2)))
         with pytest.raises(SingularMetricError) as err:
             lorsum(zero, self_sum(zero), LorsumConfig(num_iters=1))
-        assert err.value.side == "V"  # in_first updates the input side first
+        assert err.value.side == "V"  # alternating updates V first
         assert err.value.iteration == 0
 
     def test_degenerate_anchor_rescued_by_lambda(self):
         zero = FactorPair(np.zeros((5, 2)), np.zeros((4, 2)))
         out = lorsum(zero, self_sum(zero),
-                     LorsumConfig(num_iters=2, lambda_u=1e-6, lambda_v=1e-6))
+                     LorsumConfig(num_iters=2, lam=1e-6))
         assert np.allclose(materialize(out), 0.0)
 
     def test_two_orthogonal_terms_reach_svd_oracle(self):
@@ -181,8 +175,7 @@ class TestLorsumBasics:
         terms = WeightedFactorSum([
             (1.0, pair.u, pair.v), (-eta, s.T, x.T)])
         out = lorsum(pair, terms,
-                     LorsumConfig(num_iters=1, lambda_u=lam, lambda_v=lam,
-                                  mode="simultaneous"))
+                     LorsumConfig(num_iters=1, lam=lam, mode="simultaneous"))
         grad = s.T @ x
         eye = np.eye(3)
         exp_u = pair.u - eta * grad @ pair.v @ np.linalg.inv(
@@ -199,24 +192,21 @@ class TestLorsumBasics:
         anchor = FactorPair(f, f)
         terms = WeightedFactorSum([(0.9, f, f), (0.1, x.T, x.T)])
         out = lorsum(anchor, terms,
-                     LorsumConfig(num_iters=3, mode="simultaneous",
-                                  lambda_u=1e-9, lambda_v=1e-9))
+                     LorsumConfig(num_iters=3, mode="simultaneous", lam=1e-9))
         assert np.array_equal(out.u, out.v)
 
 
 class TestLorsumAgainstDenseReference:
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 10_000),
-           st.sampled_from(["alternating", "simultaneous"]),
-           st.sampled_from(["in_first", "out_first"]))
-    def test_identity_metrics(self, seed, mode, turn):
+           st.sampled_from(["alternating", "simultaneous"]))
+    def test_identity_metrics(self, seed, mode):
         g = rng(seed)
         pair = random_pair(g, 9, 7, 3)
         extra = random_pair(g, 9, 7, 4)
         terms = WeightedFactorSum([
             (1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)])
-        cfg = LorsumConfig(num_iters=3, lambda_u=1e-3, lambda_v=2e-3,
-                           start_turn=turn, mode=mode)
+        cfg = LorsumConfig(num_iters=3, lam=1e-3, mode=mode)
         out = lorsum(pair, terms, cfg)
         ref = reference_lorsum(pair, terms.terms, cfg, np.eye(9), np.eye(7))
         assert np.allclose(out.u, ref.u, atol=1e-9)
@@ -230,14 +220,35 @@ class TestLorsumAgainstDenseReference:
         extra = random_pair(g, 9, 7, 4)
         terms = WeightedFactorSum([
             (1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)])
-        mu = Metric.damped(g.standard_normal((9, 2)), coeff=0.8, delta=0.3)
-        mv = Metric.damped(g.standard_normal((7, 2)), coeff=1.2, delta=0.5)
-        cfg = LorsumConfig(num_iters=2, lambda_u=1e-3, lambda_v=1e-3)
+        mu = Metric(g.standard_normal((9, 2)), delta=0.3)
+        mv = Metric(g.standard_normal((7, 2)), delta=0.5)
+        cfg = LorsumConfig(num_iters=2, lam=1e-3)
         out = lorsum(pair, terms, cfg, mu, mv)
         ref = reference_lorsum(pair, terms.terms, cfg,
                                dense_metric(mu, 9), dense_metric(mv, 7))
         assert np.allclose(out.u, ref.u, atol=1e-8)
         assert np.allclose(out.v, ref.v, atol=1e-8)
+
+
+class TestSymmetry:
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 10_000))
+    def test_simultaneous_transposed_problem_returns_swapped_pair(self, seed):
+        """One routine serves both sides: transposing the problem (terms
+        ``(c, R, L)``, metrics swapped) swaps the result exactly."""
+        g = rng(seed)
+        pair = random_pair(g, 9, 7, 3)
+        extra = random_pair(g, 9, 7, 4)
+        terms = [(1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)]
+        mu = Metric(g.standard_normal((9, 2)), delta=0.3)
+        mv = Metric(g.standard_normal((7, 2)), delta=0.5)
+        cfg = LorsumConfig(num_iters=3, lam=1e-3, mode="simultaneous")
+        out = lorsum(pair, WeightedFactorSum(terms), cfg, mu, mv)
+        flipped = lorsum(FactorPair(pair.v, pair.u),
+                         WeightedFactorSum([(c, r, l) for c, l, r in terms]),
+                         cfg, mv, mu)
+        assert np.array_equal(flipped.u, out.v)
+        assert np.array_equal(flipped.v, out.u)
 
 
 class TestSubspaceIdentities:

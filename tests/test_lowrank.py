@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplora.errors import DensePolicyError, ShapeError, SingularMetricError
+from oplora.errors import DensePolicyError, ShapeError
 from oplora.instrument import counters
 from oplora.lowrank import (FactorPair, WeightedFactorSum, gram, materialize,
                             product_distance, product_distance_to_dense,
-                            product_inner, project_onto_colspace,
-                            truncated_svd)
+                            product_inner, truncated_svd)
 from oplora.matcore import matmul, svd_dense
 
 from conftest import rng
@@ -161,39 +160,6 @@ class TestGram:
         a = rng(14).standard_normal((50, 7))
         g = gram(a)
         assert np.array_equal(g, g.T)
-
-
-class TestProjection:
-    def test_fixes_vectors_in_span(self):
-        g = rng(15)
-        x = g.standard_normal((9, 3))
-        target = x @ g.standard_normal((3, 2))
-        out = project_onto_colspace(x, target)
-        assert np.allclose(out, target, atol=1e-9)
-
-    def test_kills_orthogonal_complement(self):
-        g = rng(16)
-        q, _ = np.linalg.qr(g.standard_normal((9, 5)))
-        x, perp = q[:, :3], q[:, 3:]
-        assert np.allclose(project_onto_colspace(x, perp), 0.0, atol=1e-9)
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(0, 10_000))
-    def test_idempotent(self, seed):
-        g = rng(seed)
-        x = g.standard_normal((10, 3))
-        t = g.standard_normal((10, 4))
-        once = project_onto_colspace(x, t)
-        twice = project_onto_colspace(x, once)
-        assert np.allclose(once, twice, atol=1e-9)
-
-    def test_rank_deficient_without_damping(self):
-        col = rng(17).standard_normal((6, 1))
-        x = np.hstack([col, col])
-        with pytest.raises(SingularMetricError):
-            project_onto_colspace(x, np.ones((6, 1)))
-        # damping rescues the solve
-        project_onto_colspace(x, np.ones((6, 1)), lam=1e-6)
 
 
 class TestProductHelpers:

@@ -32,7 +32,7 @@ def make_layer(g, d_out=12, d_in=9, r=3, batch=5):
 
 
 def oplora_state(eta, **kw):
-    defaults = dict(alpha=0.0, lambda_u=1e-3, lambda_v=1e-3, beta=1.0,
+    defaults = dict(alpha=0.0, lam=1e-3, beta=1.0,
                     delta=1e-4, num_iters=1)
     defaults.update(kw)
     return optim.OploraState(optim.OploraConfig(eta=eta, **defaults),
@@ -48,8 +48,7 @@ class TestOploraStep:
             layer_b.captured_x = layer_a.captured_x
             layer_b.captured_s = layer_a.captured_s
             eta, lam = 0.2, 1e-12
-            state = oplora_state(eta, lambda_u=lam, lambda_v=lam,
-                                 mode="simultaneous")
+            state = oplora_state(eta, lam=lam, mode="simultaneous")
             out = optim.oplora_step(layer_a, state)
             ref = optim.prec_lora_step(layer_b, eta, lam * eta)
             assert np.allclose(out.u, ref.u, atol=1e-6)
@@ -63,8 +62,7 @@ class TestOploraStep:
         def run(lam):
             layer = LoraLinear(None, base.adapter.copy())
             layer.captured_x, layer.captured_s = x, s
-            state = oplora_state(0.2, lambda_u=lam, lambda_v=lam,
-                                 mode="simultaneous")
+            state = oplora_state(0.2, lam=lam, mode="simultaneous")
             return optim.oplora_step(layer, state)
 
         layer = LoraLinear(None, base.adapter.copy())
@@ -113,7 +111,7 @@ class TestOploraStep:
                                             np.zeros((5, 2))))
         layer.captured_x = g.standard_normal((3, 5))
         layer.captured_s = g.standard_normal((3, 6))
-        state = oplora_state(0.1, alpha=0.5, lambda_u=0.0, lambda_v=0.0)
+        state = oplora_state(0.1, alpha=0.5, lam=0.0)
         with pytest.raises(SingularMetricError):
             optim.oplora_step(layer, state)
         assert state.step_count == 0
@@ -178,8 +176,8 @@ class TestOracleApproach:
         from oplora.lowrank import product_distance_to_dense
         layer = LoraLinear(None, init.copy())
         state = optim.OploraState(
-            optim.OploraConfig(eta=0.5, alpha=0.0, lambda_u=1e-3,
-                               lambda_v=1e-3, num_iters=k), init_seed=0)
+            optim.OploraConfig(eta=0.5, alpha=0.0, lam=1e-3, num_iters=k),
+            init_seed=0)
         idx = np.arange(task.d_in)
         refs = self._reference(task, init, steps)
         dists = []
@@ -485,7 +483,7 @@ class TestKfacScale:
         s = g.standard_normal((b, 10))
         _, mv = optim.kfac_scale_update(state, x, s, 0.0)
         target = x.T @ x / b
-        got = mv.coeff * (mv.factor @ mv.factor.T)
+        got = mv.factor @ mv.factor.T
         assert np.linalg.norm(got - target) <= 1e-8 * np.linalg.norm(target)
 
     def test_repeated_batches_converge_to_fixed_point(self):
@@ -499,7 +497,7 @@ class TestKfacScale:
         for _ in range(40):
             mu, mv = optim.kfac_scale_update(state, x, s, 0.7)
             state.metric_u, state.metric_v = mu, mv
-            got = mv.coeff * (mv.factor @ mv.factor.T)
+            got = mv.factor @ mv.factor.T
             dists.append(np.linalg.norm(got - target))
         assert dists[-1] < dists[0]
         assert dists[-1] <= 0.02 * np.linalg.norm(target)
@@ -510,7 +508,7 @@ class TestKfacScale:
         mu, mv = optim.kfac_scale_update(
             state, g.standard_normal((5, 7)), g.standard_normal((5, 9)), 0.8)
         for m in (mu, mv):
-            dense = m.coeff * (m.factor @ m.factor.T)
+            dense = m.factor @ m.factor.T
             eigs = np.linalg.eigvalsh(dense)
             assert eigs.min() >= -1e-12
 
