@@ -2,7 +2,7 @@
 
 from .errors import (
     ConfigError, ConvergenceError, DegenerateInputError, DensePolicyError,
-    OploraError, ReportError, ShapeError, SingularMetricError,
+    NonFiniteError, OploraError, ReportError, ShapeError, SingularMetricError,
     StaleCaptureError, SweepError,
 )
 from .lowrank import (

@@ -157,16 +157,29 @@ def run_single(cfg: ExperimentConfig, eta, seed):
     flops0 = counters().flops
     t0 = time.perf_counter()
     for t in range(cfg.steps):
-        loss, gap, grads = problem.evaluate(method, layers, states)
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        records.append(RunRecord(t, loss, gap, counters().flops - flops0,
-                                 wall))
-        for layer, state, grad in zip(layers, states, grads):
-            method.step(cfg, eta, layer, state, grad)
+        i = None  # the layer being stepped; None while evaluating
+        try:
+            loss, gap, grads = problem.evaluate(method, layers, states)
+            wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
+            records.append(RunRecord(t, loss, gap,
+                                     counters().flops - flops0, wall))
+            for i, (layer, state, grad) in enumerate(zip(layers, states,
+                                                         grads)):
+                method.step(cfg, eta, layer, state, grad)
+        except OploraError as exc:
+            exc.step, exc.layer = t, i
+            raise
     if not problem.trail:
         return records, None
     trail_u, trail_v = zip(*problem.trail)
     return records, (np.stack(trail_u), np.stack(trail_v))
+
+
+def _where(exc: OploraError) -> str:
+    if exc.step is None:
+        return ""
+    layer = "" if exc.layer is None else f", layer {exc.layer}"
+    return f" at step {exc.step}{layer}"
 
 
 def _run_name(method, eta, seed) -> str:
@@ -193,7 +206,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
                 records, trail = run_single(cfg, eta, seed)
             except OploraError as exc:
                 entry["status"] = "failed"
-                entry["error"] = f"{type(exc).__name__}: {exc}"
+                entry["error"] = f"{type(exc).__name__}{_where(exc)}: {exc}"
                 entry["csv"] = None
                 if not quiet:
                     print(f"[bench] {name}: FAILED ({entry['error']})")

@@ -2,11 +2,22 @@
 
 
 class OploraError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A benchmark run sets ``step`` (and ``layer``, when the failure is in
+    one layer's optimizer step) to locate the error in its trajectory.
+    """
+
+    step = None
+    layer = None
 
 
 class ShapeError(OploraError, ValueError):
     """Operands have incompatible or invalid dimensions or values."""
+
+
+class NonFiniteError(ShapeError):
+    """An operand holds NaN or inf entries, typically a diverged iterate."""
 
 
 class DegenerateInputError(OploraError, ValueError):

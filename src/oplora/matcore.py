@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     DegenerateInputError,
     DensePolicyError,
+    NonFiniteError,
     ShapeError,
     SingularMetricError,
 )
@@ -36,7 +37,7 @@ def as_matrix(a, name="operand") -> np.ndarray:
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
-        raise ShapeError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
 

@@ -161,6 +161,17 @@ class TestRunExperiment:
         flops = [r.flops for r in records]
         assert all(b > a for a, b in zip(flops, flops[1:]))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_run_is_located_in_the_manifest(self, tmp_path):
+        # factor SGD at this step size overflows inside step 13's gradient
+        doc = base_config(tmp_path, method="lora_sgd", eta=0.1, alpha=0.5,
+                          batch={"mode": "minibatch", "size": 8})
+        manifest = run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
+        entry = manifest["runs"][0]
+        assert entry["status"] == "failed" and entry["csv"] is None
+        assert entry["error"] == ("NonFiniteError at step 13, layer 0: "
+                                  "a contains non-finite entries")
+
     def test_mlp_run_decreases_loss(self, tmp_path):
         doc = {
             "schema_version": 1,

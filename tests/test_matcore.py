@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplora.errors import (DegenerateInputError, DensePolicyError, ShapeError,
-                           SingularMetricError)
+from oplora.errors import (DegenerateInputError, DensePolicyError,
+                           NonFiniteError, ShapeError, SingularMetricError)
 from oplora.matcore import (matmul, sample_columns, solve_spd, svd_dense,
                             thin_qr)
 
@@ -81,6 +81,11 @@ class TestMatmul:
         bad = np.array([[1.0, np.nan]])
         with pytest.raises(ShapeError):
             matmul(bad, np.ones((2, 1)))
+
+    def test_non_finite_has_its_own_type(self):
+        with pytest.raises(NonFiniteError, match="a contains non-finite"):
+            matmul(np.array([[np.inf]]), np.ones((1, 1)))
+        assert issubclass(NonFiniteError, ShapeError)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000))
