@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .. import nets, optim
+from ..matcore import matmul
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def _adamw_step(cfg, eta, layer, state, grad):
 
 def _svdlora_step(cfg, eta, layer, state, grad):
     if grad is None:  # the full gradient S^T X is materialized
-        grad = layer.captured_s.T @ layer.captured_x
+        grad = matmul(layer.captured_s, layer.captured_x, transpose_a=True)
     layer.adapter = optim.svdlora_step(state, grad, eta, cfg.alpha, cfg.rank)
     layer.clear_captures()
 

@@ -11,7 +11,9 @@ from oplora.bench.methods import METHODS
 from oplora.bench.report import gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
+from oplora import nets
 from oplora.errors import ConfigError, ReportError
+from oplora.instrument import counters, reset_counters
 
 from conftest import rng
 
@@ -236,6 +238,23 @@ class TestMethodRegistry:
             assert all(np.isfinite(r.loss) for r in records)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_svdlora_mlp_step_charges_its_dense_gradient(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(_mlp_config(tmp_path,
+                                                     method="svdlora"))
+        task = nets.MlpTask([6, 8, 4], n_samples=64, seed=2)
+        x, y = nets.make_mlp_dataset(task, rng(0))
+        layers = nets.make_mlp_layers(task, 2, rng(1))
+        method = METHODS["svdlora"]
+        states = [method.init(cfg, 0.1, 0, layer)[1] for layer in layers]
+        nets.mlp_forward_backward(task, layers, x, y)
+        reset_counters()
+        for layer, state in zip(layers, states):
+            method.step(cfg, 0.1, layer, state, None)
+        # the S^T X products alone, as `full` charges them; the SVDs add on
+        grad_flops = sum(2 * 64 * d_out * d_in for d_in, d_out
+                         in zip(task.dims[:-1], task.dims[1:]))
+        assert counters().flops >= grad_flops
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
