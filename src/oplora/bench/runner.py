@@ -175,13 +175,6 @@ def run_single(cfg: ExperimentConfig, eta, seed):
     return records, (np.stack(trail_u), np.stack(trail_v))
 
 
-def _where(exc: OploraError) -> str:
-    if exc.step is None:
-        return ""
-    layer = "" if exc.layer is None else f", layer {exc.layer}"
-    return f" at step {exc.step}{layer}"
-
-
 def _run_name(method, eta, seed) -> str:
     return f"{method}_eta{format(eta, '.6g')}_seed{seed}"
 
@@ -205,8 +198,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
             try:
                 records, trail = run_single(cfg, eta, seed)
             except OploraError as exc:
+                where = "" if exc.step is None else f" at step {exc.step}"
+                if exc.layer is not None:
+                    where += f", layer {exc.layer}"
                 entry["status"] = "failed"
-                entry["error"] = f"{type(exc).__name__}{_where(exc)}: {exc}"
+                entry["error"] = f"{type(exc).__name__}{where}: {exc}"
                 entry["csv"] = None
                 if not quiet:
                     print(f"[bench] {name}: FAILED ({entry['error']})")

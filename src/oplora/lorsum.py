@@ -46,6 +46,8 @@ class Metric:
             raise ShapeError("metric damping must be nonnegative")
         object.__setattr__(
             self, "factor", as_matrix(self.factor, "metric factor"))
+        if self.factor.shape[1] == 0:
+            raise ShapeError("a metric factor needs at least one column")
 
 
 def _check_rows(m: Metric, x):

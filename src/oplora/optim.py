@@ -78,13 +78,9 @@ class OploraState:
 
     def scalar_count(self) -> int:
         """Persistent state size in scalars (for memory audits)."""
-        total = 0
-        if self.momentum is not None:
-            total += self.momentum.scalar_count()
-        for m in (self.metric_u, self.metric_v):
-            if m is not None:
-                total += m.factor.size
-        return total
+        total = 0 if self.momentum is None else self.momentum.scalar_count()
+        metrics = (self.metric_u, self.metric_v)
+        return total + sum(m.factor.size for m in metrics if m is not None)
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:

@@ -100,6 +100,10 @@ class TestMetricOps:
         expected = solve_spd(dense, x)
         assert np.allclose(apply_inverse_metric(m, x), expected, atol=1e-10)
 
+    def test_zero_width_factor_rejected(self):
+        with pytest.raises(ShapeError):
+            Metric(np.zeros((5, 0)), delta=1.0)
+
     def test_inverse_requires_damping(self):
         m = Metric(np.ones((4, 1)), delta=0.0)
         with pytest.raises(SingularMetricError):
