@@ -1,19 +1,20 @@
 """Alternating least-squares compression of weighted low-rank sums.
 
 Given a rank-r anchor pair ``(U1, V1)`` and a target expressed as a
-weighted sum of thin products (whose first term is the anchor's own
-product), :func:`lorsum` refines the pair toward the best rank-r
-approximation of the target.  Each half-step solves one r x r symmetric
-system:
+weighted sum of thin products ``sum_i c_i U_i V_i^T`` (whose first term
+is the anchor's own product), :func:`lorsum` refines the pair toward the
+best rank-r approximation of the target.  The sum is one thin product
+of stacked factors, so each half-step is one such product and one r x r
+symmetric solve:
 
-    V <- (lam * V1 + sum_i c_i Dv^-1 V_i (U_i^T U)) (U^T Du U + lam I)^-1
-    U <- (lam * U1 + sum_i c_i Du^-1 U_i (V_i^T V)) (V^T Dv V + lam I)^-1
+    V <- (lam * V1 + [c_i Dv^-1 V_i] [U_i]^T U) (U^T Du U + lam I)^-1
+    U <- (lam * U1 + [c_i Du^-1 U_i] [V_i]^T V) (V^T Dv V + lam I)^-1
 
-where the anchor term (i = 1) is never metric-scaled, ``lam`` is the
-proximal weight pulling both factors toward the anchor, and ``Du`` /
-``Dv`` are damped low-rank metrics applied through the Woodbury
-identity (Euclidean when absent).  The two half-steps are one routine
-applied to either side.  Work per call is
+where ``[.]`` stacks blocks side by side, the anchor block (i = 1) is
+never metric-scaled, ``lam`` is the proximal weight pulling both factors
+toward the anchor, and ``Du`` / ``Dv`` are damped low-rank metrics
+applied through the Woodbury identity (Euclidean when absent).  The two
+half-steps are one routine applied to either side.  Work per call is
 O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
 formed.
 """
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SingularMetricError
-from .instrument import charge
 from .lowrank import FactorPair, WeightedFactorSum, gram
 from .matcore import as_matrix, matmul, solve_spd
 
@@ -121,22 +121,18 @@ def _note(trace, side, iteration, cur_u, cur_v):
         })
 
 
-def _half_step(side, other, k, weights, lam):
+def _half_step(side, other, k, lam):
     """Solve for one factor given the other side's current estimate.
 
     ``side`` is ``(name, anchor, outs, ins, metric)``: this side's anchor
-    factor, its metric-scaled term factors, the other side's term
-    factors, and the metric of the other side's Gram.
+    factor, its stacked weighted (metric-scaled) term factors, the other
+    side's stacked term factors, and the metric of the other side's Gram.
     """
     name, anchor, outs, ins, metric = side
-    num = np.zeros(anchor.shape)
-    if lam > 0:
-        num += lam * anchor
-    for c, out, inn in zip(weights, outs, ins):
-        num += c * matmul(out, matmul(inn, other, transpose_a=True))
-    charge(alloc=num.size)
+    num = matmul(outs, matmul(ins, other, transpose_a=True))
     den = apply_metric_gram(metric, other)
     if lam > 0:
+        num = num + lam * anchor
         den = den + lam * np.eye(other.shape[1])
     try:
         return solve_spd(den, num.T).T
@@ -168,27 +164,27 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
                  and np.array_equal(right0, anchor.v)):
         raise ShapeError("terms[0] must carry the anchor's own factors")
 
-    weights = [c for c, _, _ in terms]
-    lefts = [left for _, left, _ in terms]
-    rights = [right for _, _, right in terms]
     # The inverse-metric scaling of non-anchor terms does not depend on
-    # the evolving estimates, so it is applied once up front.
-    u_side = ("U", anchor.u, lefts[:1] + [apply_inverse_metric(metric_u, l)
-                                          for l in lefts[1:]],
-              rights, metric_v)
-    v_side = ("V", anchor.v, rights[:1] + [apply_inverse_metric(metric_v, r)
-                                           for r in rights[1:]],
-              lefts, metric_u)
+    # the evolving estimates, so each side's blocks are stacked once.
+    rest = terms.terms[1:]
+    outs_u = [c0 * left0] + [c * apply_inverse_metric(metric_u, left)
+                             for c, left, _ in rest]
+    outs_v = [c0 * right0] + [c * apply_inverse_metric(metric_v, right)
+                              for c, _, right in rest]
+    lefts = np.hstack([left for _, left, _ in terms])
+    rights = np.hstack([right for _, _, right in terms])
+    u_side = ("U", anchor.u, np.hstack(outs_u), rights, metric_v)
+    v_side = ("V", anchor.v, np.hstack(outs_v), lefts, metric_u)
 
     cur_u, cur_v = anchor.u, anchor.v
     for k in range(cfg.num_iters):
         if cfg.mode == "simultaneous":
-            cur_u, cur_v = (_half_step(u_side, cur_v, k, weights, cfg.lam),
-                            _half_step(v_side, cur_u, k, weights, cfg.lam))
+            cur_u, cur_v = (_half_step(u_side, cur_v, k, cfg.lam),
+                            _half_step(v_side, cur_u, k, cfg.lam))
             _note(trace, "UV", k, cur_u, cur_v)
         else:
-            cur_v = _half_step(v_side, cur_u, k, weights, cfg.lam)
+            cur_v = _half_step(v_side, cur_u, k, cfg.lam)
             _note(trace, "V", k, cur_u, cur_v)
-            cur_u = _half_step(u_side, cur_v, k, weights, cfg.lam)
+            cur_u = _half_step(u_side, cur_v, k, cfg.lam)
             _note(trace, "U", k, cur_u, cur_v)
     return FactorPair(cur_u, cur_v)

@@ -7,10 +7,8 @@ baseline, and test paths; optimizer hot paths must stay with
 factor-shaped operands.
 """
 
-import math
-
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     ConvergenceError,
@@ -56,32 +54,13 @@ def matmul(a, b, transpose_a=False, transpose_b=False) -> np.ndarray:
     return left @ right
 
 
-def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with explicit pivot checks."""
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        row = low[j, :j]
-        pivot = a[j, j] - row @ row
-        if pivot <= PIVOT_TOL:
-            raise SingularMetricError(
-                f"matrix is not positive definite "
-                f"(pivot {pivot:.3e} at index {j})",
-                pivot_index=j,
-            )
-        d = math.sqrt(pivot)
-        low[j, j] = d
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ row) / d
-    return low
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
-    Uses a Cholesky factorization followed by two triangular solves, so
+    LAPACK's Cholesky factorization and solve (``dpotrf``/``dpotrs``);
     the residual satisfies ||a x - b||_F <= 1e-8 * max(1, ||b||_F) for
-    reasonably conditioned systems.
+    reasonably conditioned systems.  The first pivot at or below
+    ``PIVOT_TOL`` raises, even a positive one that LAPACK accepts.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -96,9 +75,19 @@ def solve_spd(a, b) -> np.ndarray:
         raise ShapeError("a is not symmetric within tolerance")
     if b.shape[0] != n:
         raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
-    low = _cholesky_lower(a)
-    y = solve_triangular(low, b, lower=True)
-    x = solve_triangular(low.T, y, lower=False)
+    low, info = dpotrf(a, lower=True)
+    # Pivots are the squared diagonal, but where LAPACK stops (info > 0)
+    # it leaves the failing pivot itself on the diagonal.
+    pivots = np.diagonal(low)[:info or n] ** 2
+    if info:
+        pivots[-1] = low[info - 1, info - 1]
+    bad = np.flatnonzero(~(pivots > PIVOT_TOL))
+    if bad.size:
+        j = int(bad[0])
+        raise SingularMetricError(f"matrix is not positive definite "
+                                  f"(pivot {pivots[j]:.3e} at index {j})",
+                                  pivot_index=j)
+    x, _ = dpotrs(low, b, lower=True)
     m = b.shape[1]
     charge(flops=n * n * n // 3 + 2 * n * n * m, alloc=n * m)
     return x

@@ -140,6 +140,21 @@ class TestSolveSpd:
             solve_spd(a, np.ones((3, 1)))
         assert err.value.pivot_index == 1
 
+    def test_tiny_positive_pivot_rejected(self):
+        # LAPACK's own factorization accepts this matrix.
+        a = np.array([[4.0, 2.0, 0.0], [2.0, 1.0 + 1e-13, 0.0],
+                      [0.0, 0.0, 3.0]])
+        with pytest.raises(SingularMetricError,
+                           match=r"pivot 9\.992e-14 at index 1") as err:
+            solve_spd(a, np.ones((3, 1)))
+        assert err.value.pivot_index == 1
+
+    def test_message_carries_pivot_value(self):
+        a = np.diag([1.0, -0.5, 2.0])
+        with pytest.raises(SingularMetricError, match=r"pivot -5\.000e-01 "
+                           r"at index 1"):
+            solve_spd(a, np.ones((3, 1)))
+
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ShapeError):
