@@ -110,9 +110,8 @@ class _LinearProblem:
                                                    self.task.target) ** 2
             gap = product_distance(layer.adapter, self.oracle)
         if self.cfg.record_factors and method.low_rank:
-            pair = truncated_svd(w, self.cfg.rank) if method.dense \
-                else layer.adapter
-            self.trail.append((pair.u.copy(), pair.v.copy()))
+            self.trail.append((layer.adapter.u.copy(),
+                               layer.adapter.v.copy()))
         return loss, gap, [grad]
 
 

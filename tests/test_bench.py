@@ -256,6 +256,20 @@ class TestMethodRegistry:
                          in zip(task.dims[:-1], task.dims[1:]))
         assert counters().flops >= grad_flops
 
+    @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
+    def test_svdlora_flops_do_not_depend_on_record_factors(self, case,
+                                                           tmp_path):
+        flops = []
+        for record in (True, False):
+            doc = REGISTRY_CASES[case](tmp_path / str(record),
+                                       method="svdlora", eta=0.05,
+                                       record_factors=record)
+            manifest = run_experiment(ExperimentConfig.from_dict(doc),
+                                      quiet=True)
+            path = tmp_path / str(record) / manifest["runs"][0]["csv"]
+            flops.append([r.flops for r in read_run_csv(str(path))])
+        assert flops[0] == flops[1]
+
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(base_config(tmp_path, method="nope"))
