@@ -19,12 +19,24 @@ TASK_KINDS = ("linear", "mlp")
 INITS = ("random", "svd")
 
 
-def _take(d, key, default=..., required=False):
-    if key in d:
-        return d.pop(key)
-    if required:
-        raise ConfigError(f"missing required field {key!r}", field=key)
-    return default
+def _is(x, kind) -> bool:
+    """isinstance; a float field takes an int, only a bool field a bool."""
+    return (isinstance(x, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(x, bool)))
+
+
+def _take(d, key, default=..., required=False, kind=None, scope=""):
+    if key not in d:
+        if required:
+            raise ConfigError(f"missing required field {key!r}", field=key)
+        return default
+    val = d.pop(key)
+    # null is only allowed where the field's default is None
+    if kind is not None and not (val is None and default is None):
+        name = f"{scope}.{key}" if scope else key
+        _check(_is(val, kind), f"{name} must be {kind.__name__}, got {val!r}",
+               name)
+    return val
 
 
 def _reject_unknown(d, scope):
@@ -41,7 +53,7 @@ def _check(cond, msg, fieldname):
 
 def is_125_grid_value(x) -> bool:
     """True when x equals m * 10^e for a mantissa m in {1, 2, 5}."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+    if not (_is(x, float) and math.isfinite(x) and x > 0):
         return False
     e = math.floor(math.log10(x) + 1e-12)
     for mant in (1.0, 2.0, 5.0):
@@ -74,14 +86,17 @@ class TaskSpec:
         _check(kind in TASK_KINDS, f"task.kind must be one of {TASK_KINDS}",
                "task.kind")
         spec = cls(kind=kind)
-        spec.seed = int(_take(d, "seed", 0))
+        spec.seed = _take(d, "seed", 0, kind=int, scope="task")
         if kind == "linear":
-            spec.d_out = int(_take(d, "d_out", 120))
-            spec.d_in = int(_take(d, "d_in", 40))
+            spec.d_out = _take(d, "d_out", 120, kind=int, scope="task")
+            spec.d_in = _take(d, "d_in", 40, kind=int, scope="task")
             _check(spec.d_out >= 1 and spec.d_in >= 1,
                    "task dimensions must be positive", "task.d_out")
             sv = _take(d, "singular_values", None)
             if sv is not None:
+                _check(isinstance(sv, list) and all(_is(s, float) for s in sv),
+                       "task.singular_values must list numbers",
+                       "task.singular_values")
                 sv = [float(s) for s in sv]
                 _check(len(sv) <= min(spec.d_out, spec.d_in),
                        "too many singular values", "task.singular_values")
@@ -92,7 +107,7 @@ class TaskSpec:
         else:
             dims = _take(d, "dims", required=True)
             _check(isinstance(dims, list) and len(dims) >= 2
-                   and all(isinstance(x, int) and x >= 1 for x in dims),
+                   and all(_is(x, int) and x >= 1 for x in dims),
                    "task.dims must list at least two positive ints",
                    "task.dims")
             spec.dims = dims
@@ -103,7 +118,8 @@ class TaskSpec:
             spec.loss = _take(d, "loss", "mse")
             _check(spec.loss in ("mse", "cross_entropy"),
                    "task.loss must be mse or cross_entropy", "task.loss")
-            spec.n_samples = int(_take(d, "n_samples", 256))
+            spec.n_samples = _take(d, "n_samples", 256, kind=int,
+                                   scope="task")
             _check(spec.n_samples >= 1, "task.n_samples must be positive",
                    "task.n_samples")
         _reject_unknown(d, "task")
@@ -134,7 +150,7 @@ class BatchSpec:
                "batch.mode must be full or minibatch", "batch.mode")
         size = _take(d, "size", None)
         if mode == "minibatch":
-            _check(isinstance(size, int) and size >= 1,
+            _check(_is(size, int) and size >= 1,
                    "batch.size must be a positive int", "batch.size")
         else:
             _check(size is None, "batch.size is only valid for minibatch",
@@ -174,32 +190,30 @@ class ExperimentConfig:
     def from_dict(cls, d):
         d = dict(d)
         version = _take(d, "schema_version", required=True)
-        _check(version == SCHEMA_VERSION,
+        _check(_is(version, int) and version == SCHEMA_VERSION,
                f"unsupported schema_version {version!r}", "schema_version")
-        task = TaskSpec.from_dict(_take(d, "task", required=True))
-        method = _take(d, "method", required=True)
+        task = TaskSpec.from_dict(_take(d, "task", required=True, kind=dict))
+        method = _take(d, "method", required=True, kind=str)
         _check(method in METHODS,
                f"method must be one of {tuple(METHODS)}", "method")
         cfg = cls(task=task, method=method)
-        cfg.rank = int(_take(d, "rank", 8))
-        cfg.k = int(_take(d, "k", 1))
-        cfg.eta = _take(d, "eta", None)
+        cfg.rank = _take(d, "rank", 8, kind=int)
+        cfg.k = _take(d, "k", 1, kind=int)
+        cfg.eta = _take(d, "eta", None, kind=float)
         cfg.eta_grid = _take(d, "eta_grid", None)
-        cfg.alpha = float(_take(d, "alpha", 0.0))
-        cfg.lam = float(_take(d, "lambda", 1e-3))
-        cfg.beta = float(_take(d, "beta", 1.0))
-        cfg.delta = float(_take(d, "delta", 1e-4))
-        mr = _take(d, "momentum_rank", None)
-        cfg.momentum_rank = None if mr is None else int(mr)
-        kr = _take(d, "metric_rank", None)
-        cfg.metric_rank = None if kr is None else int(kr)
-        cfg.steps = int(_take(d, "steps", 200))
+        cfg.alpha = float(_take(d, "alpha", 0.0, kind=float))
+        cfg.lam = float(_take(d, "lambda", 1e-3, kind=float))
+        cfg.beta = float(_take(d, "beta", 1.0, kind=float))
+        cfg.delta = float(_take(d, "delta", 1e-4, kind=float))
+        cfg.momentum_rank = _take(d, "momentum_rank", None, kind=int)
+        cfg.metric_rank = _take(d, "metric_rank", None, kind=int)
+        cfg.steps = _take(d, "steps", 200, kind=int)
         cfg.seeds = _take(d, "seeds", [0])
-        batch = _take(d, "batch", None)
+        batch = _take(d, "batch", None, kind=dict)
         cfg.batch = BatchSpec() if batch is None else BatchSpec.from_dict(batch)
-        cfg.out_dir = str(_take(d, "out_dir", "runs"))
-        cfg.record_factors = bool(_take(d, "record_factors", True))
-        cfg.timing = bool(_take(d, "timing", True))
+        cfg.out_dir = _take(d, "out_dir", "runs", kind=str)
+        cfg.record_factors = _take(d, "record_factors", True, kind=bool)
+        cfg.timing = _take(d, "timing", True, kind=bool)
         _reject_unknown(d, "")
         cfg.validate()
         return cfg
@@ -218,6 +232,9 @@ class ExperimentConfig:
     def validate(self):
         _check(self.rank >= 1, "rank must be positive", "rank")
         _check(self.k >= 1, "k must be at least 1", "k")
+        for name in ("momentum_rank", "metric_rank"):
+            _check(getattr(self, name) is None or getattr(self, name) >= 1,
+                   f"{name} must be positive", name)
         _check((self.eta is None) != (self.eta_grid is None),
                "exactly one of eta and eta_grid is required", "eta")
         if self.eta is not None:
@@ -236,7 +253,7 @@ class ExperimentConfig:
         _check(self.delta >= 0.0, "delta must be nonnegative", "delta")
         _check(self.steps >= 1, "steps must be positive", "steps")
         _check(isinstance(self.seeds, list) and self.seeds
-               and all(isinstance(s, int) for s in self.seeds),
+               and all(_is(s, int) for s in self.seeds),
                "seeds must be a nonempty list of ints", "seeds")
         _check(len(set(self.seeds)) == len(self.seeds),
                "seeds must be distinct", "seeds")

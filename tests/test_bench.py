@@ -97,6 +97,23 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("field,value", [
+        ("record_factors", "false"), ("timing", 0), ("steps", 2.5),
+        ("k", "3"), ("rank", True), ("eta", True), ("alpha", None),
+        ("momentum_rank", 0), ("momentum_rank", -3), ("metric_rank", 0),
+        ("seeds", [0, True]), ("out_dir", 5), ("batch", "full"),
+        ("method", ["oplora"]), ("task.seed", "5"), ("task.d_out", 24.0),
+        ("task.singular_values", [3.0, None]),
+    ])
+    def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
+                                                    value):
+        doc = base_config(tmp_path)
+        scope, _, key = field.rpartition(".")
+        (doc[scope] if scope else doc)[key] = value
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == field
+
 
 class TestRunExperiment:
     def test_csv_header_golden(self, tmp_path):
@@ -388,6 +405,10 @@ class TestCli:
 
     def test_config_error_exit_one(self, tmp_path):
         doc = base_config(tmp_path, steps=3, rank=0)
+        assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 1
+
+    def test_null_number_is_a_config_error(self, tmp_path):
+        doc = base_config(tmp_path, steps=3, alpha=None)
         assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 1
 
     def test_unreadable_config_exit_one(self, tmp_path):
