@@ -120,8 +120,7 @@ class _MlpProblem:
 
     def __init__(self, cfg: ExperimentConfig, seed):
         self.task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
-                                 cfg.task.loss, cfg.task.n_samples,
-                                 seed=cfg.task.seed)
+                                 cfg.task.loss, cfg.task.n_samples)
         self.x, self.y = nets.make_mlp_dataset(self.task,
                                                _seeded(cfg.task.seed, 3))
         self.layers = nets.make_mlp_layers(self.task, cfg.rank,

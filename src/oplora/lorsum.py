@@ -159,9 +159,8 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
             f"anchor {anchor.d_out} x {anchor.d_in} does not match terms "
             f"{terms.d_out} x {terms.d_in}")
     c0, left0, right0 = terms.terms[0]
-    if left0.shape != anchor.u.shape or right0.shape != anchor.v.shape or \
-            not (np.array_equal(left0, anchor.u)
-                 and np.array_equal(right0, anchor.v)):
+    if not (np.array_equal(left0, anchor.u)
+            and np.array_equal(right0, anchor.v)):
         raise ShapeError("terms[0] must carry the anchor's own factors")
 
     # The inverse-metric scaling of non-anchor terms does not depend on

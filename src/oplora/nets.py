@@ -239,7 +239,6 @@ class MlpTask:
     nonlinearity: str = "relu"
     loss: str = "mse"
     n_samples: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):

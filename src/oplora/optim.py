@@ -318,30 +318,30 @@ class AdamwState:
                           np.zeros_like(pair.v), np.zeros_like(pair.v))
 
 
-def _adamw_block(p, g, m, v, t, eta, beta1, beta2, eps, weight_decay):
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    p = p * (1.0 - eta * weight_decay)
-    p = p - eta * m_hat / (np.sqrt(v_hat) + eps)
+# AdamW's moment decays, denominator guard and decoupled weight decay
+ADAMW_BETA1, ADAMW_BETA2 = 0.9, 0.999
+ADAMW_EPS, ADAMW_WEIGHT_DECAY = 1e-8, 1e-2
+
+
+def _adamw_block(p, g, m, v, t, eta):
+    m = ADAMW_BETA1 * m + (1.0 - ADAMW_BETA1) * g
+    v = ADAMW_BETA2 * v + (1.0 - ADAMW_BETA2) * g * g
+    m_hat = m / (1.0 - ADAMW_BETA1 ** t)
+    v_hat = v / (1.0 - ADAMW_BETA2 ** t)
+    p = p * (1.0 - eta * ADAMW_WEIGHT_DECAY)
+    p = p - eta * m_hat / (np.sqrt(v_hat) + ADAMW_EPS)
     return p, m, v
 
 
 def adamw_step(factors: FactorPair, grads, eta: float,
-               betas=(0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 1e-2,
-               state: AdamwState = None) -> FactorPair:
+               state: AdamwState) -> FactorPair:
     """AdamW with decoupled weight decay on both factors."""
     g_u, g_v = grads
-    beta1, beta2 = betas
     state.t += 1
     new_u, state.m_u, state.v_u = _adamw_block(
-        factors.u, g_u, state.m_u, state.v_u, state.t,
-        eta, beta1, beta2, eps, weight_decay)
+        factors.u, g_u, state.m_u, state.v_u, state.t, eta)
     new_v, state.m_v, state.v_v = _adamw_block(
-        factors.v, g_v, state.m_v, state.v_v, state.t,
-        eta, beta1, beta2, eps, weight_decay)
+        factors.v, g_v, state.m_v, state.v_v, state.t, eta)
     return FactorPair(new_u, new_v)
 
 

@@ -259,7 +259,7 @@ class TestMethodRegistry:
     def test_svdlora_mlp_step_charges_its_dense_gradient(self, tmp_path):
         cfg = ExperimentConfig.from_dict(_mlp_config(tmp_path,
                                                      method="svdlora"))
-        task = nets.MlpTask([6, 8, 4], n_samples=64, seed=2)
+        task = nets.MlpTask([6, 8, 4], n_samples=64)
         x, y = nets.make_mlp_dataset(task, rng(0))
         layers = nets.make_mlp_layers(task, 2, rng(1))
         method = METHODS["svdlora"]

@@ -142,7 +142,7 @@ class TestFactorGradientFiniteDifferences:
     def test_mlp_gradients(self, loss):
         h, tol = 1e-6, 1e-5
         task = MlpTask([6, 8, 5, 4], nonlinearity="tanh", loss=loss,
-                       n_samples=12, seed=3)
+                       n_samples=12)
         g = rng(100)
         x, y = make_mlp_dataset(task, g)
         layers = make_mlp_layers(task, 2, g)
@@ -262,7 +262,7 @@ class TestAdapterInits:
 
 class TestMlpTask:
     def test_single_layer_mse_is_linear_regression(self):
-        task = MlpTask([5, 3], loss="mse", n_samples=16, seed=1)
+        task = MlpTask([5, 3], loss="mse", n_samples=16)
         g = rng(19)
         x, y = make_mlp_dataset(task, g)
         layers = make_mlp_layers(task, 2, g)
@@ -277,7 +277,7 @@ class TestMlpTask:
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_zero_network_cross_entropy_is_log2(self):
-        task = MlpTask([4, 6, 2], loss="cross_entropy", n_samples=10, seed=2)
+        task = MlpTask([4, 6, 2], loss="cross_entropy", n_samples=10)
         g = rng(20)
         x, y = make_mlp_dataset(task, g)
         layers = []
@@ -289,7 +289,7 @@ class TestMlpTask:
         assert np.isclose(loss, np.log(2.0), atol=1e-9)
 
     def test_all_layers_capture(self):
-        task = MlpTask([6, 5, 4], n_samples=8, seed=4)
+        task = MlpTask([6, 5, 4], n_samples=8)
         g = rng(21)
         x, y = make_mlp_dataset(task, g)
         layers = make_mlp_layers(task, 2, g)

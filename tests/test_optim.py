@@ -351,12 +351,11 @@ class TestSgdAdamw:
         gu = g.standard_normal((7, 2))
         gv = g.standard_normal((5, 2))
         state = optim.AdamwState.like(pair)
-        eta, eps = 0.01, 1e-8
-        out = optim.adamw_step(pair, (gu, gv), eta, weight_decay=0.0,
-                               state=state)
-        exp_u = pair.u - eta * gu / (np.abs(gu) + eps)
+        eta, eps, wd = 0.01, 1e-8, 1e-2
+        out = optim.adamw_step(pair, (gu, gv), eta, state)
+        exp_u = pair.u * (1 - eta * wd) - eta * gu / (np.abs(gu) + eps)
         assert np.allclose(out.u, exp_u, atol=1e-9)
-        exp_v = pair.v - eta * gv / (np.abs(gv) + eps)
+        exp_v = pair.v * (1 - eta * wd) - eta * gv / (np.abs(gv) + eps)
         assert np.allclose(out.v, exp_v, atol=1e-9)
 
     def test_adamw_trace_matches_scalar_recursion(self):
@@ -368,8 +367,7 @@ class TestSgdAdamw:
         eta, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.01
         out = pair
         for gu, gv in grads:
-            out = optim.adamw_step(out, (gu, gv), eta, (b1, b2), eps, wd,
-                                   state)
+            out = optim.adamw_step(out, (gu, gv), eta, state)
         # scalar reference applied independently to every coordinate
         flat_p = np.concatenate([pair.u.ravel(), pair.v.ravel()])
         flat_g = [np.concatenate([gu.ravel(), gv.ravel()]) for gu, gv in grads]
