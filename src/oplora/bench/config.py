@@ -26,14 +26,14 @@ def _is(x, kind) -> bool:
 
 
 def _take(d, key, default=..., required=False, kind=None, scope=""):
+    name = f"{scope}.{key}" if scope else key
     if key not in d:
         if required:
-            raise ConfigError(f"missing required field {key!r}", field=key)
+            raise ConfigError(f"missing required field {name!r}", field=name)
         return default
     val = d.pop(key)
     # null is only allowed where the field's default is None
     if kind is not None and not (val is None and default is None):
-        name = f"{scope}.{key}" if scope else key
         _check(_is(val, kind), f"{name} must be {kind.__name__}, got {val!r}",
                name)
     return val
@@ -82,7 +82,7 @@ class TaskSpec:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        kind = _take(d, "kind", required=True)
+        kind = _take(d, "kind", required=True, scope="task")
         _check(kind in TASK_KINDS, f"task.kind must be one of {TASK_KINDS}",
                "task.kind")
         spec = cls(kind=kind)
@@ -105,7 +105,7 @@ class TaskSpec:
             _check(spec.init in INITS, f"task.init must be one of {INITS}",
                    "task.init")
         else:
-            dims = _take(d, "dims", required=True)
+            dims = _take(d, "dims", required=True, scope="task")
             _check(isinstance(dims, list) and len(dims) >= 2
                    and all(_is(x, int) and x >= 1 for x in dims),
                    "task.dims must list at least two positive ints",
@@ -145,7 +145,7 @@ class BatchSpec:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        mode = _take(d, "mode", required=True)
+        mode = _take(d, "mode", required=True, scope="batch")
         _check(mode in ("full", "minibatch"),
                "batch.mode must be full or minibatch", "batch.mode")
         size = _take(d, "size", None)

@@ -92,6 +92,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["method", "task.kind", "batch.mode"])
+    def test_missing_required_field_is_named(self, tmp_path, field):
+        doc = base_config(tmp_path)
+        scope, _, key = field.rpartition(".")
+        del (doc[scope] if scope else doc)[key]
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == field
+
     def test_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(tmp_path))
         again = ExperimentConfig.from_dict(cfg.to_dict())
