@@ -81,7 +81,7 @@ def solve_spd(a, b) -> np.ndarray:
     pivots = np.diagonal(low)[:info or n] ** 2
     if info:
         pivots[-1] = low[info - 1, info - 1]
-    bad = np.flatnonzero(~(pivots > PIVOT_TOL))
+    bad = np.flatnonzero(pivots <= PIVOT_TOL)
     if bad.size:
         j = int(bad[0])
         raise SingularMetricError(f"matrix is not positive definite "
