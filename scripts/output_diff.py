@@ -80,11 +80,12 @@ def _csv_changes(a_path, b_path):
 
 
 def _trail_change(a_path, b_path):
-    a, b = np.load(a_path), np.load(b_path)
-    if a["u"].shape != b["u"].shape or a["v"].shape != b["v"].shape:
-        return float("inf")
-    pa = np.einsum("tir,tjr->tij", a["u"], a["v"])
-    pb = np.einsum("tir,tjr->tij", b["u"], b["v"])
+    """Largest relative change of a recorded product ``U_t V_t^T``."""
+    with np.load(a_path) as a, np.load(b_path) as b:
+        if a["u"].shape != b["u"].shape or a["v"].shape != b["v"].shape:
+            return float("inf")
+        pa = np.einsum("tir,tjr->tij", a["u"], a["v"])
+        pb = np.einsum("tir,tjr->tij", b["u"], b["v"])
     diff, na, nb = (np.linalg.norm(x, axis=(1, 2)) for x in (pa - pb, pa, pb))
     return float(np.max(_rel(diff, np.maximum(na, nb))))
 
@@ -122,6 +123,7 @@ def main():
 
 
 def report(here, there, other):
+    """Print how the output tree ``here`` differs from ``there``."""
     h_here, h_there = digest(here), digest(there)
     for name, only in (("this checkout", set(h_here) - set(h_there)),
                        (other, set(h_there) - set(h_here))):
