@@ -1,14 +1,18 @@
 """Experiment configuration: one strictly-validated JSON document.
 
-Unknown keys are rejected at every level so typos fail fast.  The
-schema is versioned via ``schema_version``; see the README for the full
-field reference.
+Each field is declared once, in its dataclass: the annotation is its
+type, the default its default (none: required), and ``key`` metadata
+its JSON key where that differs from the attribute name.  One parser
+and one serializer walk those declarations; range and choice checks are
+code in ``from_dict``/``validate``.  Unknown keys are rejected at every
+level so typos fail fast.  The schema is versioned via
+``schema_version``; see the README for the full field reference.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Optional, get_args
 
 from ..errors import ConfigError
 from .methods import METHODS
@@ -25,30 +29,66 @@ def _is(x, kind) -> bool:
             and (kind is bool or not isinstance(x, bool)))
 
 
-def _take(d, key, default=..., required=False, kind=None, scope=""):
-    name = f"{scope}.{key}" if scope else key
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing required field {name!r}", field=name)
-        return default
-    val = d.pop(key)
-    # null is only allowed where the field's default is None
-    if kind is not None and not (val is None and default is None):
-        _check(_is(val, kind), f"{name} must be {kind.__name__}, got {val!r}",
-               name)
-    return val
-
-
-def _reject_unknown(d, scope):
-    if d:
-        key = sorted(d)[0]
-        name = f"{scope}.{key}" if scope else key
-        raise ConfigError(f"unknown field {name!r}", field=name)
-
-
 def _check(cond, msg, fieldname):
     if not cond:
         raise ConfigError(msg, field=fieldname)
+
+
+def _applies(f, task_kind) -> bool:
+    """False for a field that only another task kind has."""
+    return f.metadata.get("task", task_kind) == task_kind
+
+
+def _parse(cls, doc, scope):
+    """Build ``cls`` from the JSON object ``doc`` by its field declarations.
+
+    A field without a default is required, ``null`` is accepted only where
+    the default is None, values must pass :func:`_is` for the annotated
+    type, float fields are stored as floats and nested dataclasses are
+    built by their ``from_dict``.  Another task kind's field, like any key
+    not declared, is rejected as unknown.
+    """
+    doc = dict(doc)
+    values = {}
+    for f in fields(cls):
+        if not _applies(f, values.get("kind")):
+            continue
+        key = f.metadata.get("key", f.name)
+        name = f"{scope}.{key}" if scope else key
+        if key not in doc:
+            _check(f.default is not MISSING
+                   or f.default_factory is not MISSING,
+                   f"missing required field {name!r}", name)
+            continue
+        val = doc.pop(key)
+        if val is None and f.default is None:
+            continue
+        kind = next((a for a in get_args(f.type) if a is not type(None)),
+                    f.type)
+        want = dict if is_dataclass(kind) else kind
+        _check(_is(val, want), f"{name} must be {want.__name__}, got {val!r}",
+               name)
+        values[f.name] = (kind.from_dict(val) if want is not kind
+                          else float(val) if kind is float else val)
+    if doc:
+        key = sorted(doc)[0]
+        name = f"{scope}.{key}" if scope else key
+        raise ConfigError(f"unknown field {name!r}", field=name)
+    return cls(**values)
+
+
+def _serialize(obj) -> dict:
+    """The JSON object of a config dataclass: its fields in declaration
+    order, leaving out unset (None) ones and other task kinds' ones."""
+    out = {}
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if val is None or not _applies(f, getattr(obj, "kind", None)):
+            continue
+        out[f.metadata.get("key", f.name)] = (
+            _serialize(val) if is_dataclass(val)
+            else list(val) if isinstance(val, list) else val)
+    return out
 
 
 def is_125_grid_value(x) -> bool:
@@ -63,106 +103,74 @@ def is_125_grid_value(x) -> bool:
     return False
 
 
+def _for(task_kind, default):
+    """A field that only the ``task_kind`` task has."""
+    return field(default=default, metadata={"task": task_kind})
+
+
 @dataclass
 class TaskSpec:
-    kind: str = "linear"
-    # linear task
-    d_out: int = 120
-    d_in: int = 40
-    singular_values: Optional[list] = None
-    init: str = "random"
-    # mlp task
-    dims: Optional[list] = None
-    nonlinearity: str = "relu"
-    loss: str = "mse"
-    n_samples: int = 256
-    # shared
+    kind: str
     seed: int = 0
+    d_out: int = _for("linear", 120)
+    d_in: int = _for("linear", 40)
+    init: str = _for("linear", "random")
+    singular_values: Optional[list] = _for("linear", None)
+    dims: Optional[list] = _for("mlp", None)
+    nonlinearity: str = _for("mlp", "relu")
+    loss: str = _for("mlp", "mse")
+    n_samples: int = _for("mlp", 256)
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        kind = _take(d, "kind", required=True, scope="task")
-        _check(kind in TASK_KINDS, f"task.kind must be one of {TASK_KINDS}",
-               "task.kind")
-        spec = cls(kind=kind)
-        spec.seed = _take(d, "seed", 0, kind=int, scope="task")
-        if kind == "linear":
-            spec.d_out = _take(d, "d_out", 120, kind=int, scope="task")
-            spec.d_in = _take(d, "d_in", 40, kind=int, scope="task")
+        _check(d.get("kind") is None or d["kind"] in TASK_KINDS,
+               f"task.kind must be one of {TASK_KINDS}", "task.kind")
+        spec = _parse(cls, d, "task")
+        if spec.kind == "linear":
             _check(spec.d_out >= 1 and spec.d_in >= 1,
                    "task dimensions must be positive", "task.d_out")
-            sv = _take(d, "singular_values", None)
+            sv = spec.singular_values
             if sv is not None:
-                _check(isinstance(sv, list) and all(_is(s, float) for s in sv),
+                _check(all(_is(s, float) for s in sv),
                        "task.singular_values must list numbers",
                        "task.singular_values")
-                sv = [float(s) for s in sv]
+                spec.singular_values = [float(s) for s in sv]
                 _check(len(sv) <= min(spec.d_out, spec.d_in),
                        "too many singular values", "task.singular_values")
-            spec.singular_values = sv
-            spec.init = _take(d, "init", "random")
             _check(spec.init in INITS, f"task.init must be one of {INITS}",
                    "task.init")
         else:
-            dims = _take(d, "dims", required=True, scope="task")
-            _check(isinstance(dims, list) and len(dims) >= 2
-                   and all(_is(x, int) and x >= 1 for x in dims),
+            _check(isinstance(spec.dims, list) and len(spec.dims) >= 2
+                   and all(_is(x, int) and x >= 1 for x in spec.dims),
                    "task.dims must list at least two positive ints",
                    "task.dims")
-            spec.dims = dims
-            spec.nonlinearity = _take(d, "nonlinearity", "relu")
             _check(spec.nonlinearity in ("relu", "tanh"),
                    "task.nonlinearity must be relu or tanh",
                    "task.nonlinearity")
-            spec.loss = _take(d, "loss", "mse")
             _check(spec.loss in ("mse", "cross_entropy"),
                    "task.loss must be mse or cross_entropy", "task.loss")
-            spec.n_samples = _take(d, "n_samples", 256, kind=int,
-                                   scope="task")
             _check(spec.n_samples >= 1, "task.n_samples must be positive",
                    "task.n_samples")
-        _reject_unknown(d, "task")
         return spec
-
-    def to_dict(self):
-        out = {"kind": self.kind, "seed": self.seed}
-        if self.kind == "linear":
-            out.update(d_out=self.d_out, d_in=self.d_in, init=self.init)
-            if self.singular_values is not None:
-                out["singular_values"] = list(self.singular_values)
-        else:
-            out.update(dims=list(self.dims), nonlinearity=self.nonlinearity,
-                       loss=self.loss, n_samples=self.n_samples)
-        return out
 
 
 @dataclass
 class BatchSpec:
-    mode: str = "full"
+    mode: str
     size: Optional[int] = None
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        mode = _take(d, "mode", required=True, scope="batch")
-        _check(mode in ("full", "minibatch"),
+        spec = _parse(cls, d, "batch")
+        _check(spec.mode in ("full", "minibatch"),
                "batch.mode must be full or minibatch", "batch.mode")
-        size = _take(d, "size", None)
-        if mode == "minibatch":
-            _check(_is(size, int) and size >= 1,
+        if spec.mode == "minibatch":
+            _check(spec.size is not None and spec.size >= 1,
                    "batch.size must be a positive int", "batch.size")
         else:
-            _check(size is None, "batch.size is only valid for minibatch",
+            _check(spec.size is None, "batch.size is only valid for minibatch",
                    "batch.size")
-        _reject_unknown(d, "batch")
-        return cls(mode=mode, size=size)
-
-    def to_dict(self):
-        out = {"mode": self.mode}
-        if self.size is not None:
-            out["size"] = self.size
-        return out
+        return spec
 
 
 @dataclass
@@ -171,50 +179,30 @@ class ExperimentConfig:
     method: str
     rank: int = 8
     k: int = 1
-    eta: Optional[float] = None
-    eta_grid: Optional[list] = None
     alpha: float = 0.0
-    lam: float = 1e-3
+    lam: float = field(default=1e-3, metadata={"key": "lambda"})
     beta: float = 1.0
     delta: float = 1e-4
-    momentum_rank: Optional[int] = None
-    metric_rank: Optional[int] = None
     steps: int = 200
     seeds: list = field(default_factory=lambda: [0])
-    batch: BatchSpec = field(default_factory=BatchSpec)
+    batch: BatchSpec = field(default_factory=lambda: BatchSpec("full"))
     out_dir: str = "runs"
     record_factors: bool = True
     timing: bool = True
+    eta: Optional[float] = None
+    eta_grid: Optional[list] = None
+    momentum_rank: Optional[int] = None
+    metric_rank: Optional[int] = None
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        version = _take(d, "schema_version", required=True)
+        version = d.pop("schema_version", None)
         _check(_is(version, int) and version == SCHEMA_VERSION,
                f"unsupported schema_version {version!r}", "schema_version")
-        task = TaskSpec.from_dict(_take(d, "task", required=True, kind=dict))
-        method = _take(d, "method", required=True, kind=str)
-        _check(method in METHODS,
+        cfg = _parse(cls, d, "")
+        _check(cfg.method in METHODS,
                f"method must be one of {tuple(METHODS)}", "method")
-        cfg = cls(task=task, method=method)
-        cfg.rank = _take(d, "rank", 8, kind=int)
-        cfg.k = _take(d, "k", 1, kind=int)
-        cfg.eta = _take(d, "eta", None, kind=float)
-        cfg.eta_grid = _take(d, "eta_grid", None)
-        cfg.alpha = float(_take(d, "alpha", 0.0, kind=float))
-        cfg.lam = float(_take(d, "lambda", 1e-3, kind=float))
-        cfg.beta = float(_take(d, "beta", 1.0, kind=float))
-        cfg.delta = float(_take(d, "delta", 1e-4, kind=float))
-        cfg.momentum_rank = _take(d, "momentum_rank", None, kind=int)
-        cfg.metric_rank = _take(d, "metric_rank", None, kind=int)
-        cfg.steps = _take(d, "steps", 200, kind=int)
-        cfg.seeds = _take(d, "seeds", [0])
-        batch = _take(d, "batch", None, kind=dict)
-        cfg.batch = BatchSpec() if batch is None else BatchSpec.from_dict(batch)
-        cfg.out_dir = _take(d, "out_dir", "runs", kind=str)
-        cfg.record_factors = _take(d, "record_factors", True, kind=bool)
-        cfg.timing = _take(d, "timing", True, kind=bool)
-        _reject_unknown(d, "")
         cfg.validate()
         return cfg
 
@@ -266,41 +254,12 @@ class ExperimentConfig:
             if self.batch.mode == "minibatch":
                 _check(self.batch.size <= self.task.d_in,
                        "batch size exceeds column count", "batch.size")
-        else:
-            if self.batch.mode == "minibatch":
-                _check(self.batch.size <= self.task.n_samples,
-                       "batch size exceeds sample count", "batch.size")
-            _check(self.task.init == "random" or self.task.kind == "linear",
-                   "svd init is only defined for the linear task",
-                   "task.init")
+        elif self.batch.mode == "minibatch":
+            _check(self.batch.size <= self.task.n_samples,
+                   "batch size exceeds sample count", "batch.size")
 
     def etas(self):
         return [self.eta] if self.eta is not None else list(self.eta_grid)
 
     def to_dict(self):
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "task": self.task.to_dict(),
-            "method": self.method,
-            "rank": self.rank,
-            "k": self.k,
-            "alpha": self.alpha,
-            "lambda": self.lam,
-            "beta": self.beta,
-            "delta": self.delta,
-            "steps": self.steps,
-            "seeds": list(self.seeds),
-            "batch": self.batch.to_dict(),
-            "out_dir": self.out_dir,
-            "record_factors": self.record_factors,
-            "timing": self.timing,
-        }
-        if self.eta is not None:
-            out["eta"] = self.eta
-        if self.eta_grid is not None:
-            out["eta_grid"] = list(self.eta_grid)
-        if self.momentum_rank is not None:
-            out["momentum_rank"] = self.momentum_rank
-        if self.metric_rank is not None:
-            out["metric_rank"] = self.metric_rank
-        return out
+        return {"schema_version": SCHEMA_VERSION, **_serialize(self)}

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReportError
+from ..errors import ConfigError, ReportError
 from ..lowrank import FactorPair, product_distance
+from .config import ExperimentConfig
 from .runner import read_run_csv
 
 MONOTONE_SLACK = 1e-10
@@ -38,9 +39,13 @@ def collect_runs(root) -> list:
     for dirpath, _, filenames in os.walk(root):
         if "manifest.json" not in filenames:
             continue
-        with open(os.path.join(dirpath, "manifest.json")) as fh:
+        path = os.path.join(dirpath, "manifest.json")
+        with open(path) as fh:
             manifest = json.load(fh)
-        cfg = manifest["config"]
+        try:
+            cfg = ExperimentConfig.from_dict(manifest["config"])
+        except ConfigError as exc:
+            raise ReportError(f"{path}: config does not parse: {exc}") from exc
         for entry in manifest["runs"]:
             if entry["status"] != "ok":
                 continue
@@ -49,8 +54,8 @@ def collect_runs(root) -> list:
                 method=entry["method"],
                 eta=entry["eta"],
                 seed=entry["seed"],
-                k=cfg.get("k", 1),
-                momentum_rank=cfg.get("momentum_rank") or cfg.get("rank"),
+                k=cfg.k,
+                momentum_rank=cfg.momentum_rank or cfg.rank,
                 csv_path=os.path.join(dirpath, entry["csv"]),
                 trail_path=os.path.join(dirpath, trail) if trail else None,
             ))
