@@ -91,6 +91,11 @@ def _serialize(obj) -> dict:
     return out
 
 
+def eta_tag(eta) -> str:
+    """The eta as run, aggregate and sweep-summary names spell it."""
+    return format(eta, ".6g")
+
+
 def is_125_grid_value(x) -> bool:
     """True when x equals m * 10^e for a mantissa m in {1, 2, 5}."""
     if not (_is(x, float) and math.isfinite(x) and x > 0):
@@ -235,6 +240,10 @@ class ExperimentConfig:
                 _check(is_125_grid_value(x),
                        f"eta_grid value {x!r} is not of the form "
                        "{1,2,5} * 10^-k", "eta_grid")
+            tags = [eta_tag(x) for x in self.eta_grid]
+            _check(len(set(tags)) == len(tags),
+                   f"eta_grid values must differ in their names {tags}",
+                   "eta_grid")
         _check(0.0 <= self.alpha < 1.0, "alpha must lie in [0, 1)", "alpha")
         _check(self.lam >= 0.0, "lambda must be nonnegative", "lambda")
         _check(0.0 < self.beta <= 1.0, "beta must lie in (0, 1]", "beta")

@@ -22,7 +22,7 @@ from ..errors import OploraError, SweepError
 from ..instrument import counters
 from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
 from .aggregate import f17, write_aggregate
-from .config import ExperimentConfig
+from .config import ExperimentConfig, eta_tag
 from .methods import METHODS
 
 RUN_HEADER = "step,loss,oracle_gap,flops,wall_ms"
@@ -174,7 +174,7 @@ def run_single(cfg: ExperimentConfig, eta, seed):
 
 
 def _run_name(method, eta, seed) -> str:
-    return f"{method}_eta{format(eta, '.6g')}_seed{seed}"
+    return f"{method}_eta{eta_tag(eta)}_seed{seed}"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
@@ -217,7 +217,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
             manifest["runs"].append(entry)
     for eta, record_sets in per_eta_records.items():
         agg_path = os.path.join(
-            out_dir, f"agg_{cfg.method}_eta{format(eta, '.6g')}.csv")
+            out_dir, f"agg_{cfg.method}_eta{eta_tag(eta)}.csv")
         write_aggregate(agg_path, record_sets)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -262,7 +262,7 @@ def lr_sweep(cfg: ExperimentConfig, out_dir=None, quiet=False):
         fh.write("eta,score,status\n")
         for eta, score, status in rows:
             stext = "inf" if not np.isfinite(score) else f17(score)
-            fh.write(f"{format(eta, '.6g')},{stext},{status}\n")
+            fh.write(f"{eta_tag(eta)},{stext},{status}\n")
     finite = [r for r in rows if np.isfinite(r[1])]
     if not finite:
         raise SweepError("all sweep runs failed or diverged")

@@ -71,6 +71,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("grid", [[0.1, 0.1], [0.1, 0.10000000001]])
+    def test_grid_values_sharing_a_run_name_rejected(self, tmp_path, grid):
+        doc = base_config(tmp_path)
+        del doc["eta"]
+        doc["eta_grid"] = grid
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == "eta_grid"
+
     def test_grid_value_check(self):
         for x in (1.0, 0.2, 5e-4, 20.0, 2e-6):
             assert is_125_grid_value(x)
