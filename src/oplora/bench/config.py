@@ -139,9 +139,12 @@ class TaskSpec:
                 _check(all(_is(s, float) for s in sv),
                        "task.singular_values must list numbers",
                        "task.singular_values")
-                spec.singular_values = [float(s) for s in sv]
+                spec.singular_values = sv = [float(s) for s in sv]
                 _check(len(sv) <= min(spec.d_out, spec.d_in),
                        "too many singular values", "task.singular_values")
+                _check(all(a >= b >= 0.0 for a, b in zip(sv, sv[1:] + [0.0])),
+                       "task.singular_values must be nonincreasing and >= 0",
+                       "task.singular_values")
             _check(spec.init in INITS, f"task.init must be one of {INITS}",
                    "task.init")
         else:
@@ -223,11 +226,15 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self):
-        _check(self.rank >= 1, "rank must be positive", "rank")
+        # every layer's factors, momentum and metric are at most this wide
+        side = min(self.task.dims if self.task.kind == "mlp"
+                   else (self.task.d_out, self.task.d_in))
+        for name in ("rank", "momentum_rank", "metric_rank"):
+            value = getattr(self, name)
+            _check(value is None or 1 <= value <= side,
+                   f"{name} must lie in [1, {side}], the smallest layer side",
+                   name)
         _check(self.k >= 1, "k must be at least 1", "k")
-        for name in ("momentum_rank", "metric_rank"):
-            _check(getattr(self, name) is None or getattr(self, name) >= 1,
-                   f"{name} must be positive", name)
         _check((self.eta is None) != (self.eta_grid is None),
                "exactly one of eta and eta_grid is required", "eta")
         if self.eta is not None:
@@ -257,15 +264,13 @@ class ExperimentConfig:
         if self.method == "oplora_scaled":
             _check(self.beta < 1.0, "oplora_scaled requires beta < 1",
                    "beta")
-        if self.task.kind == "linear":
-            _check(self.rank <= min(self.task.d_out, self.task.d_in),
-                   "rank exceeds task dimensions", "rank")
-            if self.batch.mode == "minibatch":
+        if self.batch.mode == "minibatch":
+            if self.task.kind == "linear":
                 _check(self.batch.size <= self.task.d_in,
                        "batch size exceeds column count", "batch.size")
-        elif self.batch.mode == "minibatch":
-            _check(self.batch.size <= self.task.n_samples,
-                   "batch size exceeds sample count", "batch.size")
+            else:
+                _check(self.batch.size <= self.task.n_samples,
+                       "batch size exceeds sample count", "batch.size")
 
     def etas(self):
         return [self.eta] if self.eta is not None else list(self.eta_grid)

@@ -122,6 +122,8 @@ class TestConfig:
         ("seeds", [0, True]), ("out_dir", 5), ("batch", "full"),
         ("method", ["oplora"]), ("task.seed", "5"), ("task.d_out", 24.0),
         ("task.singular_values", [3.0, None]),
+        ("task.singular_values", [1.0, 2.0]), ("task.singular_values", [-1.0]),
+        ("momentum_rank", 17), ("metric_rank", 20),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):
@@ -131,6 +133,15 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(doc)
         assert err.value.field == field
+
+
+    def test_rank_bounded_by_every_mlp_layer(self, tmp_path):
+        doc = base_config(tmp_path, batch={"mode": "minibatch", "size": 16},
+                          task={"kind": "mlp", "dims": [16, 2, 10],
+                                "n_samples": 64})
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == "rank"
 
 
 class TestRunExperiment:
