@@ -17,8 +17,7 @@ def f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def bootstrap_median_ci(values, n_resamples=N_RESAMPLES,
-                        seed=BOOTSTRAP_SEED):
+def bootstrap_median_ci(values):
     """Median and percentile-bootstrap 95% CI per column.
 
     ``values`` is (n_seeds, n_steps); returns (median, lo, hi) arrays of
@@ -30,8 +29,8 @@ def bootstrap_median_ci(values, n_resamples=N_RESAMPLES,
     med = np.median(values, axis=0)
     if n_seeds == 1:
         return med, med.copy(), med.copy()
-    rng = np.random.Generator(np.random.PCG64(seed))
-    idx = rng.integers(0, n_seeds, size=(n_resamples, n_seeds))
+    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
+    idx = rng.integers(0, n_seeds, size=(N_RESAMPLES, n_seeds))
     lo = np.empty(n_steps)
     hi = np.empty(n_steps)
     for j in range(n_steps):
