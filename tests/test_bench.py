@@ -18,6 +18,27 @@ from oplora.instrument import counters, reset_counters
 from conftest import rng
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED_CONFIGS = sorted(os.listdir(CONFIG_DIR))
+
+# manifest.json bytes follow this key order; OPTIONAL keys appear when set
+CONFIG_KEYS = ["schema_version", "task", "method", "rank", "k", "alpha",
+               "lambda", "beta", "delta", "steps", "seeds", "batch",
+               "out_dir", "record_factors", "timing", "eta", "eta_grid",
+               "momentum_rank", "metric_rank"]
+TASK_KEYS = {
+    "linear": ["kind", "seed", "d_out", "d_in", "init", "singular_values"],
+    "mlp": ["kind", "seed", "dims", "nonlinearity", "loss", "n_samples"],
+}
+BATCH_KEYS = ["mode", "size"]
+OPTIONAL = {"eta", "eta_grid", "momentum_rank", "metric_rank",
+            "singular_values", "size"}
+
+
+def _expected_keys(order, doc):
+    return [key for key in order if key in doc or key not in OPTIONAL]
+
+
 def base_config(out_dir, **overrides):
     doc = {
         "schema_version": 1,
@@ -114,6 +135,22 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(base_config(tmp_path))
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS + ["base", "mlp"])
+    def test_to_dict_key_order(self, tmp_path, name):
+        if name == "base":
+            doc = base_config(tmp_path)
+        elif name == "mlp":
+            doc = _mlp_config(tmp_path, batch={"mode": "minibatch", "size": 16})
+        else:
+            with open(os.path.join(CONFIG_DIR, name)) as fh:
+                doc = json.load(fh)
+        out = ExperimentConfig.from_dict(doc).to_dict()
+        assert list(out) == _expected_keys(CONFIG_KEYS, doc)
+        kind = doc["task"]["kind"]
+        assert list(out["task"]) == _expected_keys(TASK_KEYS[kind],
+                                                   doc["task"])
+        assert list(out["batch"]) == _expected_keys(BATCH_KEYS, doc["batch"])
 
     @pytest.mark.parametrize("field,value", [
         ("record_factors", "false"), ("timing", 0), ("steps", 2.5),
