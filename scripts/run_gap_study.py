@@ -6,14 +6,7 @@ Runs the alternating optimizer at K in {1, 2, 8} plus the reference,
 then emits a gap report with monotonicity verdicts.
 """
 
-import argparse
-import copy
-import json
-import os
-
-from oplora.bench.config import ExperimentConfig
-from oplora.bench.report import gap_report
-from oplora.bench.runner import run_experiment
+from study_driver import run_study
 
 BASE = {
     "schema_version": 1,
@@ -29,29 +22,5 @@ BASE = {
     "batch": {"mode": "full"},
 }
 
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--out-dir", default="runs/gap_study")
-    args = parser.parse_args()
-
-    ref_dir = os.path.join(args.out_dir, "reference")
-    ref_doc = copy.deepcopy(BASE)
-    ref_doc["method"] = "svdlora"
-    ref_doc["out_dir"] = ref_dir
-    run_experiment(ExperimentConfig.from_dict(ref_doc))
-
-    var_dir = os.path.join(args.out_dir, "variants")
-    for k in (1, 2, 8):
-        doc = copy.deepcopy(BASE)
-        doc["k"] = k
-        doc["out_dir"] = os.path.join(var_dir, f"oplora_k{k}")
-        run_experiment(ExperimentConfig.from_dict(doc))
-
-    report = gap_report(var_dir, ref_dir,
-                        os.path.join(args.out_dir, "gap_report.json"))
-    print(json.dumps(report, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    run_study(BASE, "k", (1, 2, 8), "oplora_k{}", "runs/gap_study")

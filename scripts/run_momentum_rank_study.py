@@ -6,14 +6,7 @@ column-sampled linear task against the dense-projection reference, then
 reports how the final-loss gap shrinks as the momentum buffer widens.
 """
 
-import argparse
-import copy
-import json
-import os
-
-from oplora.bench.config import ExperimentConfig
-from oplora.bench.report import gap_report
-from oplora.bench.runner import run_experiment
+from study_driver import run_study
 
 BASE = {
     "schema_version": 1,
@@ -30,29 +23,6 @@ BASE = {
     "batch": {"mode": "minibatch", "size": 16},
 }
 
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--out-dir", default="runs/momentum_rank_study")
-    args = parser.parse_args()
-
-    ref_dir = os.path.join(args.out_dir, "reference")
-    ref_doc = copy.deepcopy(BASE)
-    ref_doc["method"] = "svdlora"
-    ref_doc["out_dir"] = ref_dir
-    run_experiment(ExperimentConfig.from_dict(ref_doc))
-
-    var_dir = os.path.join(args.out_dir, "variants")
-    for m_rank in (8, 16, 32):
-        doc = copy.deepcopy(BASE)
-        doc["momentum_rank"] = m_rank
-        doc["out_dir"] = os.path.join(var_dir, f"mrank{m_rank}")
-        run_experiment(ExperimentConfig.from_dict(doc))
-
-    report = gap_report(var_dir, ref_dir,
-                        os.path.join(args.out_dir, "gap_report.json"))
-    print(json.dumps(report, indent=2))
-
-
 if __name__ == "__main__":
-    main()
+    run_study(BASE, "momentum_rank", (8, 16, 32), "mrank{}",
+              "runs/momentum_rank_study")
