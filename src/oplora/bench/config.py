@@ -249,7 +249,7 @@ class ExperimentConfig:
                        "{1,2,5} * 10^-k", "eta_grid")
             tags = [eta_tag(x) for x in self.eta_grid]
             _check(len(set(tags)) == len(tags),
-                   f"eta_grid values must differ in their names {tags}",
+                   f"eta_grid values must differ in their run names {tags}",
                    "eta_grid")
         _check(0.0 <= self.alpha < 1.0, "alpha must lie in [0, 1)", "alpha")
         _check(self.lam >= 0.0, "lambda must be nonnegative", "lambda")
