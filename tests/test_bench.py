@@ -19,7 +19,8 @@ from conftest import rng
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-SHIPPED_CONFIGS = sorted(os.listdir(CONFIG_DIR))
+SHIPPED_CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR)
+                         if name.endswith(".json"))
 
 # manifest.json bytes follow this key order; OPTIONAL keys appear when set
 CONFIG_KEYS = ["schema_version", "task", "method", "rank", "k", "alpha",
@@ -160,7 +161,7 @@ class TestConfig:
         ("method", ["oplora"]), ("task.seed", "5"), ("task.d_out", 24.0),
         ("task.singular_values", [3.0, None]),
         ("task.singular_values", [1.0, 2.0]), ("task.singular_values", [-1.0]),
-        ("momentum_rank", 17), ("metric_rank", 20),
+        ("momentum_rank", 17), ("metric_rank", 20), ("batch", None),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):
@@ -170,7 +171,6 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(doc)
         assert err.value.field == field
-
 
     def test_rank_bounded_by_every_mlp_layer(self, tmp_path):
         doc = base_config(tmp_path, batch={"mode": "minibatch", "size": 16},
