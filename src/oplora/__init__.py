@@ -6,8 +6,7 @@ from .errors import (
     StaleCaptureError, SweepError,
 )
 from .lowrank import (
-    FactorPair, WeightedFactorSum, gram, materialize, product_distance,
-    truncated_svd,
+    FactorPair, WeightedFactorSum, gram, product_distance, truncated_svd,
 )
 from .lorsum import LorsumConfig, Metric, apply_inverse_metric, \
     apply_metric_gram, lorsum

@@ -1,10 +1,11 @@
 """Process-global FLOP and allocation telemetry.
 
-The counters are plain module state.  They exist so tests can audit the
-optimizer hot paths (no dense full-size products, allocations bounded by
-thin-matrix sizes) and so the benchmark harness can report cumulative
-work per step.  Only matrix products and factorizations are charged;
-elementwise arithmetic is not counted.
+The counters are plain module state.  They exist so tests can bound the
+allocations the optimizer hot paths charge (thin-matrix sizes only) and
+so the benchmark harness can report cumulative work per step.  Only
+matrix products and factorizations are charged; elementwise arithmetic
+is not counted.  Tests check the bytes a step really allocates with
+``tracemalloc``, not with these counters.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 class Counters:
     flops: int = 0
     peak_alloc: int = 0  # largest single tracked allocation, in scalars
-    materialize_calls: int = 0
 
 
 _COUNTERS = Counters()
@@ -27,14 +27,9 @@ def counters() -> Counters:
 def reset_counters() -> None:
     _COUNTERS.flops = 0
     _COUNTERS.peak_alloc = 0
-    _COUNTERS.materialize_calls = 0
 
 
 def charge(flops: int = 0, alloc: int = 0) -> None:
     _COUNTERS.flops += int(flops)
     if alloc > _COUNTERS.peak_alloc:
         _COUNTERS.peak_alloc = int(alloc)
-
-
-def note_materialize() -> None:
-    _COUNTERS.materialize_calls += 1

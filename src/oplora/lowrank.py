@@ -3,20 +3,16 @@
 A :class:`FactorPair` ``(u, v)`` stands for the product ``u @ v.T`` and
 is the currency every optimizer in this library trades in.  A
 :class:`WeightedFactorSum` represents ``sum_i c_i * left_i @ right_i.T``
-without ever forming it.  :func:`materialize` is the one escape hatch
-back to dense matrices; it is instrumented and banned on hot paths.
+without ever forming it.  No function here forms the dense product of
+a pair or a sum: the distances between products go through r x r Grams.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DensePolicyError, ShapeError
-from .instrument import note_materialize
+from .errors import ShapeError
 from .matcore import as_matrix, matmul, svd_dense
-
-# Largest dimension materialize will densify without an explicit override.
-DENSE_DIM_CAP = 512
 
 
 @dataclass
@@ -99,26 +95,6 @@ class WeightedFactorSum:
 
     def __iter__(self):
         return iter(self.terms)
-
-
-def materialize(s, max_dim=DENSE_DIM_CAP) -> np.ndarray:
-    """Densify a factor pair or weighted sum.  Test/oracle paths only.
-
-    Every call bumps the materialize counter so tests can assert that
-    optimizer steps never densify.  Raises :class:`DensePolicyError`
-    when either product dimension exceeds ``max_dim``.
-    """
-    note_materialize()
-    if isinstance(s, FactorPair):
-        s = WeightedFactorSum([(1.0, s.u, s.v)])
-    if max(s.d_out, s.d_in) > max_dim:
-        raise DensePolicyError(
-            f"materializing {s.d_out} x {s.d_in} exceeds the dense cap "
-            f"{max_dim}")
-    out = np.zeros((s.d_out, s.d_in))
-    for c, left, right in s:
-        out += c * matmul(left, right, transpose_b=True)
-    return out
 
 
 def truncated_svd(w, r: int) -> FactorPair:

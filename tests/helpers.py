@@ -1,13 +1,67 @@
-"""Test-only helpers: reference losses, rank padding, naive momentum."""
+"""Test-only helpers: dense references, reference losses, rank padding,
+naive momentum, and the allocation-growth audit."""
+
+import tracemalloc
 
 import numpy as np
 
 from oplora.errors import ShapeError
-from oplora.lowrank import FactorPair, gram
+from oplora.lowrank import FactorPair, WeightedFactorSum, gram
 from oplora.matcore import solve_spd
 from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
                          factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState
+
+
+def materialize(s) -> np.ndarray:
+    """Dense product of a factor pair, or dense sum of a weighted sum."""
+    if isinstance(s, FactorPair):
+        s = WeightedFactorSum([(1.0, s.u, s.v)])
+    out = np.zeros((s.d_out, s.d_in))
+    for c, left, right in s:
+        out += c * (left @ right.T)
+    return out
+
+
+# Layer sides of the allocation audit, and the largest log-log slope of
+# peak bytes against side that still counts as linear.  A thin step
+# measures ~0.99; one extra d_out x d_in product lifts it to ~1.3.
+AUDIT_SIDES = (120, 240, 480, 960)
+MAX_ALLOC_SLOPE = 1.15
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes ``call()`` allocates above those live before it.
+
+    Needs ``tracemalloc`` to be tracing already.
+    """
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def assert_alloc_linear_in_side(calls_at):
+    """Assert that measured peak allocation grows linearly in the layer side.
+
+    ``calls_at(d)`` yields the zero-argument calls to measure on a layer
+    of side ``d`` (work done between yields is not measured).  Each
+    side's peak is the largest over its calls.  A dense
+    ``d_out x d_in`` product on the measured path grows with the square
+    of the side, which shows as a log-log slope well above one; the
+    thin blocks of a low-rank step grow with the side.
+    """
+    peaks = []
+    tracemalloc.start()
+    try:
+        for d in AUDIT_SIDES:
+            peaks.append(max(traced_peak_bytes(call) for call in calls_at(d)))
+    finally:
+        tracemalloc.stop()
+    slope = np.polyfit(np.log(AUDIT_SIDES), np.log(peaks), 1)[0]
+    assert slope <= MAX_ALLOC_SLOPE, (
+        f"peak bytes {peaks} at sides {AUDIT_SIDES} grow with slope "
+        f"{slope:.3f} > {MAX_ALLOC_SLOPE}: a step allocates a dense block")
 
 
 def pad_rank(p: FactorPair, r: int, rng: np.random.Generator) -> FactorPair:

@@ -20,16 +20,16 @@ from oplora.bench.config import ExperimentConfig
 from oplora.bench.runner import RUN_HEADER, read_run_csv, run_experiment
 from oplora.instrument import counters, reset_counters
 from oplora.lorsum import LorsumConfig, lorsum
-from oplora.lowrank import (FactorPair, WeightedFactorSum, materialize,
-                            product_distance, product_distance_to_dense,
-                            truncated_svd)
+from oplora.lowrank import (FactorPair, WeightedFactorSum, product_distance,
+                            product_distance_to_dense, truncated_svd)
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          init_adapter_random, linear_task_grad,
                          linear_task_grad_dense, make_linear_target,
                          make_mlp_dataset, make_mlp_layers,
                          mlp_forward_backward, sample_batch)
 
-from helpers import linear_task_loss, mlp_loss, pad_rank
+from helpers import (assert_alloc_linear_in_side, linear_task_loss,
+                     materialize, mlp_loss, pad_rank)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -336,38 +336,49 @@ def test_criterion_09_memory_contract():
     with criterion(9, "state budgets hold and hot paths never densify",
                    30.0):
         d_out, d_in, r, bs, steps = 120, 40, 8, 16, 200
-        target = make_linear_target(d_out, d_in, seeded(7, 0))
-        task = LinearTask(target, batch_size=bs)
-        init = init_adapter_random(d_out, d_in, r, seeded(7, 1))
-        adapter_params = init.scalar_count()
+        adapter_params = (d_out + d_in) * r
 
-        def run(state):
-            layer = LoraLinear(None, init.copy())
+        def captured_steps(state, d_out, d_in, n_steps):
+            """Sets the task up at one shape, then yields one optimizer
+            step per batch."""
+            target = make_linear_target(d_out, d_in, seeded(7, 0))
+            task = LinearTask(target, batch_size=bs)
+            layer = LoraLinear(
+                None, init_adapter_random(d_out, d_in, r, seeded(7, 1)))
             batch_rng = seeded(0, 2)
+
+            def steps():
+                for _ in range(n_steps):
+                    idx = sample_batch(task, batch_rng)
+                    left, right, _ = linear_task_grad(task, layer.adapter,
+                                                      idx)
+                    layer.captured_x = right.T
+                    layer.captured_s = left.T
+                    yield lambda: optim.oplora_step(layer, state)
+            return steps()
+
+        def run(hyper):
+            state = optim.OploraState(hyper, init_seed=0)
+            calls = captured_steps(state, d_out, d_in, steps)
             reset_counters()
-            for _ in range(steps):
-                idx = sample_batch(task, batch_rng)
-                left, right, _ = linear_task_grad(task, layer.adapter, idx)
-                layer.captured_x = right.T
-                layer.captured_s = left.T
-                optim.oplora_step(layer, state)
-            assert counters().materialize_calls == 0
+            for step in calls:
+                step()
             assert counters().peak_alloc < d_out * d_in
+            # measured bytes: a step's peak grows linearly in the side,
+            # d_in = d_out / 3 as above
+            assert_alloc_linear_in_side(lambda side: captured_steps(
+                optim.OploraState(hyper, init_seed=0), side, side // 3, 10))
             return state
 
         # momentum only: persistent state within 2x the adapter size
-        state = optim.OploraState(
-            optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3, num_iters=2,
-                               momentum_rank=2 * r), init_seed=0)
-        run(state)
+        state = run(optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3,
+                                       num_iters=2, momentum_rank=2 * r))
         assert state.scalar_count() <= 2 * adapter_params
 
         # momentum + metric scaling: within 4x
-        state = optim.OploraState(
-            optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3, num_iters=2,
-                               beta=0.95, delta=1.0, momentum_rank=2 * r,
-                               metric_rank=r), init_seed=0)
-        run(state)
+        state = run(optim.OploraConfig(eta=0.1, alpha=0.75, lam=1e-3,
+                                       num_iters=2, beta=0.95, delta=1.0,
+                                       momentum_rank=2 * r, metric_rank=r))
         assert state.scalar_count() <= 4 * adapter_params
 
 

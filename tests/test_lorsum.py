@@ -7,12 +7,11 @@ from oplora.errors import ShapeError, SingularMetricError
 from oplora.instrument import counters, reset_counters
 from oplora.lorsum import (LorsumConfig, Metric, apply_inverse_metric,
                            apply_metric_gram, lorsum)
-from oplora.lowrank import (FactorPair, WeightedFactorSum, gram, materialize,
-                            truncated_svd)
+from oplora.lowrank import FactorPair, WeightedFactorSum, gram, truncated_svd
 from oplora.matcore import solve_spd
 
 from conftest import rng
-from helpers import pad_rank
+from helpers import assert_alloc_linear_in_side, materialize, pad_rank
 
 
 def random_pair(g, d_out, d_in, r):
@@ -333,7 +332,17 @@ class TestConvergenceAndCost:
         reset_counters()
         lorsum(pair, terms, LorsumConfig(num_iters=4))
         assert counters().peak_alloc <= 50 * 12
-        assert counters().materialize_calls == 0
+
+        def calls_at(side):
+            g = rng(side)
+            pair = random_pair(g, side, side // 3, 4)
+            s = g.standard_normal((12, side))
+            x = g.standard_normal((12, side // 3))
+            terms = WeightedFactorSum([(1.0, pair.u, pair.v),
+                                       (-0.1, s.T, x.T)])
+            yield lambda: lorsum(pair, terms, LorsumConfig(num_iters=4))
+
+        assert_alloc_linear_in_side(calls_at)
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(0, 10_000))

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplora.errors import DensePolicyError, ShapeError
-from oplora.instrument import counters
-from oplora.lowrank import (FactorPair, WeightedFactorSum, gram, materialize,
+from oplora.errors import ShapeError
+from oplora.lowrank import (FactorPair, WeightedFactorSum, gram,
                             product_distance, product_distance_to_dense,
                             product_inner, truncated_svd)
 from oplora.matcore import matmul, svd_dense
 
 from conftest import rng
-from helpers import pad_rank
+from helpers import materialize, pad_rank
 
 
 def random_pair(g, d_out, d_in, r):
@@ -70,22 +69,6 @@ class TestMaterialize:
                   g.standard_normal((5, 3))) for _ in range(3)]
         expected = sum(c * (l @ r.T) for c, l, r in terms)
         assert np.allclose(materialize(WeightedFactorSum(terms)), expected)
-
-    def test_dense_cap(self):
-        g = rng(5)
-        pair = FactorPair(g.standard_normal((600, 2)),
-                          g.standard_normal((10, 2)))
-        with pytest.raises(DensePolicyError):
-            materialize(pair)
-        # explicit override lifts the cap
-        assert materialize(pair, max_dim=600).shape == (600, 10)
-
-    def test_counter_increments(self):
-        g = rng(6)
-        pair = random_pair(g, 4, 3, 2)
-        before = counters().materialize_calls
-        materialize(pair)
-        assert counters().materialize_calls == before + 1
 
 
 class TestTruncatedSvd:
