@@ -230,24 +230,6 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     return new_pair
 
 
-def prec_lora_step(layer, eta: float, lam: float = 0.0) -> FactorPair:
-    """Closed-form preconditioned factor step.
-
-    U <- U - eta G V (V^T V + lam I)^-1 and the V analog, both
-    preconditioners evaluated at the pre-step factors.  G is applied as
-    thin products G V = S^T (X V).
-    """
-    gv, gtu = factor_grads(layer)
-    u, v = layer.adapter.u, layer.adapter.v
-    eye = np.eye(layer.adapter.rank)
-    new_u = u - eta * solve_spd(gram(v) + lam * eye, gv.T).T
-    new_v = v - eta * solve_spd(gram(u) + lam * eye, gtu.T).T
-    pair = FactorPair(new_u, new_v)
-    layer.adapter = pair
-    layer.clear_captures()
-    return pair
-
-
 @dataclass
 class SvdLoraState:
     """Dense adapter and dense momentum for the projection oracle."""
@@ -395,3 +377,14 @@ def proj_lora_step(layer, state: ProjMomentumState, eta: float,
     layer.adapter = pair
     layer.clear_captures()
     return pair
+
+
+def prec_lora_step(layer, eta: float, lam: float = 0.0) -> FactorPair:
+    """Closed-form preconditioned factor step.
+
+    U <- U - eta G V (V^T V + lam I)^-1 and the V analog, both
+    preconditioners evaluated at the pre-step factors: the projected
+    momentum step with no momentum.
+    """
+    return proj_lora_step(layer, ProjMomentumState.like(layer.adapter), eta,
+                          0.0, lam)
