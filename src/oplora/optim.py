@@ -262,7 +262,7 @@ def svdlora_step(state: SvdLoraState, grad, eta: float, alpha: float,
     state.dense_momentum = alpha * state.dense_momentum + grad
     state.dense_weight = state.dense_weight - eta * state.dense_momentum
     pair = truncated_svd(state.dense_weight, r)
-    state.dense_weight = pair.u @ pair.v.T
+    state.dense_weight = matmul(pair.u, pair.v, transpose_b=True)
     return pair
 
 

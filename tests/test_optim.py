@@ -312,6 +312,20 @@ class TestSvdLora:
                            atol=1e-10)
         assert np.allclose(state.dense_weight, materialize(pair), atol=1e-12)
 
+    def test_step_charges_the_rebuilt_iterate(self):
+        g = rng(14)
+        d_out, d_in, r = 30, 20, 4
+        w = g.standard_normal((d_out, d_in))
+        grad = g.standard_normal((d_out, d_in))
+        reset_counters()
+        truncated_svd(w, r)
+        svd_flops = counters().flops
+        state = optim.SvdLoraState(w, np.zeros_like(w))
+        reset_counters()
+        optim.svdlora_step(state, grad, eta=0.1, alpha=0.0, r=r)
+        # the SVD, then the dense product U V^T that replaces the iterate
+        assert counters().flops >= svd_flops + 2 * d_out * r * d_in
+
     def test_tuned_momentum_run_decreases_loss(self):
         # eta = 0.1 with heavy-ball alpha = 0.75, the tuned minibatch
         # values.  These dynamics are underdamped (per-mode multiplier
