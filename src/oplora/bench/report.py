@@ -40,13 +40,20 @@ def collect_runs(root) -> list:
         if "manifest.json" not in filenames:
             continue
         path = os.path.join(dirpath, "manifest.json")
-        with open(path) as fh:
-            manifest = json.load(fh)
+        # a sweep killed while writing its manifest leaves it truncated
         try:
+            with open(path) as fh:
+                manifest = json.load(fh)
             cfg = ExperimentConfig.from_dict(manifest["config"])
+            entries = manifest["runs"]
+        except KeyError as exc:
+            raise ReportError(f"{path}: manifest has no {exc}") from exc
         except ConfigError as exc:
             raise ReportError(f"{path}: config does not parse: {exc}") from exc
-        for entry in manifest["runs"]:
+        except ValueError as exc:
+            raise ReportError(f"{path}: manifest does not parse: {exc}") \
+                from exc
+        for entry in entries:
             if entry["status"] != "ok":
                 continue
             trail = entry.get("trail")

@@ -457,6 +457,21 @@ class TestGapReport:
         with pytest.raises(ReportError):
             gap_report(str(tmp_path / "bad"), str(ref))
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_config", "no_runs"])
+    def test_broken_manifest_rejected_with_its_path(self, tmp_path, damage):
+        d = self._run(tmp_path, "run", method="svdlora")
+        path = d / "manifest.json"
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[:33])
+        else:
+            doc = json.loads(text)
+            del doc[damage[len("no_"):]]
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ReportError) as err:
+            gap_report(str(d), str(d))
+        assert str(path) in str(err.value)
+
 
 class TestCli:
     def _write(self, tmp_path, doc):
