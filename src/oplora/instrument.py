@@ -30,6 +30,6 @@ def reset_counters() -> None:
 
 
 def charge(flops: int = 0, alloc: int = 0) -> None:
-    _COUNTERS.flops += int(flops)
+    _COUNTERS.flops += flops
     if alloc > _COUNTERS.peak_alloc:
-        _COUNTERS.peak_alloc = int(alloc)
+        _COUNTERS.peak_alloc = alloc

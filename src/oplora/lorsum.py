@@ -121,19 +121,20 @@ def _note(trace, side, iteration, cur_u, cur_v):
         })
 
 
-def _half_step(side, other, k, lam):
+def _half_step(side, other, k, lam, lam_eye):
     """Solve for one factor given the other side's current estimate.
 
     ``side`` is ``(name, anchor, outs, ins, metric)``: this side's anchor
     factor, its stacked weighted (metric-scaled) term factors, the other
     side's stacked term factors, and the metric of the other side's Gram.
+    ``lam_eye`` is ``lam * I`` at the rank, used when ``lam > 0``.
     """
     name, anchor, outs, ins, metric = side
     num = matmul(outs, matmul(ins, other, transpose_a=True))
     den = apply_metric_gram(metric, other)
     if lam > 0:
         num = num + lam * anchor
-        den = den + lam * np.eye(other.shape[1])
+        den = den + lam_eye
     try:
         return solve_spd(den, num.T).T
     except SingularMetricError as exc:
@@ -159,8 +160,9 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
             f"anchor {anchor.d_out} x {anchor.d_in} does not match terms "
             f"{terms.d_out} x {terms.d_in}")
     c0, left0, right0 = terms.terms[0]
-    if not (np.array_equal(left0, anchor.u)
-            and np.array_equal(right0, anchor.v)):
+    # Both sides are validated finite, so identity implies equality.
+    if not ((left0 is anchor.u or np.array_equal(left0, anchor.u))
+            and (right0 is anchor.v or np.array_equal(right0, anchor.v))):
         raise ShapeError("terms[0] must carry the anchor's own factors")
 
     # The inverse-metric scaling of non-anchor terms does not depend on
@@ -175,15 +177,17 @@ def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
     u_side = ("U", anchor.u, np.hstack(outs_u), rights, metric_v)
     v_side = ("V", anchor.v, np.hstack(outs_v), lefts, metric_u)
 
+    lam = cfg.lam
+    lam_eye = lam * np.eye(anchor.rank) if lam > 0 else None
     cur_u, cur_v = anchor.u, anchor.v
     for k in range(cfg.num_iters):
         if cfg.mode == "simultaneous":
-            cur_u, cur_v = (_half_step(u_side, cur_v, k, cfg.lam),
-                            _half_step(v_side, cur_u, k, cfg.lam))
+            cur_u, cur_v = (_half_step(u_side, cur_v, k, lam, lam_eye),
+                            _half_step(v_side, cur_u, k, lam, lam_eye))
             _note(trace, "UV", k, cur_u, cur_v)
         else:
-            cur_v = _half_step(v_side, cur_u, k, cfg.lam)
+            cur_v = _half_step(v_side, cur_u, k, lam, lam_eye)
             _note(trace, "V", k, cur_u, cur_v)
-            cur_u = _half_step(u_side, cur_v, k, cfg.lam)
+            cur_u = _half_step(u_side, cur_v, k, lam, lam_eye)
             _note(trace, "U", k, cur_u, cur_v)
     return FactorPair(cur_u, cur_v)

@@ -1,11 +1,20 @@
 """Dense matrix micro-kernels sized for thin and small-matrix workloads.
 
-Everything is 64-bit, validated on entry, and deterministic given
-identical inputs (fixed summation order within one BLAS build).  Dense
-full-size matrices are only ever acceptable here, and only on oracle,
-baseline, and test paths; optimizer hot paths must stay with
-factor-shaped operands.
+Everything is 64-bit and deterministic given identical inputs (fixed
+summation order within one BLAS build).  Dense full-size matrices are
+only ever acceptable here, and only on oracle, baseline, and test paths;
+optimizer hot paths must stay with factor-shaped operands.
+
+Validation contract: every kernel checks the shape and finiteness of
+each of its own operands on every call and raises a typed error naming
+the operand.  The checks are exact (they accept and reject exactly the
+inputs an entrywise test would) and cheap next to the small products
+they guard.  They stay per call, not at a step's boundary, because an
+activation can zero a NaN or -inf pre-activation before it reaches the
+step's result.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -30,11 +39,22 @@ SIGN_TOL = 1e-12
 
 
 def as_matrix(a, name="operand") -> np.ndarray:
-    """Coerce to a finite float64 2-d array, copying only when needed."""
-    out = np.asarray(a, dtype=np.float64)
+    """Coerce to a finite float64 2-d array, copying only when needed.
+
+    A float64 ndarray comes back as the same object.  Any NaN or +-inf
+    entry makes the sum of all entries non-finite, so a finite sum
+    proves every entry finite; only a non-finite sum (which finite
+    entries can also reach by overflow) needs the entrywise test.  Such
+    a sum makes numpy emit its overflow or invalid-value RuntimeWarning.
+    """
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        out = a
+    else:
+        out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
+    if (not math.isfinite(np.add.reduce(out, axis=None))
+            and not np.isfinite(out).all()):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
@@ -70,8 +90,8 @@ def solve_spd(a, b) -> np.ndarray:
     if n > SPD_DIM_CAP:
         raise DensePolicyError(
             f"solve_spd dimension {n} exceeds cap {SPD_DIM_CAP}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise ShapeError("a is not symmetric within tolerance")
     if b.shape[0] != n:
         raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
@@ -81,9 +101,9 @@ def solve_spd(a, b) -> np.ndarray:
     pivots = np.diagonal(low)[:info or n] ** 2
     if info:
         pivots[-1] = low[info - 1, info - 1]
-    bad = np.flatnonzero(pivots <= PIVOT_TOL)
-    if bad.size:
-        j = int(bad[0])
+    bad = pivots <= PIVOT_TOL
+    if bad.any():
+        j = int(bad.argmax())
         raise SingularMetricError(f"matrix is not positive definite "
                                   f"(pivot {pivots[j]:.3e} at index {j})",
                                   pivot_index=j)

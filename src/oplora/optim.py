@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, WeightedFactorSum, gram, truncated_svd
 from .lorsum import LorsumConfig, Metric, lorsum
 from .matcore import as_matrix, matmul, solve_spd, thin_qr
@@ -113,10 +113,14 @@ def _sym_psd_factor(u, v, rank) -> np.ndarray:
     clipped to zero, keeping the representation PSD with equal factors.
     """
     z = np.hstack([u, v])
-    q, r = np.linalg.qr(z, mode="reduced")
     m = u.shape[1]
-    a = 0.5 * (r[:, :m] @ r[:, m:].T + r[:, m:] @ r[:, :m].T)
-    vals, vecs = np.linalg.eigh(a)
+    try:
+        q, r = np.linalg.qr(z, mode="reduced")
+        a = 0.5 * (r[:, :m] @ r[:, m:].T + r[:, m:] @ r[:, :m].T)
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"symmetric PSD factor failed to converge: {exc}") from exc
     top = np.clip(vals[-rank:], 0.0, None)
     return q @ (vecs[:, -rank:] * np.sqrt(top))
 

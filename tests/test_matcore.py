@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oplora.errors import (DegenerateInputError, DensePolicyError,
                            NonFiniteError, ShapeError, SingularMetricError)
-from oplora.matcore import (matmul, sample_columns, solve_spd, svd_dense,
-                            thin_qr)
+from oplora.matcore import (as_matrix, matmul, sample_columns, solve_spd,
+                            svd_dense, thin_qr)
 
 from conftest import rng
 
@@ -48,6 +51,101 @@ def jacobi_eigvals(a, sweeps=100, tol=1e-14):
                 rot[q, p] = -s
                 a = rot.T @ a @ rot
     return np.sort(np.diag(a))[::-1]
+
+
+def entrywise_as_matrix(a, name="operand"):
+    """Reference coercion: an entrywise finiteness test on every call."""
+    out = np.asarray(a, dtype=np.float64)
+    if out.ndim != 2:
+        raise ShapeError(f"{name} must be 2-d, got ndim={out.ndim}")
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return out
+
+
+def outcome(coerce, a):
+    """What ``coerce(a, "w")`` returns or raises, in comparable form."""
+    try:
+        out = coerce(a, "w")
+    except ShapeError as exc:
+        return type(exc), str(exc)
+    return (out.dtype, out.shape, out.tobytes(), out.flags.f_contiguous,
+            out is a, isinstance(a, np.ndarray) and np.shares_memory(out, a))
+
+
+# Inputs of every kind the library coerces, built from one float64 array.
+FORMS = {
+    "ndarray": lambda x: x,
+    "list": lambda x: x.tolist(),
+    "fortran": np.asfortranarray,
+    "transposed": lambda x: x.T,
+    "readonly": lambda x: np.lib.stride_tricks.as_strided(
+        x, writeable=False),
+    "float32": lambda x: x.astype(np.float32),
+    "int": lambda x: np.nan_to_num(x, posinf=7, neginf=-7).clip(
+        -1e9, 1e9).astype(np.int64),
+    "1-d": np.ravel,
+    "3-d": lambda x: x[None],
+}
+
+# Finite entries whose sum is not finite: the reduction alone cannot
+# accept them, so they exercise the entrywise fallback.
+OVERFLOWING = [
+    [[1e308, 1e308]],
+    [[1e308, 1e308], [-1e308, -1e308]],
+    [[1e308] * 4, [-1e308] * 4],  # pairwise summation: inf + -inf = nan
+]
+
+ODD_SUMS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+class TestAsMatrix:
+    @ODD_SUMS
+    @settings(deadline=None, max_examples=300)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
+                                           min_side=0, max_side=5),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)),
+           st.sampled_from(sorted(FORMS)))
+    def test_matches_entrywise_check(self, x, form):
+        a = FORMS[form](x)
+        assert outcome(as_matrix, a) == outcome(entrywise_as_matrix, a)
+
+    @ODD_SUMS
+    @pytest.mark.parametrize("entries", OVERFLOWING)
+    def test_finite_entries_with_overflowing_sum_pass(self, entries):
+        a = np.array(entries)
+        assert not math.isfinite(np.add.reduce(a, axis=None))
+        assert as_matrix(a) is a
+        assert as_matrix(entries).tolist() == entries
+
+    @ODD_SUMS
+    @settings(deadline=None, max_examples=200)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2,
+                                           min_side=1, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_any_non_finite_entry_raises(self, x, bad, data):
+        i = data.draw(st.integers(0, x.shape[0] - 1))
+        j = data.draw(st.integers(0, x.shape[1] - 1))
+        x[i, j] = bad
+        for a in (x, x.T, x.tolist(), np.asfortranarray(x)):
+            with pytest.raises(NonFiniteError) as err:
+                as_matrix(a, "w")
+            assert str(err.value) == "w contains non-finite entries"
+
+    @pytest.mark.parametrize("form", ["ndarray", "fortran", "transposed",
+                                      "readonly"])
+    def test_float64_ndarray_is_returned_as_is(self, form):
+        a = FORMS[form](rng(0).standard_normal((3, 4)))
+        assert as_matrix(a) is a
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
+    def test_zero_size_passes(self, shape):
+        a = np.empty(shape)
+        assert as_matrix(a) is a
+        assert as_matrix(np.zeros(shape, dtype=np.int64)).shape == shape
 
 
 class TestMatmul:
@@ -154,6 +252,22 @@ class TestSolveSpd:
         with pytest.raises(SingularMetricError, match=r"pivot -5\.000e-01 "
                            r"at index 1"):
             solve_spd(a, np.ones((3, 1)))
+
+    @pytest.mark.parametrize("diag, pivot, index", [
+        # tiny positive pivots LAPACK accepts
+        ([1.0, 1e-13, 1e-14, 2.0], "1.000e-13", 1),
+        # a tiny pivot before the one where LAPACK stops (info > 0)
+        ([1.0, 1e-13, -1.0, 2.0], "1.000e-13", 1),
+        # LAPACK stops at the first negative pivot, before later ones
+        ([1.0, 2.0, -1.0, -3.0], "-1.000e+00", 2),
+    ])
+    def test_reports_the_first_of_several_bad_pivots(self, diag, pivot,
+                                                     index):
+        with pytest.raises(SingularMetricError) as err:
+            solve_spd(np.diag(diag), np.ones((4, 1)))
+        assert str(err.value) == ("matrix is not positive definite "
+                                  f"(pivot {pivot} at index {index})")
+        assert err.value.pivot_index == index
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])

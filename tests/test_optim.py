@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oplora import optim
-from oplora.errors import SingularMetricError, StaleCaptureError
+from oplora.errors import (ConvergenceError, SingularMetricError,
+                           StaleCaptureError)
 from oplora.instrument import counters, reset_counters
 from oplora.lowrank import FactorPair, product_distance, truncated_svd
 from oplora.lorsum import Metric
@@ -527,6 +528,22 @@ class TestKfacScale:
             dists.append(np.linalg.norm(got - target))
         assert dists[-1] < dists[0]
         assert dists[-1] <= 0.02 * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("routine", ["qr", "eigh"])
+    def test_linalg_failure_is_a_convergence_error(self, monkeypatch,
+                                                   routine):
+        g = rng(27)
+        state = self._state_with_metrics(g, 9, 7, 3)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        with pytest.raises(ConvergenceError,
+                           match=f"{routine} did not converge") as err:
+            optim.kfac_scale_update(state, g.standard_normal((5, 7)),
+                                    g.standard_normal((5, 9)), 0.8)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_metric_factors_stay_equal_and_psd(self):
         g = rng(25)
