@@ -3,8 +3,8 @@
 
 Usage: ``python scripts/output_digest.py OUT.json``
 
-Runs, in a temporary directory and with the ``oplora`` package of this
-checkout's ``src/``:
+Runs, in a temporary directory, on one BLAS thread and with the
+``oplora`` package of this checkout's ``src/``:
 
 - every ``configs/*.json`` as shipped, with ``"timing": false``;
 - every registered method on a grid of small cases (linear full batch,
@@ -28,6 +28,14 @@ import os
 import subprocess
 import sys
 import tempfile
+
+# One BLAS thread, set before numpy loads: OpenBLAS's threaded kernels
+# round some outputs (svdlora's run CSVs of the full-scale config)
+# differently, and a byte-identity verdict must not depend on the
+# caller's shell.  The study subprocesses, and the runs of
+# ``output_diff.py``, inherit the setting.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")

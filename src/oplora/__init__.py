@@ -5,11 +5,8 @@ from .errors import (
     NonFiniteError, OploraError, ReportError, ShapeError, SingularMetricError,
     StaleCaptureError, SweepError,
 )
-from .lowrank import (
-    FactorPair, WeightedFactorSum, gram, product_distance, truncated_svd,
-)
-from .lorsum import LorsumConfig, Metric, apply_inverse_metric, \
-    apply_metric_gram, lorsum
+from .lowrank import FactorPair, gram, product_distance, truncated_svd
+from .lorsum import Metric, apply_inverse_metric, apply_metric_gram, lorsum
 from .optim import (
     AdamwState, OploraConfig, OploraState, ProjMomentumState, SgdState,
     SvdLoraState, adamw_step, kfac_scale_update, momentum_update_lor,

@@ -40,7 +40,7 @@ def collect_runs(root) -> list:
         if "manifest.json" not in filenames:
             continue
         path = os.path.join(dirpath, "manifest.json")
-        # a sweep killed while writing its manifest leaves it truncated
+        # a damaged or hand-edited manifest is named, not half-read
         try:
             with open(path) as fh:
                 manifest = json.load(fh)

@@ -6,7 +6,7 @@ CSV with the fixed header ``step,loss,oracle_gap,flops,wall_ms``.  Row
 the initial loss).  Factor trajectories are optionally saved alongside
 for cross-run product-distance reports.  Runs execute sequentially;
 failures are recorded in the manifest and do not stop the remaining
-runs.
+runs.  The manifest is rewritten after every run.
 """
 
 import json
@@ -177,10 +177,20 @@ def _run_name(method, eta, seed) -> str:
     return f"{method}_eta{eta_tag(eta)}_seed{seed}"
 
 
+def _write_manifest(out_dir, manifest):
+    # a temp file renamed over the old one: a kill at any point leaves a
+    # whole manifest behind
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path + ".tmp", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    os.replace(path + ".tmp", path)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
     """Execute every (eta, seed) run of the config and aggregate.
 
-    Returns the manifest dict (also written to ``manifest.json``).
+    Returns the manifest dict.  ``manifest.json`` is rewritten after each
+    run, so a killed sweep leaves one listing the runs finished so far.
     Optimizer errors mark the run failed; the remaining runs continue.
     """
     out_dir = out_dir or cfg.out_dir
@@ -215,12 +225,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
                     print(f"[bench] {name}: ok "
                           f"(final loss {records[-1].loss:.6g})")
             manifest["runs"].append(entry)
+            _write_manifest(out_dir, manifest)
     for eta, record_sets in per_eta_records.items():
         agg_path = os.path.join(
             out_dir, f"agg_{cfg.method}_eta{eta_tag(eta)}.csv")
         write_aggregate(agg_path, record_sets)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
     return manifest
 
 

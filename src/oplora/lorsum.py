@@ -1,11 +1,11 @@
 """Alternating least-squares compression of weighted low-rank sums.
 
-Given a rank-r anchor pair ``(U1, V1)`` and a target expressed as a
-weighted sum of thin products ``sum_i c_i U_i V_i^T`` (whose first term
-is the anchor's own product), :func:`lorsum` refines the pair toward the
-best rank-r approximation of the target.  The sum is one thin product
-of stacked factors, so each half-step is one such product and one r x r
-symmetric solve:
+Given a target expressed as a weighted sum of thin products
+``sum_i c_i U_i V_i^T``, passed as a list of ``(c_i, U_i, V_i)`` whose
+first term carries the current rank-r iterate, :func:`lorsum` refines
+that anchor pair ``(U1, V1)`` toward the best rank-r approximation of
+the target.  The sum is one thin product of stacked factors, so each
+half-step is one such product and one r x r symmetric solve:
 
     V <- (lam * V1 + [c_i Dv^-1 V_i] [U_i]^T U) (U^T Du U + lam I)^-1
     U <- (lam * U1 + [c_i Du^-1 U_i] [V_i]^T V) (V^T Dv V + lam I)^-1
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SingularMetricError
-from .lowrank import FactorPair, WeightedFactorSum, gram
+from .lowrank import FactorPair, gram
 from .matcore import as_matrix, matmul, solve_spd
 
 MODES = ("alternating", "simultaneous")
@@ -87,30 +87,6 @@ def apply_metric_gram(m: Metric, x) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-@dataclass(frozen=True)
-class LorsumConfig:
-    """Iteration count, proximal weight, and update scheduling.
-
-    ``lam`` pulls both factors toward the anchor and is taken as already
-    scaled (callers fold in any learning-rate factor).  ``alternating``
-    updates the input-side factor V and then U from the new V;
-    ``simultaneous`` computes both half-updates from the same estimates
-    before committing either.
-    """
-
-    num_iters: int = 1
-    lam: float = 0.0
-    mode: str = "alternating"
-
-    def __post_init__(self):
-        if self.num_iters < 1:
-            raise ShapeError("num_iters must be at least 1")
-        if self.lam < 0:
-            raise ShapeError("the proximal weight must be nonnegative")
-        if self.mode not in MODES:
-            raise ShapeError(f"mode must be one of {MODES}")
-
-
 def _note(trace, side, iteration, cur_u, cur_v):
     if trace is not None:
         trace.append({
@@ -143,45 +119,74 @@ def _half_step(side, other, k, lam, lam_eye):
             pivot_index=exc.pivot_index, side=name, iteration=k) from exc
 
 
-def lorsum(anchor: FactorPair, terms: WeightedFactorSum,
-           cfg: LorsumConfig = None, metric_u: Metric = None,
+def _checked_terms(terms) -> list:
+    """``terms`` as ``(float, matrix, matrix)`` triples, each checked once.
+
+    Term widths k_i may differ; all terms must share d_out and d_in.
+    """
+    if not terms:
+        raise ShapeError("a weighted factor sum needs at least one term")
+    clean = []
+    for i, (c, left, right) in enumerate(terms):
+        c = float(c)
+        if not np.isfinite(c):
+            raise ShapeError(f"term {i} has a non-finite coefficient")
+        left = as_matrix(left, f"terms[{i}].left")
+        right = as_matrix(right, f"terms[{i}].right")
+        if left.shape[1] != right.shape[1]:
+            raise ShapeError(
+                f"term {i} widths disagree: {left.shape} vs {right.shape}")
+        if clean and (left.shape[0] != clean[0][1].shape[0]
+                      or right.shape[0] != clean[0][2].shape[0]):
+            raise ShapeError(f"term {i} dimensions disagree with term 0")
+        clean.append((c, left, right))
+    return clean
+
+
+def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
+           mode: str = "alternating", metric_u: Metric = None,
            metric_v: Metric = None, trace: list = None) -> FactorPair:
     """Approximate ``sum_i c_i left_i right_i^T`` by a rank-r pair.
 
-    ``terms[0]`` must be the anchor's own product; the anchor supplies
-    both the starting estimate and the proximal pull.  Raises
+    ``terms`` is a non-empty sequence of ``(c, left, right)``.  The
+    factors of ``terms[0]`` are the anchor: they supply both the
+    starting estimate and the proximal pull of weight ``lam``, which is
+    taken as already scaled (callers fold in any learning-rate factor).
+    ``alternating`` updates the input-side factor V and then U from the
+    new V; ``simultaneous`` computes both half-updates from the same
+    estimates before committing either.  Raises
     :class:`SingularMetricError` naming the updated side and iteration
     when an r x r system is not positive definite (a degenerate anchor
     needs ``lam > 0`` or metric damping to be rescued).
     """
-    cfg = cfg or LorsumConfig()
-    if terms.d_out != anchor.d_out or terms.d_in != anchor.d_in:
-        raise ShapeError(
-            f"anchor {anchor.d_out} x {anchor.d_in} does not match terms "
-            f"{terms.d_out} x {terms.d_in}")
-    c0, left0, right0 = terms.terms[0]
-    # Both sides are validated finite, so identity implies equality.
-    if not ((left0 is anchor.u or np.array_equal(left0, anchor.u))
-            and (right0 is anchor.v or np.array_equal(right0, anchor.v))):
-        raise ShapeError("terms[0] must carry the anchor's own factors")
+    if num_iters < 1:
+        raise ShapeError("num_iters must be at least 1")
+    if lam < 0:
+        raise ShapeError("the proximal weight must be nonnegative")
+    if mode not in MODES:
+        raise ShapeError(f"mode must be one of {MODES}")
+    terms = _checked_terms(terms)
+    c0, left0, right0 = terms[0]
+    rank, min_dim = left0.shape[1], min(left0.shape[0], right0.shape[0])
+    if rank > min_dim:
+        raise ShapeError(f"rank {rank} exceeds min dimension {min_dim}")
 
     # The inverse-metric scaling of non-anchor terms does not depend on
     # the evolving estimates, so each side's blocks are stacked once.
-    rest = terms.terms[1:]
+    rest = terms[1:]
     outs_u = [c0 * left0] + [c * apply_inverse_metric(metric_u, left)
                              for c, left, _ in rest]
     outs_v = [c0 * right0] + [c * apply_inverse_metric(metric_v, right)
                               for c, _, right in rest]
     lefts = np.hstack([left for _, left, _ in terms])
     rights = np.hstack([right for _, _, right in terms])
-    u_side = ("U", anchor.u, np.hstack(outs_u), rights, metric_v)
-    v_side = ("V", anchor.v, np.hstack(outs_v), lefts, metric_u)
+    u_side = ("U", left0, np.hstack(outs_u), rights, metric_v)
+    v_side = ("V", right0, np.hstack(outs_v), lefts, metric_u)
 
-    lam = cfg.lam
-    lam_eye = lam * np.eye(anchor.rank) if lam > 0 else None
-    cur_u, cur_v = anchor.u, anchor.v
-    for k in range(cfg.num_iters):
-        if cfg.mode == "simultaneous":
+    lam_eye = lam * np.eye(rank) if lam > 0 else None
+    cur_u, cur_v = left0, right0
+    for k in range(num_iters):
+        if mode == "simultaneous":
             cur_u, cur_v = (_half_step(u_side, cur_v, k, lam, lam_eye),
                             _half_step(v_side, cur_u, k, lam, lam_eye))
             _note(trace, "UV", k, cur_u, cur_v)

@@ -1,10 +1,11 @@
-"""Rank-r factor pairs, weighted low-rank sums, and the truncated-SVD oracle.
+"""Rank-r factor pairs, product distances, and the truncated-SVD oracle.
 
 A :class:`FactorPair` ``(u, v)`` stands for the product ``u @ v.T`` and
-is the currency every optimizer in this library trades in.  A
-:class:`WeightedFactorSum` represents ``sum_i c_i * left_i @ right_i.T``
-without ever forming it.  No function here forms the dense product of
-a pair or a sum: the distances between products go through r x r Grams.
+is the currency every optimizer in this library trades in.  A weighted
+sum of such products is a plain list of ``(c, left, right)`` terms,
+which :func:`oplora.lorsum.lorsum` checks and compresses.  No function
+here forms the dense product of a pair: the distances between products
+go through r x r Grams.
 """
 
 from dataclasses import dataclass
@@ -47,54 +48,6 @@ class FactorPair:
 
     def copy(self) -> "FactorPair":
         return FactorPair(self.u.copy(), self.v.copy())
-
-    def scalar_count(self) -> int:
-        return self.u.size + self.v.size
-
-
-@dataclass
-class WeightedFactorSum:
-    """An ordered sum ``sum_i c_i * left_i @ right_i.T``.
-
-    Term widths k_i may differ; all terms must share d_out and d_in.
-    """
-
-    terms: list
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ShapeError("a weighted factor sum needs at least one term")
-        clean = []
-        d_out = d_in = None
-        for i, (c, left, right) in enumerate(self.terms):
-            c = float(c)
-            if not np.isfinite(c):
-                raise ShapeError(f"term {i} has a non-finite coefficient")
-            left = as_matrix(left, f"terms[{i}].left")
-            right = as_matrix(right, f"terms[{i}].right")
-            if left.shape[1] != right.shape[1]:
-                raise ShapeError(
-                    f"term {i} widths disagree: {left.shape} vs {right.shape}")
-            if d_out is None:
-                d_out, d_in = left.shape[0], right.shape[0]
-            elif left.shape[0] != d_out or right.shape[0] != d_in:
-                raise ShapeError(f"term {i} dimensions disagree with term 0")
-            clean.append((c, left, right))
-        self.terms = clean
-
-    @property
-    def d_out(self) -> int:
-        return self.terms[0][1].shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.terms[0][2].shape[0]
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 def truncated_svd(w, r: int) -> FactorPair:

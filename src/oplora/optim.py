@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .lowrank import FactorPair, WeightedFactorSum, gram, truncated_svd
-from .lorsum import LorsumConfig, Metric, lorsum
+from .lowrank import FactorPair, gram, truncated_svd
+from .lorsum import Metric, lorsum
 from .matcore import as_matrix, matmul, solve_spd, thin_qr
 from .nets import captures, factor_grads
 
@@ -76,12 +76,6 @@ class OploraState:
     metric_v: Optional[Metric] = None
     step_count: int = 0
 
-    def scalar_count(self) -> int:
-        """Persistent state size in scalars (for memory audits)."""
-        total = 0 if self.momentum is None else self.momentum.scalar_count()
-        metrics = (self.metric_u, self.metric_v)
-        return total + sum(m.factor.size for m in metrics if m is not None)
-
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
@@ -134,13 +128,8 @@ def _metric_ema(metric: Metric, batch, beta, num_iters) -> Metric:
     """
     b = batch.shape[0]
     f = metric.factor
-    anchor = FactorPair(f, f)
-    terms = WeightedFactorSum([
-        (beta, f, f),
-        ((1.0 - beta) / b, batch.T, batch.T),
-    ])
-    cfg = LorsumConfig(num_iters=num_iters, lam=RESCUE_LAMBDA)
-    est = lorsum(anchor, terms, cfg)
+    terms = [(beta, f, f), ((1.0 - beta) / b, batch.T, batch.T)]
+    est = lorsum(terms, num_iters=num_iters, lam=RESCUE_LAMBDA)
     factor = _sym_psd_factor(est.u, est.v, f.shape[1])
     return Metric(factor, metric.delta)
 
@@ -174,12 +163,8 @@ def momentum_update_lor(state: OploraState, momentum: FactorPair,
     buffer is still rank-deficient.
     """
     h = state.hyper
-    terms = WeightedFactorSum([
-        (h.alpha, momentum.u, momentum.v),
-        (1.0, grad_left, grad_right),
-    ])
-    cfg = LorsumConfig(num_iters=h.num_iters, lam=RESCUE_LAMBDA)
-    return lorsum(momentum, terms, cfg)
+    terms = [(h.alpha, momentum.u, momentum.v), (1.0, grad_left, grad_right)]
+    return lorsum(terms, num_iters=h.num_iters, lam=RESCUE_LAMBDA)
 
 
 def oplora_step(layer, state: OploraState) -> FactorPair:
@@ -210,16 +195,11 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
                                   h.momentum_rank or adapter.rank,
                                   state.init_seed)
 
-    term_list = [
-        (1.0, adapter.u, adapter.v),
-        (-h.eta, s.T, x.T),
-    ]
+    terms = [(1.0, adapter.u, adapter.v), (-h.eta, s.T, x.T)]
     if h.alpha > 0.0:
-        term_list.append((-h.eta * h.alpha, momentum.u, momentum.v))
-    cfg = LorsumConfig(num_iters=h.num_iters, lam=h.lam * h.eta,
-                       mode=h.mode)
-    new_pair = lorsum(adapter, WeightedFactorSum(term_list), cfg,
-                      metric_u, metric_v)
+        terms.append((-h.eta * h.alpha, momentum.u, momentum.v))
+    new_pair = lorsum(terms, num_iters=h.num_iters, lam=h.lam * h.eta,
+                      mode=h.mode, metric_u=metric_u, metric_v=metric_v)
 
     new_momentum = momentum
     if h.alpha > 0.0:

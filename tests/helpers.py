@@ -1,12 +1,12 @@
 """Test-only helpers: dense references, reference losses, rank padding,
-naive momentum, and the allocation-growth audit."""
+naive momentum, state sizes, and the allocation-growth audit."""
 
 import tracemalloc
 
 import numpy as np
 
 from oplora.errors import ShapeError
-from oplora.lowrank import FactorPair, WeightedFactorSum, gram
+from oplora.lowrank import FactorPair, gram
 from oplora.matcore import solve_spd
 from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
                          factor_grads, linear_task_grad)
@@ -14,13 +14,25 @@ from oplora.optim import ProjMomentumState
 
 
 def materialize(s) -> np.ndarray:
-    """Dense product of a factor pair, or dense sum of a weighted sum."""
+    """Dense product of a factor pair, or dense sum of a list of
+    ``(c, left, right)`` terms."""
     if isinstance(s, FactorPair):
-        s = WeightedFactorSum([(1.0, s.u, s.v)])
-    out = np.zeros((s.d_out, s.d_in))
+        s = [(1.0, s.u, s.v)]
+    out = np.zeros((s[0][1].shape[0], s[0][2].shape[0]))
     for c, left, right in s:
         out += c * (left @ right.T)
     return out
+
+
+def pair_scalar_count(p: FactorPair) -> int:
+    return p.u.size + p.v.size
+
+
+def state_scalar_count(state) -> int:
+    """Persistent size of an ``OploraState`` in scalars (for memory audits)."""
+    total = 0 if state.momentum is None else pair_scalar_count(state.momentum)
+    metrics = (state.metric_u, state.metric_v)
+    return total + sum(m.factor.size for m in metrics if m is not None)
 
 
 # Layer sides of the allocation audit, and the largest log-log slope of

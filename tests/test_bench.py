@@ -8,7 +8,8 @@ from oplora.bench.aggregate import AGG_HEADER, bootstrap_median_ci
 from oplora.bench.cli import main as cli_main
 from oplora.bench.config import ExperimentConfig, is_125_grid_value
 from oplora.bench.methods import METHODS
-from oplora.bench.report import gap_report
+from oplora.bench import runner
+from oplora.bench.report import collect_runs, gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
 from oplora import nets
@@ -245,6 +246,27 @@ class TestRunExperiment:
                                             manifest["runs"][0]["csv"]))
         flops = [r.flops for r in records]
         assert all(b > a for a, b in zip(flops, flops[1:]))
+
+    def test_killed_sweep_leaves_a_readable_manifest(self, tmp_path,
+                                                     monkeypatch):
+        run_single = runner.run_single
+        calls = []
+
+        def killed_on_third_run(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return run_single(*args)
+
+        monkeypatch.setattr(runner, "run_single", killed_on_third_run)
+        doc = base_config(tmp_path, steps=3, seeds=[0, 1, 2])
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [(r["seed"], r["status"]) for r in manifest["runs"]] \
+            == [(0, "ok"), (1, "ok")]
+        assert [r.seed for r in collect_runs(str(tmp_path))] == [0, 1]
+        assert not (tmp_path / "manifest.json.tmp").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_is_located_in_the_manifest(self, tmp_path):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from oplora.errors import ShapeError, SingularMetricError
 from oplora.instrument import counters, reset_counters
-from oplora.lorsum import (LorsumConfig, Metric, apply_inverse_metric,
+from oplora.lorsum import (Metric, apply_inverse_metric,
                            apply_metric_gram, lorsum)
-from oplora.lowrank import FactorPair, WeightedFactorSum, gram, truncated_svd
+from oplora.lowrank import FactorPair, gram, truncated_svd
 from oplora.matcore import solve_spd
 
 from conftest import rng
@@ -20,7 +20,7 @@ def random_pair(g, d_out, d_in, r):
 
 
 def self_sum(pair, coeff=1.0):
-    return WeightedFactorSum([(coeff, pair.u, pair.v)])
+    return [(coeff, pair.u, pair.v)]
 
 
 def gapped_sum(g, d_out, d_in, term_ranks, sigma):
@@ -49,30 +49,31 @@ def dense_metric(m: Metric, dim):
     return m.delta * np.eye(dim) + m.factor @ m.factor.T
 
 
-def reference_lorsum(anchor, terms, cfg, du, dv):
+def reference_lorsum(terms, num_iters, lam, du, dv, mode="alternating"):
     """Dense replication of the half-step formulas (np.linalg only)."""
-    r = anchor.rank
+    _, anchor_u, anchor_v = terms[0]
+    r = anchor_u.shape[1]
     inv_du, inv_dv = np.linalg.inv(du), np.linalg.inv(dv)
-    cur_u, cur_v = anchor.u.copy(), anchor.v.copy()
+    cur_u, cur_v = anchor_u.copy(), anchor_v.copy()
 
     def upd_u(vc):
-        num = cfg.lam * anchor.u
+        num = lam * anchor_u
         for i, (c, left, right) in enumerate(terms):
             scaled = left if i == 0 else inv_du @ left
             num = num + c * scaled @ (right.T @ vc)
-        den = vc.T @ dv @ vc + cfg.lam * np.eye(r)
+        den = vc.T @ dv @ vc + lam * np.eye(r)
         return num @ np.linalg.inv(den)
 
     def upd_v(uc):
-        num = cfg.lam * anchor.v
+        num = lam * anchor_v
         for i, (c, left, right) in enumerate(terms):
             scaled = right if i == 0 else inv_dv @ right
             num = num + c * scaled @ (left.T @ uc)
-        den = uc.T @ du @ uc + cfg.lam * np.eye(r)
+        den = uc.T @ du @ uc + lam * np.eye(r)
         return num @ np.linalg.inv(den)
 
-    for _ in range(cfg.num_iters):
-        if cfg.mode == "simultaneous":
+    for _ in range(num_iters):
+        if mode == "simultaneous":
             cur_u, cur_v = upd_u(cur_v), upd_v(cur_u)
         else:
             cur_v = upd_v(cur_u)
@@ -128,31 +129,81 @@ class TestMetricOps:
         assert np.allclose(apply_metric_gram(m, x), expected, atol=1e-10)
 
 
+class TestLorsumValidation:
+    """``lorsum`` checks its term list once, before any arithmetic."""
+
+    def test_empty_rejected(self):
+        with pytest.raises(ShapeError, match="at least one term"):
+            lorsum([])
+
+    def test_dimension_consistency(self):
+        g = rng(0)
+        with pytest.raises(ShapeError, match="term 1 dimensions disagree"):
+            lorsum([
+                (1.0, g.standard_normal((4, 2)), g.standard_normal((3, 2))),
+                (1.0, g.standard_normal((5, 2)), g.standard_normal((3, 2))),
+            ])
+
+    def test_widths_may_differ_per_term(self):
+        g = rng(1)
+        out = lorsum([
+            (1.0, g.standard_normal((4, 2)), g.standard_normal((3, 2))),
+            (2.0, g.standard_normal((4, 5)), g.standard_normal((3, 5))),
+        ])
+        assert (out.d_out, out.d_in, out.rank) == (4, 3, 2)
+
+    def test_nan_coefficient_rejected(self):
+        g = rng(2)
+        pair = random_pair(g, 5, 4, 2)
+        with pytest.raises(ShapeError, match="term 1 has a non-finite"):
+            lorsum(self_sum(pair) + [(np.nan, pair.u, pair.v)])
+
+    def test_per_term_width_mismatch_rejected(self):
+        # Stacked, the widths agree (2 + 2 + 3 on both sides), so only the
+        # per-term check stops a silently wrong product.
+        g = rng(3)
+        pair = random_pair(g, 6, 5, 2)
+        terms = self_sum(pair) + [
+            (1.0, g.standard_normal((6, 2)), g.standard_normal((5, 3))),
+            (1.0, g.standard_normal((6, 3)), g.standard_normal((5, 2))),
+        ]
+        with pytest.raises(ShapeError, match="term 1 widths disagree"):
+            lorsum(terms)
+
+    def test_anchor_rank_above_min_dimension_rejected(self):
+        g = rng(5)
+        with pytest.raises(ShapeError, match="rank 4 exceeds min dimension 3"):
+            lorsum([(1.0, g.standard_normal((3, 4)),
+                     g.standard_normal((5, 4)))])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_iters": 0}, "num_iters"),
+        ({"lam": -1.0}, "proximal weight"),
+        ({"mode": "sideways"}, "mode must be one of"),
+    ])
+    def test_settings_rejected(self, kwargs, message):
+        pair = random_pair(rng(4), 5, 4, 2)
+        with pytest.raises(ShapeError, match=message):
+            lorsum(self_sum(pair), **kwargs)
+
+
 class TestLorsumBasics:
     def test_self_sum_fixed_point(self):
         g = rng(5)
         pair = random_pair(g, 9, 6, 3)
-        out = lorsum(pair, self_sum(pair), LorsumConfig(num_iters=1))
+        out = lorsum(self_sum(pair), num_iters=1)
         assert np.allclose(materialize(out), materialize(pair), atol=1e-9)
-
-    def test_anchor_term_must_match(self):
-        g = rng(6)
-        pair = random_pair(g, 5, 4, 2)
-        other = random_pair(g, 5, 4, 2)
-        with pytest.raises(ShapeError):
-            lorsum(pair, self_sum(other), LorsumConfig())
 
     def test_degenerate_anchor_raises_with_side(self):
         zero = FactorPair(np.zeros((5, 2)), np.zeros((4, 2)))
         with pytest.raises(SingularMetricError) as err:
-            lorsum(zero, self_sum(zero), LorsumConfig(num_iters=1))
+            lorsum(self_sum(zero), num_iters=1)
         assert err.value.side == "V"  # alternating updates V first
         assert err.value.iteration == 0
 
     def test_degenerate_anchor_rescued_by_lambda(self):
         zero = FactorPair(np.zeros((5, 2)), np.zeros((4, 2)))
-        out = lorsum(zero, self_sum(zero),
-                     LorsumConfig(num_iters=2, lam=1e-6))
+        out = lorsum(self_sum(zero), num_iters=2, lam=1e-6)
         assert np.allclose(materialize(out), 0.0)
 
     def test_two_orthogonal_terms_reach_svd_oracle(self):
@@ -162,8 +213,8 @@ class TestLorsumBasics:
         t1 = (1.0, 2.0 * q_out[:, :4], q_in[:, :4])
         t2 = (1.0, q_out[:, 4:], q_in[:, 4:])
         anchor = pad_rank(FactorPair(t1[1], t1[2]), 8, g)
-        terms = WeightedFactorSum([(1.0, anchor.u, anchor.v), t2])
-        out = lorsum(anchor, terms, LorsumConfig(num_iters=32))
+        terms = [(1.0, anchor.u, anchor.v), t2]
+        out = lorsum(terms, num_iters=32)
         target = materialize(terms)
         oracle = materialize(truncated_svd(target, 8))
         err = np.linalg.norm(materialize(out) - oracle)
@@ -175,10 +226,8 @@ class TestLorsumBasics:
         s = g.standard_normal((5, 10))
         x = g.standard_normal((5, 7))
         eta, lam = 0.3, 1e-12
-        terms = WeightedFactorSum([
-            (1.0, pair.u, pair.v), (-eta, s.T, x.T)])
-        out = lorsum(pair, terms,
-                     LorsumConfig(num_iters=1, lam=lam, mode="simultaneous"))
+        terms = [(1.0, pair.u, pair.v), (-eta, s.T, x.T)]
+        out = lorsum(terms, num_iters=1, lam=lam, mode="simultaneous")
         grad = s.T @ x
         eye = np.eye(3)
         exp_u = pair.u - eta * grad @ pair.v @ np.linalg.inv(
@@ -192,10 +241,8 @@ class TestLorsumBasics:
         g = rng(9)
         f = np.linalg.qr(g.standard_normal((12, 3)))[0]
         x = g.standard_normal((5, 12))
-        anchor = FactorPair(f, f)
-        terms = WeightedFactorSum([(0.9, f, f), (0.1, x.T, x.T)])
-        out = lorsum(anchor, terms,
-                     LorsumConfig(num_iters=3, mode="simultaneous", lam=1e-9))
+        terms = [(0.9, f, f), (0.1, x.T, x.T)]
+        out = lorsum(terms, num_iters=3, mode="simultaneous", lam=1e-9)
         assert np.array_equal(out.u, out.v)
 
 
@@ -207,11 +254,9 @@ class TestLorsumAgainstDenseReference:
         g = rng(seed)
         pair = random_pair(g, 9, 7, 3)
         extra = random_pair(g, 9, 7, 4)
-        terms = WeightedFactorSum([
-            (1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)])
-        cfg = LorsumConfig(num_iters=3, lam=1e-3, mode=mode)
-        out = lorsum(pair, terms, cfg)
-        ref = reference_lorsum(pair, terms.terms, cfg, np.eye(9), np.eye(7))
+        terms = [(1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)]
+        out = lorsum(terms, num_iters=3, lam=1e-3, mode=mode)
+        ref = reference_lorsum(terms, 3, 1e-3, np.eye(9), np.eye(7), mode)
         assert np.allclose(out.u, ref.u, atol=1e-9)
         assert np.allclose(out.v, ref.v, atol=1e-9)
 
@@ -221,13 +266,11 @@ class TestLorsumAgainstDenseReference:
         g = rng(seed)
         pair = random_pair(g, 9, 7, 3)
         extra = random_pair(g, 9, 7, 4)
-        terms = WeightedFactorSum([
-            (1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)])
+        terms = [(1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)]
         mu = Metric(g.standard_normal((9, 2)), delta=0.3)
         mv = Metric(g.standard_normal((7, 2)), delta=0.5)
-        cfg = LorsumConfig(num_iters=2, lam=1e-3)
-        out = lorsum(pair, terms, cfg, mu, mv)
-        ref = reference_lorsum(pair, terms.terms, cfg,
+        out = lorsum(terms, num_iters=2, lam=1e-3, metric_u=mu, metric_v=mv)
+        ref = reference_lorsum(terms, 2, 1e-3,
                                dense_metric(mu, 9), dense_metric(mv, 7))
         assert np.allclose(out.u, ref.u, atol=1e-8)
         assert np.allclose(out.v, ref.v, atol=1e-8)
@@ -245,11 +288,10 @@ class TestSymmetry:
         terms = [(1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)]
         mu = Metric(g.standard_normal((9, 2)), delta=0.3)
         mv = Metric(g.standard_normal((7, 2)), delta=0.5)
-        cfg = LorsumConfig(num_iters=3, lam=1e-3, mode="simultaneous")
-        out = lorsum(pair, WeightedFactorSum(terms), cfg, mu, mv)
-        flipped = lorsum(FactorPair(pair.v, pair.u),
-                         WeightedFactorSum([(c, r, l) for c, l, r in terms]),
-                         cfg, mv, mu)
+        cfg = dict(num_iters=3, lam=1e-3, mode="simultaneous")
+        out = lorsum(terms, metric_u=mu, metric_v=mv, **cfg)
+        flipped = lorsum([(c, r, l) for c, l, r in terms],
+                         metric_u=mv, metric_v=mu, **cfg)
         assert np.array_equal(flipped.u, out.v)
         assert np.array_equal(flipped.v, out.u)
 
@@ -259,11 +301,10 @@ class TestSubspaceIdentities:
         g = rng(10)
         pair = random_pair(g, 11, 8, 3)
         extra = random_pair(g, 11, 8, 3)
-        terms = WeightedFactorSum([
-            (1.0, pair.u, pair.v), (0.7, extra.u, extra.v)])
+        terms = [(1.0, pair.u, pair.v), (0.7, extra.u, extra.v)]
         target = materialize(terms)
         trace = []
-        lorsum(pair, terms, LorsumConfig(num_iters=3), trace=trace)
+        lorsum(terms, num_iters=3, trace=trace)
         for entry in trace:
             u, v = entry["u"], entry["v"]
             prod = u @ v.T
@@ -281,13 +322,12 @@ class TestConvergenceAndCost:
                           1.2, 1.0, 0.8, 0.6])
         terms_raw = gapped_sum(g, 30, 22, [4, 4, 4], sigma)
         anchor = pad_rank(FactorPair(terms_raw[0][1], terms_raw[0][2]), 8, g)
-        terms = WeightedFactorSum([(1.0, anchor.u, anchor.v)]
-                                  + terms_raw[1:])
+        terms = [(1.0, anchor.u, anchor.v)] + terms_raw[1:]
         target = materialize(terms)
         oracle = materialize(truncated_svd(target, 8))
         errs = []
         for k in (1, 2, 4, 8, 16, 32):
-            out = lorsum(anchor, terms, LorsumConfig(num_iters=k))
+            out = lorsum(terms, num_iters=k)
             errs.append(np.linalg.norm(materialize(out) - oracle))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-10
@@ -297,13 +337,12 @@ class TestConvergenceAndCost:
         g = rng(12)
         pair = random_pair(g, 40, 30, 4)
         extra = random_pair(g, 40, 30, 4)
-        terms = WeightedFactorSum([
-            (1.0, pair.u, pair.v), (0.5, extra.u, extra.v)])
+        terms = [(1.0, pair.u, pair.v), (0.5, extra.u, extra.v)]
         ks = np.array([2, 4, 8, 16, 32])
         flops = []
         for k in ks:
             reset_counters()
-            lorsum(pair, terms, LorsumConfig(num_iters=int(k)))
+            lorsum(terms, num_iters=int(k))
             flops.append(counters().flops)
         slope = np.polyfit(np.log(ks), np.log(flops), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -315,10 +354,9 @@ class TestConvergenceAndCost:
             g = rng(int(d))
             pair = random_pair(g, int(d), int(d), 4)
             extra = random_pair(g, int(d), int(d), 4)
-            terms = WeightedFactorSum([
-                (1.0, pair.u, pair.v), (0.5, extra.u, extra.v)])
+            terms = [(1.0, pair.u, pair.v), (0.5, extra.u, extra.v)]
             reset_counters()
-            lorsum(pair, terms, LorsumConfig(num_iters=4))
+            lorsum(terms, num_iters=4)
             flops.append(counters().flops)
         slope = np.polyfit(np.log(dims), np.log(flops), 1)[0]
         assert abs(slope - 1.0) <= 0.1
@@ -328,9 +366,9 @@ class TestConvergenceAndCost:
         pair = random_pair(g, 50, 40, 4)
         s = g.standard_normal((12, 50))
         x = g.standard_normal((12, 40))
-        terms = WeightedFactorSum([(1.0, pair.u, pair.v), (-0.1, s.T, x.T)])
+        terms = [(1.0, pair.u, pair.v), (-0.1, s.T, x.T)]
         reset_counters()
-        lorsum(pair, terms, LorsumConfig(num_iters=4))
+        lorsum(terms, num_iters=4)
         assert counters().peak_alloc <= 50 * 12
 
         def calls_at(side):
@@ -338,9 +376,8 @@ class TestConvergenceAndCost:
             pair = random_pair(g, side, side // 3, 4)
             s = g.standard_normal((12, side))
             x = g.standard_normal((12, side // 3))
-            terms = WeightedFactorSum([(1.0, pair.u, pair.v),
-                                       (-0.1, s.T, x.T)])
-            yield lambda: lorsum(pair, terms, LorsumConfig(num_iters=4))
+            terms = [(1.0, pair.u, pair.v), (-0.1, s.T, x.T)]
+            yield lambda: lorsum(terms, num_iters=4)
 
         assert_alloc_linear_in_side(calls_at)
 
@@ -350,12 +387,11 @@ class TestConvergenceAndCost:
         g = rng(seed)
         pair = random_pair(g, 10, 8, 3)
         extra = random_pair(g, 10, 8, 3)
-        cfg = LorsumConfig(num_iters=3)
-        out = lorsum(pair, WeightedFactorSum(
-            [(1.0, pair.u, pair.v), (0.5, extra.u, extra.v)]), cfg)
+        out = lorsum([(1.0, pair.u, pair.v), (0.5, extra.u, extra.v)],
+                     num_iters=3)
         a = np.eye(3) + 0.2 * g.standard_normal((3, 3))
         twisted = FactorPair(pair.u @ a, pair.v @ np.linalg.inv(a).T)
-        out_t = lorsum(twisted, WeightedFactorSum(
-            [(1.0, twisted.u, twisted.v), (0.5, extra.u, extra.v)]), cfg)
+        out_t = lorsum([(1.0, twisted.u, twisted.v), (0.5, extra.u, extra.v)],
+                       num_iters=3)
         w1, w2 = materialize(out), materialize(out_t)
         assert np.linalg.norm(w1 - w2) <= 1e-6 * np.linalg.norm(w1)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplora.errors import ShapeError
-from oplora.lowrank import (FactorPair, WeightedFactorSum, gram,
-                            product_distance, product_distance_to_dense,
-                            product_inner, truncated_svd)
+from oplora.lowrank import (FactorPair, gram, product_distance,
+                            product_distance_to_dense, product_inner,
+                            truncated_svd)
 from oplora.matcore import matmul, svd_dense
 
 from conftest import rng
@@ -28,39 +28,17 @@ class TestFactorPair:
             FactorPair(np.ones((5, 2)), np.ones((5, 3)))
 
 
-class TestWeightedFactorSum:
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            WeightedFactorSum([])
-
-    def test_dimension_consistency(self):
-        g = rng(0)
-        with pytest.raises(ShapeError):
-            WeightedFactorSum([
-                (1.0, g.standard_normal((4, 2)), g.standard_normal((3, 2))),
-                (1.0, g.standard_normal((5, 2)), g.standard_normal((3, 2))),
-            ])
-
-    def test_widths_may_differ_per_term(self):
-        g = rng(1)
-        s = WeightedFactorSum([
-            (1.0, g.standard_normal((4, 2)), g.standard_normal((3, 2))),
-            (2.0, g.standard_normal((4, 5)), g.standard_normal((3, 5))),
-        ])
-        assert s.d_out == 4 and s.d_in == 3
-
-
 class TestMaterialize:
     def test_single_term(self):
         g = rng(2)
         u, v = g.standard_normal((4, 2)), g.standard_normal((3, 2))
-        out = materialize(WeightedFactorSum([(1.0, u, v)]))
+        out = materialize([(1.0, u, v)])
         assert np.allclose(out, u @ v.T)
 
     def test_cancellation(self):
         g = rng(3)
         a, b = g.standard_normal((4, 2)), g.standard_normal((3, 2))
-        out = materialize(WeightedFactorSum([(1.0, a, b), (-1.0, a, b)]))
+        out = materialize([(1.0, a, b), (-1.0, a, b)])
         assert np.allclose(out, 0.0)
 
     def test_three_terms_vs_termwise_oracle(self):
@@ -68,7 +46,7 @@ class TestMaterialize:
         terms = [(g.standard_normal(), g.standard_normal((6, 3)),
                   g.standard_normal((5, 3))) for _ in range(3)]
         expected = sum(c * (l @ r.T) for c, l, r in terms)
-        assert np.allclose(materialize(WeightedFactorSum(terms)), expected)
+        assert np.allclose(materialize(terms), expected)
 
 
 class TestTruncatedSvd:

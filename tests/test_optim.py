@@ -14,7 +14,8 @@ from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
 
 from conftest import rng
 from helpers import (assert_alloc_linear_in_side, materialize,
-                     momentum_update_naive)
+                     momentum_update_naive, pair_scalar_count,
+                     state_scalar_count)
 
 
 def well_conditioned_pair(g, d_out, d_in, r):
@@ -560,16 +561,16 @@ class TestMemoryBudget:
     def test_momentum_state_within_twice_adapter(self):
         g = rng(26)
         layer = make_layer(g, d_out=24, d_in=16, r=4, batch=6)
-        adapter_params = layer.adapter.scalar_count()
+        adapter_params = pair_scalar_count(layer.adapter)
         state = oplora_state(0.1, alpha=0.5, momentum_rank=8)
         optim.oplora_step(layer, state)
-        assert state.scalar_count() <= 2 * adapter_params
+        assert state_scalar_count(state) <= 2 * adapter_params
 
     def test_scaled_state_within_four_times_adapter(self):
         g = rng(27)
         layer = make_layer(g, d_out=24, d_in=16, r=4, batch=6)
-        adapter_params = layer.adapter.scalar_count()
+        adapter_params = pair_scalar_count(layer.adapter)
         state = oplora_state(0.1, alpha=0.5, beta=0.95, momentum_rank=8,
                              metric_rank=8)
         optim.oplora_step(layer, state)
-        assert state.scalar_count() <= 4 * adapter_params
+        assert state_scalar_count(state) <= 4 * adapter_params
