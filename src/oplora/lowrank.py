@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import as_matrix, matmul, svd_dense
+from .matcore import as_matrix, eigh_top, lead_nonnegative, matmul, svd_dense
+
+EPS = np.finfo(np.float64).eps
+TINY = np.finfo(np.float64).tiny
+# Largest a-priori error estimate of the Gram route in truncated_svd.
+GRAM_TOL = 1e-12
 
 
 @dataclass
@@ -54,19 +59,51 @@ def truncated_svd(w, r: int) -> FactorPair:
     """Best rank-r approximation of ``w`` as a balanced factor pair.
 
     Both factors absorb a square root of the singular values, so
-    ``u.T @ u == v.T @ v == diag(sigma_r)``.  Zero singular values yield
+    ``u.T @ u == v.T @ v == diag(sigma_r)``, and ``u`` keeps
+    :func:`svd_dense`'s sign convention.  Zero singular values yield
     exact zero columns; downstream solves must rely on damping.
+
+    The top r + 1 eigenvectors of the Gram of ``w``'s smaller side span
+    a subspace holding the top r singular vectors, and a Rayleigh-Ritz
+    step (the SVD of ``w`` restricted to it) returns the triplets.
+    Rounding the Gram perturbs that subspace by about
+    ``eps * lambda_1 / (lambda_r - lambda_{r+1})``; where this a-priori
+    estimate exceeds ``GRAM_TOL`` (an ill-conditioned, rank-deficient or
+    nearly degenerate spectrum), and where r + 1 exceeds the smaller
+    side, the full :func:`svd_dense` of ``w`` is truncated instead.
     """
     w = as_matrix(w, "w")
     if r < 1 or r > min(w.shape):
         raise ShapeError(f"rank {r} invalid for shape {w.shape}")
-    u, sigma, v = svd_dense(w)
+    ritz = _gram_ritz(w, r) if r < min(w.shape) else None
+    u, sigma, v = ritz if ritz is not None else svd_dense(w)
     head = sigma[:r].copy()
     # numerically-zero singular values become exact zero columns
-    cutoff = max(w.shape) * np.finfo(np.float64).eps * (sigma[0] if sigma.size else 0.0)
+    cutoff = max(w.shape) * EPS * sigma[0]
     head[head <= cutoff] = 0.0
     root = np.sqrt(head)
     return FactorPair(u[:, :r] * root, v[:, :r] * root)
+
+
+def _gram_ritz(w, r: int):
+    """The top r + 1 singular triplets of ``w`` by the Gram route, or
+    None where its a-priori error estimate exceeds ``GRAM_TOL``."""
+    tall = w.shape[0] >= w.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gram(w if tall else w.T)
+    if not np.isfinite(g).all():  # overflow; svd_dense scales internally
+        return None
+    lam, q = eigh_top(g, r + 1)
+    # TINY stands in for eps * lambda_1 where the Gram underflows.
+    if max(EPS * lam[0], TINY) > GRAM_TOL * (lam[r - 1] - lam[r]):
+        return None
+    if tall:
+        u, sigma, x = svd_dense(matmul(w, q))
+        return u, sigma, matmul(q, x)
+    x, sigma, v = svd_dense(matmul(q, w, transpose_a=True))
+    u = matmul(q, x)
+    lead_nonnegative(u, v)
+    return u, sigma, v
 
 
 def gram(a) -> np.ndarray:

@@ -17,6 +17,7 @@ step's result.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
@@ -135,6 +136,45 @@ def thin_qr(a):
     return q, rm
 
 
+def eigh_top(a, k):
+    """The ``k`` largest eigenpairs of a symmetric matrix.
+
+    Returns ``(lam, q)`` with ``lam`` nonincreasing and orthonormal
+    columns ``q`` such that ``a @ q ~= q * lam``.  LAPACK's ``dsyevr``
+    (relatively robust representations) computes only the requested
+    pairs; the tridiagonal reduction still costs O(n^3).
+    """
+    a = as_matrix(a, "a")
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ShapeError(f"a must be square, got {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+        raise ShapeError("a is not symmetric within tolerance")
+    if k < 1 or k > n:
+        raise ShapeError(f"k={k} invalid for a {n}x{n} matrix")
+    try:
+        lam, q = eigh(a, subset_by_index=[n - k, n - 1], driver="evr",
+                      check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigendecomposition failed to converge: {exc}") from exc
+    charge(flops=4 * n * n * n // 3 + 2 * n * n * k, alloc=n * k)
+    return lam[::-1].copy(), q[:, ::-1].copy()
+
+
+def lead_nonnegative(u, v) -> None:
+    """Flip paired columns in place so that the first entry of each
+    ``u`` column whose magnitude exceeds 1e-12 is nonnegative."""
+    mask = np.abs(u) > SIGN_TOL
+    first = mask.argmax(axis=0)
+    has_lead = mask.any(axis=0)
+    lead = u[first, np.arange(u.shape[1])]
+    flip = has_lead & (lead < 0.0)
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+
+
 def svd_dense(a):
     """Full thin SVD with a deterministic sign convention.
 
@@ -150,13 +190,7 @@ def svd_dense(a):
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
     v = vt.T.copy()
     u = u.copy()
-    mask = np.abs(u) > SIGN_TOL
-    first = mask.argmax(axis=0)
-    has_lead = mask.any(axis=0)
-    lead = u[first, np.arange(u.shape[1])]
-    flip = has_lead & (lead < 0.0)
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
+    lead_nonnegative(u, v)
     m, n = a.shape
     k = min(m, n)
     charge(flops=4 * m * n * k + 8 * k * k * k, alloc=(m + n) * k)

@@ -214,9 +214,10 @@ def linear_task_grad_dense(task: LinearTask, w, indices):
 def init_adapter_random(d_out, d_in, r, rng) -> FactorPair:
     """Rank-r pair from the truncated SVD of a random matrix scaled to
     unit spectral norm."""
-    m = rng.standard_normal((d_out, d_in))
-    m /= np.linalg.svd(m, compute_uv=False)[0]
-    return truncated_svd(m, r)
+    pair = truncated_svd(rng.standard_normal((d_out, d_in)), r)
+    # balanced factors: the first column of u has squared norm sigma_1
+    scale = 1.0 / math.sqrt(float(pair.u[:, 0] @ pair.u[:, 0]))
+    return FactorPair(pair.u * scale, pair.v * scale)
 
 
 def init_adapter_svd(target, r) -> FactorPair:

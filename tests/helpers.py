@@ -1,13 +1,16 @@
 """Test-only helpers: dense references, reference losses, rank padding,
-naive momentum, state sizes, and the allocation-growth audit."""
+naive momentum, state sizes, the allocation-growth audit, and the full-SVD
+reference of ``truncated_svd``."""
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair, gram
-from oplora.matcore import solve_spd
+from oplora import lowrank
+from oplora.matcore import solve_spd, svd_dense
 from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
                          factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState
@@ -126,3 +129,43 @@ def momentum_update_naive(state: ProjMomentumState, layer,
     state.prev_u = u.copy()
     state.prev_v = v.copy()
     return state.momentum_u, state.momentum_v
+
+
+def truncated_svd_reference(w, r: int) -> FactorPair:
+    """``truncated_svd`` as the full ``svd_dense`` of ``w``, truncated.
+
+    This is the route ``truncated_svd`` falls back to, so a fallback
+    result must equal this one bit for bit.
+    """
+    u, sigma, v = svd_dense(w)
+    head = sigma[:r].copy()
+    cutoff = max(w.shape) * np.finfo(np.float64).eps * sigma[0]
+    head[head <= cutoff] = 0.0
+    root = np.sqrt(head)
+    return FactorPair(u[:, :r] * root, v[:, :r] * root)
+
+
+def product_error(p: FactorPair, q: FactorPair) -> float:
+    """``||u_p v_p^T - u_q v_q^T||_F / ||u_q v_q^T||_F``, densely."""
+    ref = materialize(q)
+    return float(np.linalg.norm(materialize(p) - ref) / np.linalg.norm(ref))
+
+
+@contextmanager
+def svd_operands():
+    """Collect every operand ``lowrank`` hands to ``svd_dense``.
+
+    ``truncated_svd(w, r)`` fell back to the full SVD exactly when ``w``
+    itself is among them; the Gram route passes a thin r + 1 block.
+    """
+    operands = []
+
+    def recording(a):
+        operands.append(a)
+        return svd_dense(a)
+
+    lowrank.svd_dense = recording
+    try:
+        yield operands
+    finally:
+        lowrank.svd_dense = svd_dense

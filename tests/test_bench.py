@@ -12,11 +12,12 @@ from oplora.bench import runner
 from oplora.bench.report import collect_runs, gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
-from oplora import nets
+from oplora import lowrank, nets, optim
 from oplora.errors import ConfigError, ReportError
 from oplora.instrument import counters, reset_counters
 
 from conftest import rng
+from helpers import product_error, svd_operands, truncated_svd_reference
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -379,6 +380,39 @@ class TestMethodRegistry:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(base_config(tmp_path, method="nope"))
         assert err.value.field == "method"
+
+
+class TestShippedTruncatedSvd:
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_every_call_takes_the_gram_route(self, name, tmp_path,
+                                             monkeypatch):
+        """Set-up (initial adapter, oracle) and, for the full-scale svdlora
+        preset, every projection of a short run: none falls back to the
+        full SVD, and each matches the full-SVD reference."""
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            doc = json.load(fh)
+        doc.update(steps=min(doc["steps"], 10), seeds=doc["seeds"][:1],
+                   out_dir=str(tmp_path), timing=False)
+        calls = []
+
+        def checked(w, r):
+            with svd_operands() as operands:
+                pair = lowrank.truncated_svd(w, r)
+            ref = truncated_svd_reference(w, r)
+            calls.append((any(op is w for op in operands),
+                          product_error(pair, ref)))
+            return pair
+
+        for module in (runner, nets, optim):
+            monkeypatch.setattr(module, "truncated_svd", checked)
+        manifest = run_experiment(ExperimentConfig.from_dict(doc),
+                                  quiet=True)
+        assert [r["status"] for r in manifest["runs"]] == ["ok"]
+        linear = doc["task"]["kind"] == "linear"
+        svdlora = doc["method"] == "svdlora"
+        assert len(calls) == linear * (2 + svdlora * doc["steps"])
+        assert not any(fell_back for fell_back, _ in calls)
+        assert all(err <= 1e-12 for _, err in calls)
 
 
 class TestSweep:

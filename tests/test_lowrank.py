@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplora.errors import ShapeError
+from oplora.instrument import counters
 from oplora.lowrank import (FactorPair, gram, product_distance,
                             product_distance_to_dense, product_inner,
                             truncated_svd)
 from oplora.matcore import matmul, svd_dense
 
 from conftest import rng
-from helpers import materialize, pad_rank
+from helpers import (materialize, pad_rank, product_error, svd_operands,
+                     truncated_svd_reference)
 
 
 def random_pair(g, d_out, d_in, r):
@@ -102,6 +104,123 @@ class TestTruncatedSvd:
         twisted = FactorPair(pair.u @ a, pair.v @ np.linalg.inv(a).T)
         w1, w2 = materialize(pair), materialize(twisted)
         assert np.linalg.norm(w1 - w2) <= 1e-8 * np.linalg.norm(w1)
+
+
+def with_spectrum(g, d_out, d_in, sigma):
+    """A d_out x d_in matrix with singular values ``sigma`` (padded with
+    zeros) between random orthonormal bases."""
+    k = min(d_out, d_in)
+    s = np.zeros(k)
+    s[:len(sigma)] = sigma
+    qa, _ = np.linalg.qr(g.standard_normal((d_out, k)))
+    qb, _ = np.linalg.qr(g.standard_normal((d_in, k)))
+    return (qa * s) @ qb.T
+
+
+def geometric(first, ratio, n):
+    return first * ratio ** np.arange(n)
+
+
+class TestTruncatedSvdGramRoute:
+    """``truncated_svd`` against the full-SVD reference on both sides of
+    its fallback."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10_000), st.integers(2, 40), st.integers(2, 40),
+           st.data())
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_matches_full_svd_reference(self, wide, seed, a, b, data):
+        d_out, d_in = (min(a, b), max(a, b)) if wide else (max(a, b),
+                                                          min(a, b))
+        r = data.draw(st.integers(1, min(d_out, d_in)), label="r")
+        w = rng(seed).standard_normal((d_out, d_in))
+        with svd_operands() as operands:
+            pair = truncated_svd(w, r)
+        ref = truncated_svd_reference(w, r)
+        if any(op is w for op in operands):
+            assert np.array_equal(pair.u, ref.u)
+            assert np.array_equal(pair.v, ref.v)
+        else:
+            assert product_error(pair, ref) <= 1e-12
+
+    # name -> (singular values of a 60 x 30 matrix, rank, falls back)
+    SPECTRA = {
+        "sigma_1_over_sigma_r_1e1": (geometric(10.0, 10 ** (-1 / 7), 12),
+                                     8, False),
+        "sigma_1_over_sigma_r_1e4": (geometric(10.0, 10 ** (-4 / 7), 12),
+                                     8, True),
+        "gap_1e-1": (np.r_[geometric(10.0, 0.9, 8), 0.9 * 10 * 0.9 ** 7,
+                           geometric(4.0, 0.9, 3)], 8, False),
+        "gap_1e-6": (np.r_[geometric(10.0, 0.9, 8),
+                           (1 - 1e-6) * 10 * 0.9 ** 7,
+                           geometric(4.0, 0.9, 3)], 8, True),
+        "rank_deficient": (geometric(10.0, 0.7, 5), 8, True),
+    }
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_fallback_boundary(self, name, wide):
+        sigma, r, falls_back = self.SPECTRA[name]
+        w = with_spectrum(rng(31), 60, 30, sigma)
+        if wide:
+            w = w.T
+        with svd_operands() as operands:
+            pair = truncated_svd(w, r)
+        ref = truncated_svd_reference(w, r)
+        assert any(op is w for op in operands) == falls_back
+        if falls_back:
+            assert np.array_equal(pair.u, ref.u)
+            assert np.array_equal(pair.v, ref.v)
+        else:
+            assert product_error(pair, ref) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_gram_out_of_range_falls_back(self, scale):
+        # the Gram underflows to subnormals, or overflows to inf
+        w = scale * rng(36).standard_normal((30, 12))
+        with svd_operands() as operands:
+            pair = truncated_svd(w, 3)
+        assert any(op is w for op in operands)
+        ref = truncated_svd_reference(w, 3)
+        assert np.array_equal(pair.u, ref.u)
+        assert np.array_equal(pair.v, ref.v)
+
+    def test_rank_equal_to_the_smaller_side_falls_back(self):
+        w = rng(33).standard_normal((9, 5))
+        with svd_operands() as operands:
+            truncated_svd(w, 5)
+        assert [op is w for op in operands] == [True]
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10_000), st.sampled_from([(40, 12), (12, 40)]))
+    def test_sign_convention_and_balance(self, seed, shape):
+        w = rng(seed).standard_normal(shape)
+        pair = truncated_svd(w, 5)
+        _, sigma, _ = svd_dense(w)
+        for j in range(pair.rank):
+            lead = pair.u[np.abs(pair.u[:, j]) > 1e-12, j]
+            assert lead[0] >= 0.0
+        gu, gv = gram(pair.u), gram(pair.v)
+        scale = sigma[0]
+        assert np.abs(gu - np.diag(sigma[:5])).max() <= 1e-12 * scale
+        assert np.abs(gv - np.diag(sigma[:5])).max() <= 1e-12 * scale
+
+    def test_flop_charge_is_below_the_full_svd(self):
+        d_out, d_in, r = 600, 200, 8
+        full = 4 * d_out * d_in * d_in + 8 * d_in ** 3  # svd_dense: 160 M
+        w = with_spectrum(rng(34), d_out, d_in, geometric(40.0, 0.95, 200))
+        truncated_svd(w, r)
+        gram_route = counters().flops
+        assert gram_route < 0.45 * full
+        # the Gram, the top r + 1 eigenpairs, and the thin products
+        k = r + 1
+        assert gram_route >= (2 * d_in * d_out * d_in + 4 * d_in ** 3 // 3
+                              + 2 * d_out * d_in * k)
+
+    def test_fallback_charges_the_full_svd_too(self):
+        w = with_spectrum(rng(35), 600, 200, geometric(40.0, 0.5, 20))
+        truncated_svd(w, 8)
+        assert counters().flops > 4 * 600 * 200 * 200 + 8 * 200 ** 3
 
 
 class TestGram:

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from oplora.errors import (DegenerateInputError, DensePolicyError,
-                           NonFiniteError, ShapeError, SingularMetricError)
-from oplora.matcore import (as_matrix, matmul, sample_columns, solve_spd,
-                            svd_dense, thin_qr)
+from oplora import matcore
+from oplora.errors import (ConvergenceError, DegenerateInputError,
+                           DensePolicyError, NonFiniteError, ShapeError,
+                           SingularMetricError)
+from oplora.instrument import counters
+from oplora.matcore import (as_matrix, eigh_top, matmul, sample_columns,
+                            solve_spd, svd_dense, thin_qr)
 
 from conftest import rng
 
@@ -358,6 +361,74 @@ class TestSvdDense:
         assert np.array_equal(u1, u2)
         assert np.array_equal(s1, s2)
         assert np.array_equal(v1, v2)
+
+
+def random_symmetric(seed, n):
+    a = rng(seed).standard_normal((n, n))
+    return a + a.T
+
+
+class TestEighTop:
+    @settings(deadline=None, max_examples=25)
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.data())
+    def test_matches_numpy_top_k(self, seed, n, data):
+        k = data.draw(st.integers(1, n), label="k")
+        a = random_symmetric(seed, n)
+        lam, q = eigh_top(a, k)
+        ref_lam, ref_q = np.linalg.eigh(a)
+        ref_lam, ref_q = ref_lam[::-1][:k], ref_q[:, ::-1][:, :k]
+        assert lam.shape == (k,) and q.shape == (n, k)
+        assert np.all(np.diff(lam) <= 0.0)
+        scale = max(1.0, float(np.abs(ref_lam).max()))
+        assert np.allclose(lam, ref_lam, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(q.T @ q, np.eye(k), atol=1e-12)
+        # eigenvectors of simple eigenvalues agree up to sign
+        gaps = np.abs(np.diff(np.linalg.eigvalsh(a)))
+        if n == 1 or gaps.min() > 1e-6 * scale:
+            signs = np.sign(np.sum(q * ref_q, axis=0))
+            assert np.allclose(q, ref_q * signs, atol=1e-9)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError, match="must be square"):
+            eigh_top(np.ones((3, 4)), 1)
+
+    def test_asymmetric_rejected(self):
+        a = np.eye(3)
+        a[0, 2] = 1.0
+        with pytest.raises(ShapeError, match="not symmetric"):
+            eigh_top(a, 1)
+
+    @pytest.mark.parametrize("k", [0, -1, 5])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ShapeError, match=f"k={k} invalid for a 4x4"):
+            eigh_top(np.eye(4), k)
+
+    def test_rejects_non_finite(self):
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            eigh_top(a, 1)
+
+    def test_linalg_error_becomes_convergence_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(matcore, "eigh", failing)
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            eigh_top(np.eye(3), 2)
+
+    def test_charges_flops_and_allocation(self):
+        n, k = 30, 4
+        eigh_top(random_symmetric(1, n), k)
+        assert counters().flops == 4 * n ** 3 // 3 + 2 * n * n * k
+        assert counters().peak_alloc == n * k
+
+    def test_bit_reproducible(self):
+        a = random_symmetric(2, 9)
+        lam1, q1 = eigh_top(a, 3)
+        lam2, q2 = eigh_top(a, 3)
+        assert np.array_equal(lam1, lam2)
+        assert np.array_equal(q1, q2)
 
 
 class TestSampleColumns:

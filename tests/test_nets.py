@@ -3,7 +3,7 @@ import pytest
 
 from oplora.errors import ShapeError, StaleCaptureError
 from oplora.instrument import counters, reset_counters
-from oplora.lowrank import FactorPair, truncated_svd
+from oplora.lowrank import FactorPair, gram, truncated_svd
 from oplora.nets import (DenseLinear, LinearTask, LoraLinear, MlpTask,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,
@@ -12,7 +12,8 @@ from oplora.nets import (DenseLinear, LinearTask, LoraLinear, MlpTask,
                          mlp_forward_backward, sample_batch)
 
 from conftest import rng
-from helpers import linear_task_loss, mlp_loss
+from helpers import (linear_task_loss, mlp_loss, product_error,
+                     truncated_svd_reference)
 
 
 def random_layer(g, d_out=7, d_in=5, r=2, with_base=True):
@@ -252,6 +253,16 @@ class TestAdapterInits:
         pair = init_adapter_random(20, 15, 4, g)
         top = np.linalg.svd(pair.u @ pair.v.T, compute_uv=False)[0]
         assert top <= 1.0 + 1e-9
+
+    def test_random_init_scales_by_the_top_singular_value(self):
+        # one truncated SVD, whose balanced factors carry sigma_1, instead
+        # of a separate full SVD for the spectral norm
+        pair = init_adapter_random(20, 15, 4, rng(17))
+        m = rng(17).standard_normal((20, 15))
+        ref = truncated_svd_reference(m / np.linalg.norm(m, 2), 4)
+        assert product_error(pair, ref) <= 1e-12
+        assert abs(pair.u[:, 0] @ pair.u[:, 0] - 1.0) <= 1e-12
+        assert np.allclose(gram(pair.u), gram(pair.v), rtol=0, atol=1e-12)
 
     def test_lora_init_has_zero_product(self):
         g = rng(18)
