@@ -69,8 +69,9 @@ def truncated_svd(w, r: int) -> FactorPair:
     Rounding the Gram perturbs that subspace by about
     ``eps * lambda_1 / (lambda_r - lambda_{r+1})``; where this a-priori
     estimate exceeds ``GRAM_TOL`` (an ill-conditioned, rank-deficient or
-    nearly degenerate spectrum), and where r + 1 exceeds the smaller
-    side, the full :func:`svd_dense` of ``w`` is truncated instead.
+    nearly degenerate spectrum, or a Gram that underflows), where the
+    Gram overflows, and where r is the smaller side, the full
+    :func:`svd_dense` of ``w`` is truncated instead.
     """
     w = as_matrix(w, "w")
     if r < 1 or r > min(w.shape):

@@ -7,9 +7,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from oplora import lowrank
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair, gram
-from oplora import lowrank
 from oplora.matcore import solve_spd, svd_dense
 from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
                          factor_grads, linear_task_grad)
