@@ -9,6 +9,7 @@ from oplora.lowrank import (FactorPair, gram, product_distance,
                             product_distance_to_dense, product_inner,
                             truncated_svd)
 from oplora.matcore import matmul, svd_dense
+from oplora.nets import make_linear_target
 
 from conftest import rng
 from helpers import (materialize, pad_rank, product_error, svd_operands,
@@ -106,17 +107,6 @@ class TestTruncatedSvd:
         assert np.linalg.norm(w1 - w2) <= 1e-8 * np.linalg.norm(w1)
 
 
-def with_spectrum(g, d_out, d_in, sigma):
-    """A d_out x d_in matrix with singular values ``sigma`` (padded with
-    zeros) between random orthonormal bases."""
-    k = min(d_out, d_in)
-    s = np.zeros(k)
-    s[:len(sigma)] = sigma
-    qa, _ = np.linalg.qr(g.standard_normal((d_out, k)))
-    qb, _ = np.linalg.qr(g.standard_normal((d_in, k)))
-    return (qa * s) @ qb.T
-
-
 def geometric(first, ratio, n):
     return first * ratio ** np.arange(n)
 
@@ -161,7 +151,7 @@ class TestTruncatedSvdGramRoute:
     @pytest.mark.parametrize("name", sorted(SPECTRA))
     def test_fallback_boundary(self, name, wide):
         sigma, r, falls_back = self.SPECTRA[name]
-        w = with_spectrum(rng(31), 60, 30, sigma)
+        w = make_linear_target(60, 30, rng(31), sigma)
         if wide:
             w = w.T
         with svd_operands() as operands:
@@ -208,7 +198,8 @@ class TestTruncatedSvdGramRoute:
     def test_flop_charge_is_below_the_full_svd(self):
         d_out, d_in, r = 600, 200, 8
         full = 4 * d_out * d_in * d_in + 8 * d_in ** 3  # svd_dense: 160 M
-        w = with_spectrum(rng(34), d_out, d_in, geometric(40.0, 0.95, 200))
+        w = make_linear_target(d_out, d_in, rng(34),
+                               geometric(40.0, 0.95, 200))
         truncated_svd(w, r)
         gram_route = counters().flops
         assert gram_route < 0.45 * full
@@ -218,7 +209,7 @@ class TestTruncatedSvdGramRoute:
                               + 2 * d_out * d_in * k)
 
     def test_fallback_charges_the_full_svd_too(self):
-        w = with_spectrum(rng(35), 600, 200, geometric(40.0, 0.5, 20))
+        w = make_linear_target(600, 200, rng(35), geometric(40.0, 0.5, 20))
         truncated_svd(w, 8)
         assert counters().flops > 4 * 600 * 200 * 200 + 8 * 200 ** 3
 
