@@ -1,11 +1,1 @@
 """Benchmark harness: configs, runners, aggregation, and reports."""
-
-from .config import ExperimentConfig, TaskSpec, BatchSpec
-from .runner import RunRecord, run_experiment, lr_sweep, read_run_csv, RUN_HEADER
-from .report import gap_report, collect_runs
-
-__all__ = [
-    "ExperimentConfig", "TaskSpec", "BatchSpec", "RunRecord",
-    "run_experiment", "lr_sweep", "read_run_csv", "RUN_HEADER",
-    "gap_report", "collect_runs",
-]

@@ -60,16 +60,14 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             cfg = _load_config(args)
-            manifest = run_experiment(cfg, quiet=args.quiet)
-            failed = [r for r in manifest["runs"] if r["status"] != "ok"]
-            return 2 if failed else 0
-        if args.command == "sweep":
-            cfg = _load_config(args)
-            best, manifest = lr_sweep(cfg, quiet=args.quiet)
-            if not args.quiet:
-                print(f"best eta: {best}")
+            if args.command == "run":
+                manifest = run_experiment(cfg, quiet=args.quiet)
+            else:
+                best, manifest = lr_sweep(cfg, quiet=args.quiet)
+                if not args.quiet:
+                    print(f"best eta: {best}")
             failed = [r for r in manifest["runs"] if r["status"] != "ok"]
             return 2 if failed else 0
         if args.command == "report":

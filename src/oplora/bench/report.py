@@ -53,10 +53,19 @@ def collect_runs(root) -> list:
         except ValueError as exc:
             raise ReportError(f"{path}: manifest does not parse: {exc}") \
                 from exc
-        for entry in entries:
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ReportError(f"{path}: run entry {i} is not an object")
+            for key in ("status", "method", "eta", "seed", "csv"):
+                if key not in entry:
+                    raise ReportError(f"{path}: run entry {i} has no {key!r}")
             if entry["status"] != "ok":
                 continue
             trail = entry.get("trail")
+            trail_path = os.path.join(dirpath, trail) if trail else None
+            if trail_path is not None and not os.path.isfile(trail_path):
+                raise ReportError(
+                    f"{path}: run entry {i}: no trail file {trail_path}")
             runs.append(RunInfo(
                 method=entry["method"],
                 eta=entry["eta"],
@@ -64,7 +73,7 @@ def collect_runs(root) -> list:
                 k=cfg.k,
                 momentum_rank=cfg.momentum_rank or cfg.rank,
                 csv_path=os.path.join(dirpath, entry["csv"]),
-                trail_path=os.path.join(dirpath, trail) if trail else None,
+                trail_path=trail_path,
             ))
     if not runs:
         raise ReportError(f"no successful runs found under {root}")

@@ -48,15 +48,25 @@ def write_run_csv(path, records):
 
 def read_run_csv(path):
     records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RUN_HEADER:
-            raise OploraError(f"unexpected CSV header in {path}: {header!r}")
-        for line in fh:
-            step, loss, gap, flops, wall = line.strip().split(",")
-            records.append(RunRecord(
-                int(step), float(loss),
-                None if gap == "" else float(gap), int(flops), float(wall)))
+    lineno = 1
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != RUN_HEADER:
+                raise OploraError(
+                    f"unexpected CSV header in {path}: {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                step, loss, gap, flops, wall = line.strip().split(",")
+                records.append(RunRecord(
+                    int(step), float(loss), None if gap == "" else float(gap),
+                    int(flops), float(wall)))
+    except OSError as exc:
+        raise OploraError(f"cannot read run CSV {path}: {exc}") from exc
+    except ValueError as exc:
+        raise OploraError(
+            f"{path}, line {lineno}: not a run record: {exc}") from exc
+    if not records:
+        raise OploraError(f"run CSV {path} has no records")
     return records
 
 

@@ -24,11 +24,6 @@ def counters() -> Counters:
     return _COUNTERS
 
 
-def reset_counters() -> None:
-    _COUNTERS.flops = 0
-    _COUNTERS.peak_alloc = 0
-
-
 def charge(flops: int = 0, alloc: int = 0) -> None:
     _COUNTERS.flops += flops
     if alloc > _COUNTERS.peak_alloc:

@@ -97,20 +97,17 @@ def _note(trace, side, iteration, cur_u, cur_v):
         })
 
 
-def _half_step(side, other, k, lam, lam_eye):
+def _half_step(side, other, k, lam_eye):
     """Solve for one factor given the other side's current estimate.
 
-    ``side`` is ``(name, anchor, outs, ins, metric)``: this side's anchor
-    factor, its stacked weighted (metric-scaled) term factors, the other
-    side's stacked term factors, and the metric of the other side's Gram.
-    ``lam_eye`` is ``lam * I`` at the rank, used when ``lam > 0``.
+    ``side`` is ``(name, pull, outs, ins, metric)``: ``lam`` times this
+    side's anchor factor, its stacked weighted (metric-scaled) term
+    factors, the other side's stacked term factors, and the metric of
+    the other side's Gram.  ``lam_eye`` is ``lam * I`` at the rank.
     """
-    name, anchor, outs, ins, metric = side
-    num = matmul(outs, matmul(ins, other, transpose_a=True))
-    den = apply_metric_gram(metric, other)
-    if lam > 0:
-        num = num + lam * anchor
-        den = den + lam_eye
+    name, pull, outs, ins, metric = side
+    num = matmul(outs, matmul(ins, other, transpose_a=True)) + pull
+    den = apply_metric_gram(metric, other) + lam_eye
     try:
         return solve_spd(den, num.T).T
     except SingularMetricError as exc:
@@ -180,19 +177,19 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
                               for c, _, right in rest]
     lefts = np.hstack([left for _, left, _ in terms])
     rights = np.hstack([right for _, _, right in terms])
-    u_side = ("U", left0, np.hstack(outs_u), rights, metric_v)
-    v_side = ("V", right0, np.hstack(outs_v), lefts, metric_u)
+    u_side = ("U", lam * left0, np.hstack(outs_u), rights, metric_v)
+    v_side = ("V", lam * right0, np.hstack(outs_v), lefts, metric_u)
 
-    lam_eye = lam * np.eye(rank) if lam > 0 else None
+    lam_eye = lam * np.eye(rank)
     cur_u, cur_v = left0, right0
     for k in range(num_iters):
         if mode == "simultaneous":
-            cur_u, cur_v = (_half_step(u_side, cur_v, k, lam, lam_eye),
-                            _half_step(v_side, cur_u, k, lam, lam_eye))
+            cur_u, cur_v = (_half_step(u_side, cur_v, k, lam_eye),
+                            _half_step(v_side, cur_u, k, lam_eye))
             _note(trace, "UV", k, cur_u, cur_v)
         else:
-            cur_v = _half_step(v_side, cur_u, k, lam, lam_eye)
+            cur_v = _half_step(v_side, cur_u, k, lam_eye)
             _note(trace, "V", k, cur_u, cur_v)
-            cur_u = _half_step(u_side, cur_v, k, lam, lam_eye)
+            cur_u = _half_step(u_side, cur_v, k, lam_eye)
             _note(trace, "U", k, cur_u, cur_v)
     return FactorPair(cur_u, cur_v)

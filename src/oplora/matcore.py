@@ -196,15 +196,3 @@ def svd_dense(a):
     charge(flops=4 * m * n * k + 8 * k * k * k, alloc=(m + n) * k)
     return u, s, v
 
-
-def sample_columns(w, indices) -> np.ndarray:
-    """Select columns of ``w`` in index order; duplicates permitted."""
-    w = as_matrix(w, "w")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("indices must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= w.shape[1]):
-        raise ShapeError(
-            f"column index out of range [0, {w.shape[1]})")
-    charge(alloc=w.shape[0] * idx.size)
-    return w[:, idx]

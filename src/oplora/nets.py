@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ShapeError, StaleCaptureError
 from .lowrank import FactorPair, truncated_svd
-from .matcore import as_matrix, matmul, sample_columns
+from .matcore import as_matrix, matmul
 
 
 @dataclass
@@ -40,19 +40,12 @@ class LoraLinear:
                     f"base weight {self.w0.shape} does not match adapter "
                     f"({self.adapter.d_out}, {self.adapter.d_in})")
 
-    @property
-    def d_out(self) -> int:
-        return self.adapter.d_out
-
-    @property
-    def d_in(self) -> int:
-        return self.adapter.d_in
-
     def forward(self, x) -> np.ndarray:
         """``x @ (w0 + u v^T)^T`` with the adapter applied thin."""
         x = as_matrix(x, "x")
-        if x.shape[1] != self.d_in:
-            raise ShapeError(f"input width {x.shape[1]} != {self.d_in}")
+        if x.shape[1] != self.adapter.d_in:
+            raise ShapeError(
+                f"input width {x.shape[1]} != {self.adapter.d_in}")
         out = matmul(matmul(x, self.adapter.v), self.adapter.u,
                      transpose_b=True)
         if self.w0 is not None:
@@ -65,10 +58,10 @@ class LoraLinear:
         s = as_matrix(s, "s")
         if self.captured_x is None:
             raise StaleCaptureError("backward without a matching forward")
-        if s.shape != (self.captured_x.shape[0], self.d_out):
+        if s.shape != (self.captured_x.shape[0], self.adapter.d_out):
             raise ShapeError(
                 f"output gradient shape {s.shape} does not match "
-                f"({self.captured_x.shape[0]}, {self.d_out})")
+                f"({self.captured_x.shape[0]}, {self.adapter.d_out})")
         self.captured_s = s
         grad = matmul(matmul(s, self.adapter.u), self.adapter.v,
                       transpose_b=True)
@@ -173,6 +166,16 @@ def sample_batch(task: LinearTask, rng) -> np.ndarray:
     return rng.choice(n, size=task.batch_size, replace=False)
 
 
+def _sampled(task: LinearTask, indices):
+    """Checked column indices and the unbiased rescaling ``d_in / B``."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ShapeError("indices must be a nonempty flat sequence")
+    if idx.min() < 0 or idx.max() >= task.d_in:
+        raise ShapeError(f"column index out of range [0, {task.d_in})")
+    return idx, task.d_in / idx.size
+
+
 def linear_task_grad(task: LinearTask, adapter: FactorPair, indices):
     """Loss and gradient of the column-sampled objective.
 
@@ -180,15 +183,9 @@ def linear_task_grad(task: LinearTask, adapter: FactorPair, indices):
     gradient of the rescaled (unbiased) sampled loss; ``right`` is the
     column-selection matrix, so the pair stays thin at width B.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ShapeError("indices must be a nonempty flat sequence")
-    if idx.min() < 0 or idx.max() >= task.d_in:
-        raise ShapeError(f"column index out of range [0, {task.d_in})")
-    v_sel = adapter.v[idx, :]
-    diff = matmul(adapter.u, v_sel, transpose_b=True) \
-        - sample_columns(task.target, idx)
-    scale = task.d_in / idx.size
+    idx, scale = _sampled(task, indices)
+    diff = matmul(adapter.u, adapter.v[idx, :], transpose_b=True) \
+        - task.target[:, idx]
     left = scale * diff
     right = np.zeros((task.d_in, idx.size))
     right[idx, np.arange(idx.size)] = 1.0
@@ -199,9 +196,11 @@ def linear_task_grad(task: LinearTask, adapter: FactorPair, indices):
 def linear_task_grad_dense(task: LinearTask, w, indices):
     """Dense-iterate variant for the dense baselines."""
     w = as_matrix(w, "w")
-    idx = np.asarray(indices, dtype=np.intp)
-    diff = sample_columns(w, idx) - sample_columns(task.target, idx)
-    scale = task.d_in / idx.size
+    if w.shape != task.target.shape:
+        raise ShapeError(f"iterate shape {w.shape} != target shape "
+                         f"{task.target.shape}")
+    idx, scale = _sampled(task, indices)
+    diff = w[:, idx] - task.target[:, idx]
     grad = np.zeros_like(w)
     grad[:, idx] = scale * diff
     loss = 0.5 * scale * float(np.sum(diff * diff))

@@ -74,7 +74,6 @@ class OploraState:
     momentum: Optional[FactorPair] = None
     metric_u: Optional[Metric] = None
     metric_v: Optional[Metric] = None
-    step_count: int = 0
 
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
@@ -208,7 +207,6 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     state.metric_u = metric_u
     state.metric_v = metric_v
     state.momentum = new_momentum
-    state.step_count += 1
     layer.adapter = new_pair
     layer.clear_captures()
     return new_pair

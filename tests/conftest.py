@@ -9,7 +9,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from oplora.instrument import reset_counters  # noqa: E402
+from helpers import reset_counters  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -1,19 +1,26 @@
-"""Test-only helpers: dense references, reference losses, rank padding,
-naive momentum, state sizes, the allocation-growth audit, and the full-SVD
-reference of ``truncated_svd``."""
+"""Test-only helpers: counter resets, dense references, reference losses,
+rank padding, naive momentum, state sizes, the allocation-growth audit,
+and the full-SVD reference of ``truncated_svd``."""
 
 import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 
-from oplora import lowrank
+from oplora import instrument, lowrank
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair, gram
 from oplora.matcore import solve_spd, svd_dense
 from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
                          factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState
+
+
+def reset_counters() -> None:
+    """Zero the process-global flop and allocation counters."""
+    c = instrument.counters()
+    c.flops = 0
+    c.peak_alloc = 0
 
 
 def materialize(s) -> np.ndarray:

@@ -18,7 +18,7 @@ from oplora import optim
 from oplora.bench.aggregate import AGG_HEADER
 from oplora.bench.config import ExperimentConfig
 from oplora.bench.runner import RUN_HEADER, read_run_csv, run_experiment
-from oplora.instrument import counters, reset_counters
+from oplora.instrument import counters
 from oplora.lorsum import lorsum
 from oplora.lowrank import (FactorPair, product_distance,
                             product_distance_to_dense, truncated_svd)
@@ -29,7 +29,8 @@ from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          mlp_forward_backward, sample_batch)
 
 from helpers import (assert_alloc_linear_in_side, linear_task_loss,
-                     materialize, mlp_loss, pad_rank, state_scalar_count)
+                     materialize, mlp_loss, pad_rank, reset_counters,
+                     state_scalar_count)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

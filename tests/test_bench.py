@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from oplora.bench.report import collect_runs, gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
 from oplora import lowrank, nets, optim
-from oplora.errors import ConfigError, ReportError
-from oplora.instrument import counters, reset_counters
+from oplora.errors import ConfigError, OploraError, ReportError
+from oplora.instrument import counters
 
 from conftest import rng
-from helpers import product_error, svd_operands, truncated_svd_reference
+from helpers import (product_error, reset_counters, svd_operands,
+                     truncated_svd_reference)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -513,20 +516,47 @@ class TestGapReport:
         with pytest.raises(ReportError):
             gap_report(str(tmp_path / "bad"), str(ref))
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_config", "no_runs"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "no_config", "no_runs", "entry_not_object", "no_status",
+        "no_method", "no_eta", "no_seed", "no_csv", "trail_deleted",
+        "csv_deleted", "csv_bad_row", "csv_header_only"])
     def test_broken_manifest_rejected_with_its_path(self, tmp_path, damage):
         d = self._run(tmp_path, "run", method="svdlora")
         path = d / "manifest.json"
         text = path.read_text()
+        doc = json.loads(text)
+        entry = doc["runs"][0]
+        run_csv = d / entry["csv"]
+        # a damaged manifest is named in a ReportError; a damaged run CSV
+        # is named, with the bad line, by read_run_csv's OploraError
+        named, error, where = path, ReportError, ""
         if damage == "truncated":
             path.write_text(text[:33])
+        elif damage == "trail_deleted":
+            os.remove(d / entry["trail"])
+        elif damage == "csv_deleted":
+            named, error = run_csv, OploraError
+            os.remove(run_csv)
+        elif damage == "csv_bad_row":
+            named, error, where = run_csv, OploraError, "line 4"
+            lines = run_csv.read_text().splitlines(keepends=True)
+            lines[3] = "2,0.5\n"
+            run_csv.write_text("".join(lines))
+        elif damage == "csv_header_only":
+            named, error = run_csv, OploraError
+            run_csv.write_text(RUN_HEADER + "\n")
         else:
-            doc = json.loads(text)
-            del doc[damage[len("no_"):]]
+            if damage in ("no_config", "no_runs"):
+                del doc[damage[len("no_"):]]
+            elif damage == "entry_not_object":
+                doc["runs"][0] = 3
+            else:
+                del entry[damage[len("no_"):]]
             path.write_text(json.dumps(doc))
-        with pytest.raises(ReportError) as err:
+        with pytest.raises(error) as err:
             gap_report(str(d), str(d))
-        assert str(path) in str(err.value)
+        assert str(named) in str(err.value)
+        assert where in str(err.value)
 
 
 class TestCli:
@@ -539,6 +569,21 @@ class TestCli:
         path = self._write(tmp_path, base_config(tmp_path / "out", steps=3))
         assert cli_main(["run", path, "--quiet"]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_module_entry_point_runs(self, tmp_path):
+        """``python -m oplora.bench`` in a fresh interpreter, importing
+        the package the way a user does."""
+        path = self._write(tmp_path, base_config(tmp_path / "out", steps=3))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oplora.bench", "run", path, "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        csv = tmp_path / "out" / manifest["runs"][0]["csv"]
+        assert len(read_run_csv(str(csv))) == 3
 
     def test_config_error_exit_one(self, tmp_path):
         doc = base_config(tmp_path, steps=3, rank=0)

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplora.errors import ShapeError, SingularMetricError
-from oplora.instrument import counters, reset_counters
+from oplora.instrument import counters
 from oplora.lorsum import (Metric, apply_inverse_metric,
                            apply_metric_gram, lorsum)
 from oplora.lowrank import FactorPair, gram, truncated_svd
 from oplora.matcore import solve_spd
 
 from conftest import rng
-from helpers import assert_alloc_linear_in_side, materialize, pad_rank
+from helpers import (assert_alloc_linear_in_side, materialize, pad_rank,
+                     reset_counters)
 
 
 def random_pair(g, d_out, d_in, r):
@@ -249,14 +250,15 @@ class TestLorsumBasics:
 class TestLorsumAgainstDenseReference:
     @settings(deadline=None, max_examples=10)
     @given(st.integers(0, 10_000),
-           st.sampled_from(["alternating", "simultaneous"]))
-    def test_identity_metrics(self, seed, mode):
+           st.sampled_from(["alternating", "simultaneous"]),
+           st.sampled_from([0.0, 1e-3]))
+    def test_identity_metrics(self, seed, mode, lam):
         g = rng(seed)
         pair = random_pair(g, 9, 7, 3)
         extra = random_pair(g, 9, 7, 4)
         terms = [(1.0, pair.u, pair.v), (-0.4, extra.u, extra.v)]
-        out = lorsum(terms, num_iters=3, lam=1e-3, mode=mode)
-        ref = reference_lorsum(terms, 3, 1e-3, np.eye(9), np.eye(7), mode)
+        out = lorsum(terms, num_iters=3, lam=lam, mode=mode)
+        ref = reference_lorsum(terms, 3, lam, np.eye(9), np.eye(7), mode)
         assert np.allclose(out.u, ref.u, atol=1e-9)
         assert np.allclose(out.v, ref.v, atol=1e-9)
 

@@ -11,8 +11,8 @@ from oplora.errors import (ConvergenceError, DegenerateInputError,
                            DensePolicyError, NonFiniteError, ShapeError,
                            SingularMetricError)
 from oplora.instrument import counters
-from oplora.matcore import (as_matrix, eigh_top, matmul, sample_columns,
-                            solve_spd, svd_dense, thin_qr)
+from oplora.matcore import (as_matrix, eigh_top, matmul, solve_spd,
+                            svd_dense, thin_qr)
 
 from conftest import rng
 
@@ -430,29 +430,3 @@ class TestEighTop:
         assert np.array_equal(lam1, lam2)
         assert np.array_equal(q1, q2)
 
-
-class TestSampleColumns:
-    def test_identity_selection(self):
-        w = rng(12).standard_normal((4, 6))
-        assert np.array_equal(sample_columns(w, np.arange(6)), w)
-
-    def test_single_column(self):
-        w = rng(13).standard_normal((4, 6))
-        assert np.array_equal(sample_columns(w, [0]), w[:, [0]])
-
-    def test_subset_shape(self):
-        w = rng(14).standard_normal((10, 200))
-        idx = rng(15).choice(200, size=64, replace=False)
-        assert sample_columns(w, idx).shape == (10, 64)
-
-    def test_duplicates_permitted(self):
-        w = rng(16).standard_normal((3, 4))
-        out = sample_columns(w, [1, 1, 2])
-        assert np.array_equal(out[:, 0], out[:, 1])
-
-    def test_out_of_range(self):
-        w = np.ones((2, 3))
-        with pytest.raises(ShapeError):
-            sample_columns(w, [3])
-        with pytest.raises(ShapeError):
-            sample_columns(w, [-1])

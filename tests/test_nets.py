@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from oplora.errors import ShapeError, StaleCaptureError
-from oplora.instrument import counters, reset_counters
+from oplora.instrument import counters
 from oplora.lowrank import FactorPair, gram, truncated_svd
 from oplora.nets import (DenseLinear, LinearTask, LoraLinear, MlpTask,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,
-                         linear_task_grad, make_linear_target,
+                         linear_task_grad, linear_task_grad_dense,
+                         make_linear_target,
                          make_mlp_dataset, make_mlp_layers,
                          mlp_forward_backward, sample_batch)
 
 from conftest import rng
 from helpers import (linear_task_loss, mlp_loss, product_error,
-                     truncated_svd_reference)
+                     reset_counters, truncated_svd_reference)
 
 
 def random_layer(g, d_out=7, d_in=5, r=2, with_base=True):
@@ -238,6 +239,64 @@ class TestLinearTask:
         pair = FactorPair(np.zeros((5, 1)), np.zeros((4, 1)))
         with pytest.raises(ShapeError):
             linear_task_grad(task, pair, [4])
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (3, 3)])
+    def test_dense_iterate_must_match_the_target(self, shape):
+        task = LinearTask(np.ones((3, 4)))
+        with pytest.raises(ShapeError, match="iterate shape"):
+            linear_task_grad_dense(task, np.zeros(shape), [0, 1])
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["thin", "dense"])
+class TestColumnSampling:
+    """Both linear-task gradients gather the sampled target columns in
+    index order: at a zero iterate, sampled column j of the gradient is
+    ``-(d_in / B)`` times target column ``idx[j]``."""
+
+    def _columns(self, dense, target, idx):
+        task = LinearTask(target)
+        d_out, d_in = target.shape
+        if dense:
+            grad, _ = linear_task_grad_dense(task, np.zeros((d_out, d_in)),
+                                             idx)
+            # the columns that were not sampled get no gradient
+            assert not np.delete(grad, idx, axis=1).any()
+            return grad[:, idx]
+        pair = FactorPair(np.zeros((d_out, 1)), np.zeros((d_in, 1)))
+        left, _, _ = linear_task_grad(task, pair, idx)
+        return left
+
+    def test_identity_selection(self, dense):
+        w = rng(12).standard_normal((4, 6))
+        assert np.array_equal(self._columns(dense, w, np.arange(6)), -w)
+
+    def test_single_column(self, dense):
+        w = rng(13).standard_normal((4, 6))
+        assert np.array_equal(self._columns(dense, w, [0]),
+                              6.0 * -w[:, [0]])
+
+    def test_subset_shape(self, dense):
+        w = rng(14).standard_normal((10, 200))
+        idx = rng(15).choice(200, size=64, replace=False)
+        cols = self._columns(dense, w, idx)
+        assert cols.shape == (10, 64)
+        assert np.array_equal(cols, (200 / 64) * -w[:, idx])
+
+    def test_duplicates_permitted(self, dense):
+        w = rng(16).standard_normal((3, 4))
+        out = self._columns(dense, w, [1, 1, 2])
+        assert np.array_equal(out[:, 0], out[:, 1])
+
+    def test_out_of_range(self, dense):
+        w = np.ones((2, 3))
+        with pytest.raises(ShapeError):
+            self._columns(dense, w, [3])
+        with pytest.raises(ShapeError):
+            self._columns(dense, w, [-1])
+
+    def test_empty_indices_rejected(self, dense):
+        with pytest.raises(ShapeError, match="nonempty"):
+            self._columns(dense, np.ones((2, 3)), [])
 
 
 class TestAdapterInits:
