@@ -4,8 +4,8 @@ A row holds what is method-specific about one layer.
 ``init(cfg, eta, seed, layer)`` returns the layer to train and its
 state; ``step(cfg, eta, layer, state, grad)`` updates them, from the
 dense gradient ``grad`` when the task supplies one, else from the
-layer's captures.  ``dense``: the iterate is ``state.dense_weight``.
-``low_rank``: the iterate stays rank r, so it has a factor trail.
+layer's captures.  The dense baselines keep their iterate in an
+``optim.SvdLoraState``; the full baseline's layer has an empty adapter.
 
 Steps call ``optim`` through the module attribute at call time, so that
 wrappers put on the module (the benchmark's timing and tracing) see
@@ -15,18 +15,14 @@ every call.
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .. import nets, optim
-from ..matcore import matmul
+from ..lowrank import FactorPair
 
 
 @dataclass(frozen=True)
 class Method:
     init: Callable
     step: Callable
-    dense: bool = False
-    low_rank: bool = True
 
 
 def _like(state_type):
@@ -52,24 +48,25 @@ def _adamw_step(cfg, eta, layer, state, grad):
 
 
 def _svdlora_step(cfg, eta, layer, state, grad):
-    if grad is None:  # the full gradient S^T X is materialized
-        grad = matmul(layer.captured_s, layer.captured_x, transpose_a=True)
+    if grad is None:
+        grad = nets.weight_grad(layer)
     layer.adapter = optim.svdlora_step(state, grad, eta, cfg.alpha, cfg.rank)
     layer.clear_captures()
 
 
 def _full_init(cfg, eta, seed, layer):
-    w = layer.adapter.u @ layer.adapter.v.T
+    state = optim.SvdLoraState.from_pair(layer.adapter)
     if layer.w0 is not None:
-        w = layer.w0 + w
-    return nets.DenseLinear(w), optim.SvdLoraState(w, np.zeros_like(w))
+        state.dense_weight = layer.w0 + state.dense_weight
+    empty = FactorPair(layer.adapter.u[:, :0], layer.adapter.v[:, :0])
+    return nets.LoraLinear(state.dense_weight, empty), state
 
 
 def _full_step(cfg, eta, layer, state, grad):
     if grad is None:
-        grad = layer.weight_grad()
-    state.dense_momentum = cfg.alpha * state.dense_momentum + grad
-    state.dense_weight = layer.w = layer.w - eta * state.dense_momentum
+        grad = nets.weight_grad(layer)
+    optim.dense_heavy_ball(state, grad, eta, cfg.alpha)
+    layer.w0 = state.dense_weight
     layer.clear_captures()
 
 
@@ -90,6 +87,6 @@ METHODS = {
     "oplora_scaled": _OPLORA,
     "svdlora": Method(lambda cfg, eta, seed, layer:
                       (layer, optim.SvdLoraState.from_pair(layer.adapter)),
-                      _svdlora_step, dense=True),
-    "full": Method(_full_init, _full_step, dense=True, low_rank=False),
+                      _svdlora_step),
+    "full": Method(_full_init, _full_step),
 }

@@ -62,6 +62,11 @@ def collect_runs(root) -> list:
             if entry["status"] != "ok":
                 continue
             trail = entry.get("trail")
+            if not isinstance(entry["csv"], str):
+                raise ReportError(f"{path}: run entry {i}: csv is not a string")
+            if not isinstance(trail, (str, type(None))):
+                raise ReportError(
+                    f"{path}: run entry {i}: trail is neither null nor a string")
             trail_path = os.path.join(dirpath, trail) if trail else None
             if trail_path is not None and not os.path.isfile(trail_path):
                 raise ReportError(

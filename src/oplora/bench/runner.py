@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import nets
+from .. import nets, optim
 from ..errors import OploraError, SweepError
 from ..instrument import counters
 from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
@@ -70,11 +70,6 @@ def read_run_csv(path):
     return records
 
 
-def _seeded(*keys) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(list(keys))))
-
-
 class _LinearProblem:
     """The linear task as one adapter-only layer fitted by column sampling.
 
@@ -86,7 +81,7 @@ class _LinearProblem:
     def __init__(self, cfg: ExperimentConfig, seed):
         self.cfg = cfg
         target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
-                                         _seeded(cfg.task.seed, 0),
+                                         nets.seeded_stream(cfg.task.seed, 0),
                                          cfg.task.singular_values)
         self.task = nets.LinearTask(target, cfg.batch.size)
         if cfg.task.init == "svd":
@@ -94,19 +89,19 @@ class _LinearProblem:
         else:
             init_pair = nets.init_adapter_random(
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
-                _seeded(cfg.task.seed, 1))
+                nets.seeded_stream(cfg.task.seed, 1))
         self.oracle = truncated_svd(target, cfg.rank)
         self.oracle_dense = self.oracle.u @ self.oracle.v.T
         self.layers = [nets.LoraLinear(None, init_pair)]
-        self.rng = _seeded(seed, 2)
+        self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
 
-    def evaluate(self, method, layers, states):
+    def evaluate(self, layers, states):
         """Draw a batch; return (loss, gap, per-layer dense gradients or
         None where the step reads the captures this sets)."""
         layer, state = layers[0], states[0]
         idx = nets.sample_batch(self.task, self.rng)
-        if method.dense:
+        if isinstance(state, optim.SvdLoraState):
             w = state.dense_weight
             grad, _ = nets.linear_task_grad_dense(self.task, w, idx)
             loss = 0.5 * float(np.sum((w - self.task.target) ** 2))
@@ -119,7 +114,8 @@ class _LinearProblem:
             loss = 0.5 * product_distance_to_dense(layer.adapter,
                                                    self.task.target) ** 2
             gap = product_distance(layer.adapter, self.oracle)
-        if self.cfg.record_factors and method.low_rank:
+        # the full baseline's empty adapter has no trail
+        if self.cfg.record_factors and layer.adapter.rank:
             self.trail.append((layer.adapter.u.copy(),
                                layer.adapter.v.copy()))
         return loss, gap, [grad]
@@ -131,15 +127,15 @@ class _MlpProblem:
     def __init__(self, cfg: ExperimentConfig, seed):
         self.task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
                                  cfg.task.loss, cfg.task.n_samples)
-        self.x, self.y = nets.make_mlp_dataset(self.task,
-                                               _seeded(cfg.task.seed, 3))
-        self.layers = nets.make_mlp_layers(self.task, cfg.rank,
-                                           _seeded(cfg.task.seed, 4))
-        self.rng = _seeded(seed, 5)
+        self.x, self.y = nets.make_mlp_dataset(
+            self.task, nets.seeded_stream(cfg.task.seed, 3))
+        self.layers = nets.make_mlp_layers(
+            self.task, cfg.rank, nets.seeded_stream(cfg.task.seed, 4))
+        self.rng = nets.seeded_stream(seed, 5)
         self.batch_size = cfg.batch.size
         self.trail = []  # never recorded for the MLP
 
-    def evaluate(self, method, layers, states):
+    def evaluate(self, layers, states):
         n = self.task.n_samples
         if self.batch_size is None:
             rows = np.arange(n)
@@ -167,7 +163,7 @@ def run_single(cfg: ExperimentConfig, eta, seed):
     for t in range(cfg.steps):
         i = None  # the layer being stepped; None while evaluating
         try:
-            loss, gap, grads = problem.evaluate(method, layers, states)
+            loss, gap, grads = problem.evaluate(layers, states)
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
             records.append(RunRecord(t, loss, gap,
                                      counters().flops - flops0, wall))
@@ -251,15 +247,15 @@ def sweep_score(records) -> float:
     return score if np.isfinite(score) else float("inf")
 
 
-def lr_sweep(cfg: ExperimentConfig, out_dir=None, quiet=False):
+def lr_sweep(cfg: ExperimentConfig, quiet=False):
     """Run the grid, score each eta, and emit a sorted sweep summary.
 
     The score of an eta is the median across seeds of the mean loss over
     the final 10% of steps; ties break toward the smaller eta and
     non-finite runs rank last.  Returns ``(best_eta, manifest)``.
     """
-    out_dir = out_dir or cfg.out_dir
-    manifest = run_experiment(cfg, out_dir=out_dir, quiet=quiet)
+    out_dir = cfg.out_dir
+    manifest = run_experiment(cfg, quiet=quiet)
     by_eta = {}
     for entry in manifest["runs"]:
         if entry["status"] != "ok":

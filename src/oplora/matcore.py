@@ -60,6 +60,17 @@ def as_matrix(a, name="operand") -> np.ndarray:
     return out
 
 
+def _symmetric_operand(a) -> np.ndarray:
+    """:func:`as_matrix`, then reject a non-square or asymmetric ``a``."""
+    a = as_matrix(a, "a")
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"a must be square, got {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+        raise ShapeError("a is not symmetric within tolerance")
+    return a
+
+
 def matmul(a, b, transpose_a=False, transpose_b=False) -> np.ndarray:
     """Dense product of ``a`` and ``b`` with optional transposition."""
     a = as_matrix(a, "a")
@@ -83,17 +94,12 @@ def solve_spd(a, b) -> np.ndarray:
     reasonably conditioned systems.  The first pivot at or below
     ``PIVOT_TOL`` raises, even a positive one that LAPACK accepts.
     """
-    a = as_matrix(a, "a")
+    a = _symmetric_operand(a)
     b = as_matrix(b, "b")
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError(f"a must be square, got {a.shape}")
     if n > SPD_DIM_CAP:
         raise DensePolicyError(
             f"solve_spd dimension {n} exceeds cap {SPD_DIM_CAP}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-        raise ShapeError("a is not symmetric within tolerance")
     if b.shape[0] != n:
         raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
     low, info = dpotrf(a, lower=True)
@@ -144,13 +150,8 @@ def eigh_top(a, k):
     (relatively robust representations) computes only the requested
     pairs; the tridiagonal reduction still costs O(n^3).
     """
-    a = as_matrix(a, "a")
+    a = _symmetric_operand(a)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError(f"a must be square, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-        raise ShapeError("a is not symmetric within tolerance")
     if k < 1 or k > n:
         raise ShapeError(f"k={k} invalid for a {n}x{n} matrix")
     try:

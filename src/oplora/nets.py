@@ -21,10 +21,11 @@ from .matcore import as_matrix, matmul
 
 @dataclass
 class LoraLinear:
-    """Frozen base weight + adapter, with X/S capture hooks.
+    """Base weight + adapter, with X/S capture hooks.
 
     ``w0`` may be None for adapter-only objectives (the linear
-    factorization task); it is never mutated by any optimizer.
+    factorization task).  Only the full baseline trains it, under an
+    empty (rank-0) adapter, which adds exact zeros and charges no flops.
     """
 
     w0: Optional[np.ndarray]
@@ -43,9 +44,6 @@ class LoraLinear:
     def forward(self, x) -> np.ndarray:
         """``x @ (w0 + u v^T)^T`` with the adapter applied thin."""
         x = as_matrix(x, "x")
-        if x.shape[1] != self.adapter.d_in:
-            raise ShapeError(
-                f"input width {x.shape[1]} != {self.adapter.d_in}")
         out = matmul(matmul(x, self.adapter.v), self.adapter.u,
                      transpose_b=True)
         if self.w0 is not None:
@@ -74,41 +72,17 @@ class LoraLinear:
         self.captured_s = None
 
 
-@dataclass
-class DenseLinear:
-    """Plain dense linear layer; used by the full-training baseline."""
-
-    w: np.ndarray
-    captured_x: Optional[np.ndarray] = None
-    captured_s: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.w = as_matrix(self.w, "w")
-
-    def forward(self, x) -> np.ndarray:
-        x = as_matrix(x, "x")
-        self.captured_x = x
-        return matmul(x, self.w, transpose_b=True)
-
-    def backward(self, s) -> np.ndarray:
-        if self.captured_x is None:
-            raise StaleCaptureError("backward without a matching forward")
-        self.captured_s = as_matrix(s, "s")
-        return matmul(s, self.w)
-
-    def weight_grad(self) -> np.ndarray:
-        return matmul(self.captured_s, self.captured_x, transpose_a=True)
-
-    def clear_captures(self) -> None:
-        self.captured_x = None
-        self.captured_s = None
-
-
 def captures(layer):
     """The layer's ``(X, S)`` captures; raises when either is missing."""
     if layer.captured_x is None or layer.captured_s is None:
         raise StaleCaptureError("layer has no fresh forward/backward captures")
     return layer.captured_x, layer.captured_s
+
+
+def weight_grad(layer) -> np.ndarray:
+    """The full weight gradient S^T X, formed dense from the captures."""
+    x, s = captures(layer)
+    return matmul(s, x, transpose_a=True)
 
 
 def factor_grads(layer: LoraLinear, consume: bool = False):
@@ -119,6 +93,12 @@ def factor_grads(layer: LoraLinear, consume: bool = False):
     if consume:
         layer.clear_captures()
     return g_u, g_v
+
+
+def seeded_stream(*keys) -> np.random.Generator:
+    """An independent PCG64 stream for each sequence of integer keys."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(list(keys))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +266,6 @@ def make_mlp_layers(task: MlpTask, rank, rng):
     """Frozen random base weights with standard zero-product adapters."""
     layers = []
     for d_in, d_out in zip(task.dims[:-1], task.dims[1:]):
-        if rank > min(d_in, d_out):
-            raise ShapeError(
-                f"rank {rank} exceeds layer dimensions ({d_out}, {d_in})")
         w0 = rng.standard_normal((d_out, d_in)) / math.sqrt(d_in)
         layers.append(LoraLinear(w0, init_adapter_lora(d_out, d_in, rank, rng)))
     return layers

@@ -23,7 +23,7 @@ from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, gram, truncated_svd
 from .lorsum import Metric, lorsum
 from .matcore import as_matrix, matmul, solve_spd, thin_qr
-from .nets import captures, factor_grads
+from .nets import captures, factor_grads, seeded_stream
 
 # Tiny proximal weight that keeps the r x r systems positive definite
 # when momentum or metric factors are rank-deficient (e.g. right after
@@ -76,16 +76,11 @@ class OploraState:
     metric_v: Optional[Metric] = None
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([seed, tag])))
-
-
 def _init_momentum(d_out, d_in, rank, seed) -> FactorPair:
     # Random left factor, zero right factor: the product is exactly zero
     # but the left subspace is full rank, so the first alternating
     # update can move out of the degenerate start.
-    rng = _stream(seed, 11)
+    rng = seeded_stream(seed, 11)
     return FactorPair(rng.standard_normal((d_out, rank)),
                       np.zeros((d_in, rank)))
 
@@ -93,7 +88,7 @@ def _init_momentum(d_out, d_in, rank, seed) -> FactorPair:
 def _init_metric(dim, rank, delta, seed, tag) -> Metric:
     # Orthonormal factor, so the low-rank part starts as a projector
     # QQ^T; delta supplies the remaining mass of the identity.
-    rng = _stream(seed, tag)
+    rng = seeded_stream(seed, tag)
     q, _ = thin_qr(rng.standard_normal((dim, rank)))
     return Metric(q, delta)
 
@@ -231,6 +226,16 @@ class SvdLoraState:
         return SvdLoraState(w, np.zeros_like(w))
 
 
+def dense_heavy_ball(state: SvdLoraState, grad, eta: float,
+                     alpha: float) -> None:
+    """Both dense baselines' heavy ball: M <- alpha M + G, W <- W - eta M."""
+    grad = as_matrix(grad, "grad")
+    if grad.shape != state.dense_weight.shape:
+        raise ShapeError("gradient shape does not match the adapter")
+    state.dense_momentum = alpha * state.dense_momentum + grad
+    state.dense_weight = state.dense_weight - eta * state.dense_momentum
+
+
 def svdlora_step(state: SvdLoraState, grad, eta: float, alpha: float,
                  r: int) -> FactorPair:
     """Full dense heavy-ball step followed by a rank-r SVD projection.
@@ -238,11 +243,7 @@ def svdlora_step(state: SvdLoraState, grad, eta: float, alpha: float,
     The dense iterate is replaced by its projection after every step;
     the momentum stays full rank.
     """
-    grad = as_matrix(grad, "grad")
-    if grad.shape != state.dense_weight.shape:
-        raise ShapeError("gradient shape does not match the adapter")
-    state.dense_momentum = alpha * state.dense_momentum + grad
-    state.dense_weight = state.dense_weight - eta * state.dense_momentum
+    dense_heavy_ball(state, grad, eta, alpha)
     pair = truncated_svd(state.dense_weight, r)
     state.dense_weight = matmul(pair.u, pair.v, transpose_b=True)
     return pair

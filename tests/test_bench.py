@@ -15,7 +15,8 @@ from oplora.bench.report import collect_runs, gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
 from oplora import lowrank, nets, optim
-from oplora.errors import ConfigError, OploraError, ReportError
+from oplora.errors import (ConfigError, OploraError, ReportError,
+                           StaleCaptureError)
 from oplora.instrument import counters
 
 from conftest import rng
@@ -365,6 +366,14 @@ class TestMethodRegistry:
                          in zip(task.dims[:-1], task.dims[1:]))
         assert counters().flops >= grad_flops
 
+    @pytest.mark.parametrize("method", ["svdlora", "full"])
+    def test_dense_step_without_captures_raises(self, method, tmp_path):
+        cfg = ExperimentConfig.from_dict(_mlp_config(tmp_path, method=method))
+        layer = nets.make_mlp_layers(nets.MlpTask([6, 8]), 2, rng(0))[0]
+        layer, state = METHODS[method].init(cfg, 0.1, 0, layer)
+        with pytest.raises(StaleCaptureError):
+            METHODS[method].step(cfg, 0.1, layer, state, None)
+
     @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
     def test_svdlora_flops_do_not_depend_on_record_factors(self, case,
                                                            tmp_path):
@@ -518,8 +527,9 @@ class TestGapReport:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "no_config", "no_runs", "entry_not_object", "no_status",
-        "no_method", "no_eta", "no_seed", "no_csv", "trail_deleted",
-        "csv_deleted", "csv_bad_row", "csv_header_only"])
+        "no_method", "no_eta", "no_seed", "no_csv", "csv_null",
+        "trail_not_string", "trail_deleted", "csv_deleted", "csv_bad_row",
+        "csv_header_only"])
     def test_broken_manifest_rejected_with_its_path(self, tmp_path, damage):
         d = self._run(tmp_path, "run", method="svdlora")
         path = d / "manifest.json"
@@ -550,6 +560,10 @@ class TestGapReport:
                 del doc[damage[len("no_"):]]
             elif damage == "entry_not_object":
                 doc["runs"][0] = 3
+            elif damage == "csv_null":
+                entry["csv"] = None
+            elif damage == "trail_not_string":
+                entry["trail"] = ["u.npz", "v.npz"]
             else:
                 del entry[damage[len("no_"):]]
             path.write_text(json.dumps(doc))

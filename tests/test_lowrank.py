@@ -9,7 +9,7 @@ from oplora.lowrank import (FactorPair, gram, product_distance,
                             product_distance_to_dense, product_inner,
                             truncated_svd)
 from oplora.matcore import matmul, svd_dense
-from oplora.nets import make_linear_target
+from oplora.nets import MlpTask, make_linear_target, make_mlp_layers
 
 from conftest import rng
 from helpers import (materialize, pad_rank, product_error, svd_operands,
@@ -25,6 +25,9 @@ class TestFactorPair:
     def test_rank_validation(self):
         with pytest.raises(ShapeError):
             FactorPair(np.ones((3, 4)), np.ones((5, 4)))
+        # make_mlp_layers relies on this check for a rank wider than a layer
+        with pytest.raises(ShapeError, match="rank 3 exceeds min dimension 2"):
+            make_mlp_layers(MlpTask([4, 2, 5]), 3, rng(0))
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeError):

@@ -11,8 +11,10 @@ from oplora.errors import (ConvergenceError, DegenerateInputError,
                            DensePolicyError, NonFiniteError, ShapeError,
                            SingularMetricError)
 from oplora.instrument import counters
+from oplora.lowrank import FactorPair
 from oplora.matcore import (as_matrix, eigh_top, matmul, solve_spd,
                             svd_dense, thin_qr)
+from oplora.nets import LoraLinear
 
 from conftest import rng
 
@@ -177,6 +179,10 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
+        # a layer's forward relies on this check for its input width
+        layer = LoraLinear(None, FactorPair(np.ones((4, 1)), np.ones((3, 1))))
+        with pytest.raises(ShapeError, match="inner dimensions disagree"):
+            layer.forward(np.ones((2, 5)))
 
     def test_rejects_non_finite(self):
         bad = np.array([[1.0, np.nan]])

@@ -4,13 +4,13 @@ import pytest
 from oplora.errors import ShapeError, StaleCaptureError
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, gram, truncated_svd
-from oplora.nets import (DenseLinear, LinearTask, LoraLinear, MlpTask,
+from oplora.nets import (LinearTask, LoraLinear, MlpTask,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,
                          linear_task_grad, linear_task_grad_dense,
                          make_linear_target,
                          make_mlp_dataset, make_mlp_layers,
-                         mlp_forward_backward, sample_batch)
+                         mlp_forward_backward, sample_batch, weight_grad)
 
 from conftest import rng
 from helpers import (linear_task_loss, mlp_loss, product_error,
@@ -379,13 +379,12 @@ class TestMlpTask:
         assert np.allclose(layer.captured_s, [[1.0, -1.0]])
 
     def test_dense_layer_matches_lora_with_zero_adapter(self):
+        # the full baseline's layer: a rank-0 adapter adds exact zeros
         g = rng(22)
         w = g.standard_normal((5, 4))
-        dense = DenseLinear(w.copy())
-        lora = LoraLinear(w.copy(), FactorPair(np.zeros((5, 1)),
-                                               np.zeros((4, 1))))
+        dense = LoraLinear(w, FactorPair(np.zeros((5, 0)), np.zeros((4, 0))))
         x = g.standard_normal((3, 4))
-        assert np.allclose(dense.forward(x), lora.forward(x))
+        assert np.array_equal(dense.forward(x), x @ w.T)
         s = g.standard_normal((3, 5))
-        assert np.allclose(dense.backward(s), lora.backward(s))
-        assert np.allclose(dense.weight_grad(), s.T @ x)
+        assert np.array_equal(dense.backward(s), s @ w)
+        assert np.array_equal(weight_grad(dense), s.T @ x)
