@@ -71,7 +71,8 @@ def read_run_csv(path):
 
 
 class _LinearProblem:
-    """The linear task as one adapter-only layer fitted by column sampling.
+    """The linear task as one adapter-only layer fitted by column sampling,
+    whose captures ``nets.linear_task_grad`` sets as the MLP pass does.
 
     The loss column reports the full objective (cheap to get thin);
     minibatching only affects the gradients.  Dense methods are scored
@@ -83,7 +84,7 @@ class _LinearProblem:
         target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
                                          nets.seeded_stream(cfg.task.seed, 0),
                                          cfg.task.singular_values)
-        self.task = nets.LinearTask(target, cfg.batch.size)
+        self.task = nets.LinearTask(target)
         if cfg.task.init == "svd":
             init_pair = nets.init_adapter_svd(target, cfg.rank)
         else:
@@ -100,7 +101,7 @@ class _LinearProblem:
         """Draw a batch; return (loss, gap, per-layer dense gradients or
         None where the step reads the captures this sets)."""
         layer, state = layers[0], states[0]
-        idx = nets.sample_batch(self.task, self.rng)
+        idx = nets.sample_batch(self.task.d_in, self.cfg.batch.size, self.rng)
         if isinstance(state, optim.SvdLoraState):
             w = state.dense_weight
             grad, _ = nets.linear_task_grad_dense(self.task, w, idx)
@@ -108,9 +109,7 @@ class _LinearProblem:
             gap = float(np.linalg.norm(w - self.oracle_dense))
         else:
             grad = None
-            left, right, _ = nets.linear_task_grad(self.task, layer.adapter,
-                                                   idx)
-            layer.captured_x, layer.captured_s = right.T, left.T
+            nets.linear_task_grad(self.task, layer, idx)
             loss = 0.5 * product_distance_to_dense(layer.adapter,
                                                    self.task.target) ** 2
             gap = product_distance(layer.adapter, self.oracle)
@@ -136,11 +135,8 @@ class _MlpProblem:
         self.trail = []  # never recorded for the MLP
 
     def evaluate(self, layers, states):
-        n = self.task.n_samples
-        if self.batch_size is None:
-            rows = np.arange(n)
-        else:
-            rows = self.rng.choice(n, size=self.batch_size, replace=False)
+        rows = nets.sample_batch(self.task.n_samples, self.batch_size,
+                                 self.rng)
         loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
                                          self.y[rows])
         return loss, None, [None] * len(layers)

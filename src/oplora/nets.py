@@ -4,8 +4,9 @@ A :class:`LoraLinear` is a frozen base weight plus a rank-r adapter;
 its forward/backward passes capture the batch input X and the output
 gradient S so optimizers can form the full gradient S^T X as a thin
 pair.  The linear factorization task and a small synthetic MLP task
-drive the benchmark; everything is manual forward/backward, no general
-autodiff.
+drive the benchmark.  Each draws its batch with :func:`sample_batch`,
+and its pass (:func:`linear_task_grad`, :func:`mlp_forward_backward`)
+leaves fresh captures on every layer; all of it is manual, no autodiff.
 """
 
 import math
@@ -108,15 +109,9 @@ def seeded_stream(*keys) -> np.random.Generator:
 @dataclass
 class LinearTask:
     target: np.ndarray
-    batch_size: Optional[int] = None  # None means full batch
 
     def __post_init__(self):
         self.target = as_matrix(self.target, "target")
-        if self.batch_size is not None:
-            if not 1 <= self.batch_size <= self.target.shape[1]:
-                raise ShapeError(
-                    f"batch size {self.batch_size} invalid for "
-                    f"{self.target.shape[1]} columns")
 
     @property
     def d_in(self) -> int:
@@ -137,13 +132,15 @@ def make_linear_target(d_out, d_in, rng, singular_values=None) -> np.ndarray:
     return (qa * sv) @ qb.T
 
 
-def sample_batch(task: LinearTask, rng) -> np.ndarray:
-    """Column indices for one step: all columns, or a fresh subset
+def sample_batch(n, size, rng) -> np.ndarray:
+    """One step's batch out of ``n`` columns or rows: all of them in
+    order when ``size`` is None or ``n``, else a fresh subset of ``size``
     drawn without replacement."""
-    n = task.d_in
-    if task.batch_size is None or task.batch_size == n:
+    if size is None or size == n:
         return np.arange(n)
-    return rng.choice(n, size=task.batch_size, replace=False)
+    if not 1 <= size <= n:
+        raise ShapeError(f"batch size {size} invalid for {n} items")
+    return rng.choice(n, size=size, replace=False)
 
 
 def _sampled(task: LinearTask, indices):
@@ -156,21 +153,19 @@ def _sampled(task: LinearTask, indices):
     return idx, task.d_in / idx.size
 
 
-def linear_task_grad(task: LinearTask, adapter: FactorPair, indices):
-    """Loss and gradient of the column-sampled objective.
-
-    Returns ``(left, right, loss)`` where ``left @ right.T`` is the
-    gradient of the rescaled (unbiased) sampled loss; ``right`` is the
-    column-selection matrix, so the pair stays thin at width B.
+def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
+    """The adapter-only layer's pass, as :func:`mlp_forward_backward` is
+    the MLP's: leaves the one-hot column selection X (B x d_in) and the
+    rescaled residual S = ((d_in / B) (U V^T - W)[:, idx])^T as captures,
+    so S^T X is the unbiased sampled loss's gradient.  Returns that loss.
     """
     idx, scale = _sampled(task, indices)
-    diff = matmul(adapter.u, adapter.v[idx, :], transpose_b=True) \
-        - task.target[:, idx]
-    left = scale * diff
-    right = np.zeros((task.d_in, idx.size))
-    right[idx, np.arange(idx.size)] = 1.0
-    loss = 0.5 * scale * float(np.sum(diff * diff))
-    return left, right, loss
+    diff = matmul(layer.adapter.u, layer.adapter.v[idx, :],
+                  transpose_b=True) - task.target[:, idx]
+    layer.captured_x = np.zeros((idx.size, task.d_in))
+    layer.captured_x[np.arange(idx.size), idx] = 1.0
+    layer.captured_s = (scale * diff).T
+    return 0.5 * scale * float(np.sum(diff * diff))
 
 
 def linear_task_grad_dense(task: LinearTask, w, indices):

@@ -11,8 +11,8 @@ from oplora import instrument, lowrank
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair, gram
 from oplora.matcore import solve_spd, svd_dense
-from oplora.nets import (LinearTask, MlpTask, _act, _loss_and_logit_grad,
-                         factor_grads, linear_task_grad)
+from oplora.nets import (LinearTask, LoraLinear, MlpTask, _act,
+                         _loss_and_logit_grad, factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState
 
 
@@ -107,8 +107,7 @@ def linear_task_loss(task: LinearTask, adapter: FactorPair,
                      indices=None) -> float:
     if indices is None:
         indices = np.arange(task.d_in)
-    _, _, loss = linear_task_grad(task, adapter, indices)
-    return loss
+    return linear_task_grad(task, LoraLinear(None, adapter), indices)
 
 
 def mlp_loss(task: MlpTask, layers, x, y) -> float:

@@ -177,12 +177,11 @@ def test_criterion_04_subspace_iteration_identities():
 
 def _run_reference_projection(target, init, eta, alpha, steps, rank,
                               batch_rng=None, batch_size=None):
-    task = LinearTask(target, batch_size=batch_size)
+    task = LinearTask(target)
     state = optim.SvdLoraState.from_pair(init)
     iterates = []
     for _ in range(steps):
-        idx = np.arange(target.shape[1]) if batch_rng is None \
-            else sample_batch(task, batch_rng)
+        idx = sample_batch(task.d_in, batch_size, batch_rng)
         grad, _ = linear_task_grad_dense(task, state.dense_weight, idx)
         optim.svdlora_step(state, grad, eta, alpha, rank)
         iterates.append(state.dense_weight.copy())
@@ -193,17 +192,14 @@ def _run_reference_projection(target, init, eta, alpha, steps, rank,
 
 def _run_alternating(target, init, cfg_kw, steps, seed,
                      batch_size=None):
-    task = LinearTask(target, batch_size=batch_size)
-    batch_rng = seeded(seed, 2) if batch_size else None
+    task = LinearTask(target)
+    batch_rng = seeded(seed, 2)
     layer = LoraLinear(None, init.copy())
     state = optim.OploraState(optim.OploraConfig(**cfg_kw), init_seed=seed)
     iterates = []
     for _ in range(steps):
-        idx = np.arange(target.shape[1]) if batch_rng is None \
-            else sample_batch(task, batch_rng)
-        left, right, _ = linear_task_grad(task, layer.adapter, idx)
-        layer.captured_x = right.T
-        layer.captured_s = left.T
+        linear_task_grad(task, layer,
+                         sample_batch(task.d_in, batch_size, batch_rng))
         optim.oplora_step(layer, state)
         iterates.append(layer.adapter.copy())
     final_loss = linear_task_loss(task, layer.adapter)
@@ -305,10 +301,8 @@ def test_criterion_08_gradient_correctness():
             target = make_linear_target(8, 6, g)
             task = LinearTask(target)
             pair = init_adapter_random(8, 6, 3, g)
-            left, right, _ = linear_task_grad(task, pair, np.arange(6))
             layer = LoraLinear(None, pair)
-            layer.captured_x = right.T
-            layer.captured_s = left.T
+            linear_task_grad(task, layer, np.arange(6))
             g_u, g_v = factor_grads(layer)
             check(g_u, lambda: linear_task_loss(task, pair), pair.u)
             check(g_v, lambda: linear_task_loss(task, pair), pair.v)
@@ -342,18 +336,15 @@ def test_criterion_09_memory_contract():
             """Sets the task up at one shape, then yields one optimizer
             step per batch."""
             target = make_linear_target(d_out, d_in, seeded(7, 0))
-            task = LinearTask(target, batch_size=bs)
+            task = LinearTask(target)
             layer = LoraLinear(
                 None, init_adapter_random(d_out, d_in, r, seeded(7, 1)))
             batch_rng = seeded(0, 2)
 
             def steps():
                 for _ in range(n_steps):
-                    idx = sample_batch(task, batch_rng)
-                    left, right, _ = linear_task_grad(task, layer.adapter,
-                                                      idx)
-                    layer.captured_x = right.T
-                    layer.captured_s = left.T
+                    linear_task_grad(task, layer,
+                                     sample_batch(d_in, bs, batch_rng))
                     yield lambda: optim.oplora_step(layer, state)
             return steps()
 

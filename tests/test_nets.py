@@ -116,10 +116,8 @@ class TestFactorGradientFiniteDifferences:
             target = make_linear_target(8, 6, g)
             task = LinearTask(target)
             pair = init_adapter_random(8, 6, 3, g)
-            left, right, _ = linear_task_grad(task, pair, np.arange(6))
             layer = LoraLinear(None, pair)
-            layer.captured_x = right.T
-            layer.captured_s = left.T
+            linear_task_grad(task, layer, np.arange(6))
             g_u, g_v = factor_grads(layer)
             fd_u = np.zeros_like(g_u)
             for i in range(g_u.shape[0]):
@@ -173,9 +171,10 @@ class TestLinearTask:
         g = rng(9)
         pair = FactorPair(g.standard_normal((7, 2)), g.standard_normal((5, 2)))
         task = LinearTask(pair.u @ pair.v.T)
-        left, right, loss = linear_task_grad(task, pair, np.arange(5))
+        layer = LoraLinear(None, pair)
+        loss = linear_task_grad(task, layer, np.arange(5))
         assert loss <= 1e-20
-        assert np.allclose(left @ right.T, 0.0, atol=1e-12)
+        assert np.allclose(weight_grad(layer), 0.0, atol=1e-12)
 
     def test_zero_adapter_full_batch_loss(self):
         g = rng(10)
@@ -188,32 +187,31 @@ class TestLinearTask:
     def test_gradient_pair_matches_dense_restriction(self):
         g = rng(11)
         target = make_linear_target(6, 5, g)
-        task = LinearTask(target, batch_size=2)
+        task = LinearTask(target)
         pair = FactorPair(g.standard_normal((6, 2)), g.standard_normal((5, 2)))
         idx = np.array([1, 3])
-        left, right, _ = linear_task_grad(task, pair, idx)
+        layer = LoraLinear(None, pair)
+        linear_task_grad(task, layer, idx)
         dense = pair.u @ pair.v.T - target
         expected = np.zeros((6, 5))
         expected[:, idx] = (5 / 2) * dense[:, idx]
-        assert np.allclose(left @ right.T, expected, atol=1e-12)
+        assert np.allclose(weight_grad(layer), expected, atol=1e-12)
 
     def test_minibatch_estimator_is_unbiased(self):
         g = rng(12)
         target = make_linear_target(10, 40, g)
-        task = LinearTask(target, batch_size=12)
-        pair = FactorPair(g.standard_normal((10, 3)),
-                          g.standard_normal((40, 3)))
-        full_left, full_right, full_loss = linear_task_grad(
-            task, pair, np.arange(40))
-        full_grad = full_left @ full_right.T
+        task = LinearTask(target)
+        layer = LoraLinear(None, FactorPair(g.standard_normal((10, 3)),
+                                            g.standard_normal((40, 3))))
+        full_loss = linear_task_grad(task, layer, np.arange(40))
+        full_grad = weight_grad(layer)
         acc = np.zeros_like(full_grad)
         acc_loss = 0.0
         n_draws = 2000
         for _ in range(n_draws):
             idx = g.choice(40, size=12, replace=False)
-            left, right, loss = linear_task_grad(task, pair, idx)
-            acc += left @ right.T
-            acc_loss += loss
+            acc_loss += linear_task_grad(task, layer, idx)
+            acc += weight_grad(layer)
         mean_grad = acc / n_draws
         rel = np.linalg.norm(mean_grad - full_grad) / np.linalg.norm(full_grad)
         assert rel < 0.05
@@ -229,16 +227,40 @@ class TestLinearTask:
 
     def test_sampler_draws_without_replacement(self):
         g = rng(14)
-        task = LinearTask(make_linear_target(5, 30, g), batch_size=10)
-        idx = sample_batch(task, g)
+        idx = sample_batch(30, 10, g)
         assert idx.size == 10 and np.unique(idx).size == 10
+
+    @pytest.mark.parametrize("size", [None, 30])
+    def test_full_batch_is_every_index_in_order_without_a_draw(self, size):
+        g = rng(14)
+        before = g.bit_generator.state
+        assert np.array_equal(sample_batch(30, size, g), np.arange(30))
+        assert g.bit_generator.state == before
+
+    @pytest.mark.parametrize("size", [0, -1, 31])
+    def test_batch_size_out_of_range_rejected(self, size):
+        with pytest.raises(ShapeError, match="batch size"):
+            sample_batch(30, size, rng(14))
+
+    def test_captures_are_column_selection_and_rescaled_residual(self):
+        g = rng(17)
+        target = make_linear_target(5, 6, g)
+        pair = FactorPair(g.standard_normal((5, 2)), g.standard_normal((6, 2)))
+        layer = LoraLinear(None, pair)
+        idx = np.array([4, 0, 2])
+        loss = linear_task_grad(LinearTask(target), layer, idx)
+        resid = (pair.u @ pair.v.T - target)[:, idx]
+        assert np.array_equal(layer.captured_x, np.eye(6)[idx])
+        assert np.allclose(layer.captured_s, (6 / 3) * resid.T, atol=1e-12)
+        assert np.isclose(loss, 0.5 * (6 / 3) * np.sum(resid ** 2))
 
     def test_bad_indices_rejected(self):
         g = rng(15)
         task = LinearTask(make_linear_target(5, 4, g))
-        pair = FactorPair(np.zeros((5, 1)), np.zeros((4, 1)))
+        layer = LoraLinear(None, FactorPair(np.zeros((5, 1)),
+                                            np.zeros((4, 1))))
         with pytest.raises(ShapeError):
-            linear_task_grad(task, pair, [4])
+            linear_task_grad(task, layer, [4])
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (3, 3)])
     def test_dense_iterate_must_match_the_target(self, shape):
@@ -262,9 +284,10 @@ class TestColumnSampling:
             # the columns that were not sampled get no gradient
             assert not np.delete(grad, idx, axis=1).any()
             return grad[:, idx]
-        pair = FactorPair(np.zeros((d_out, 1)), np.zeros((d_in, 1)))
-        left, _, _ = linear_task_grad(task, pair, idx)
-        return left
+        layer = LoraLinear(None, FactorPair(np.zeros((d_out, 1)),
+                                            np.zeros((d_in, 1))))
+        linear_task_grad(task, layer, idx)
+        return layer.captured_s.T
 
     def test_identity_selection(self, dense):
         w = rng(12).standard_normal((4, 6))

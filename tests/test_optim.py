@@ -197,9 +197,7 @@ class TestOracleApproach:
         refs = self._reference(task, init, steps)
         dists = []
         for t in range(steps):
-            left, right, _ = linear_task_grad(task, layer.adapter, idx)
-            layer.captured_x = right.T
-            layer.captured_s = left.T
+            linear_task_grad(task, layer, idx)
             optim.oplora_step(layer, state)
             dists.append(product_distance_to_dense(layer.adapter, refs[t]))
         return dists, refs
