@@ -261,9 +261,9 @@ class ExperimentConfig:
                "seeds must be a nonempty list of ints", "seeds")
         _check(len(set(self.seeds)) == len(self.seeds),
                "seeds must be distinct", "seeds")
-        if self.method == "oplora_scaled":
-            _check(self.beta < 1.0, "oplora_scaled requires beta < 1",
-                   "beta")
+        _check((self.beta < 1.0) == (self.method == "oplora_scaled"),
+               "beta < 1 if and only if the method is oplora_scaled",
+               "beta")
         if self.batch.mode == "minibatch":
             if self.task.kind == "linear":
                 _check(self.batch.size <= self.task.d_in,

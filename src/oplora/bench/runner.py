@@ -21,6 +21,7 @@ from .. import nets, optim
 from ..errors import OploraError, SweepError
 from ..instrument import counters
 from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
+from ..matcore import matmul
 from .aggregate import f17, write_aggregate
 from .config import ExperimentConfig, eta_tag
 from .methods import METHODS
@@ -92,7 +93,8 @@ class _LinearProblem:
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
         self.oracle = truncated_svd(target, cfg.rank)
-        self.oracle_dense = self.oracle.u @ self.oracle.v.T
+        self.oracle_dense = matmul(self.oracle.u, self.oracle.v,
+                                   transpose_b=True)
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []

@@ -177,7 +177,8 @@ def linear_task_grad_dense(task: LinearTask, w, indices):
     idx, scale = _sampled(task, indices)
     diff = w[:, idx] - task.target[:, idx]
     grad = np.zeros_like(w)
-    grad[:, idx] = scale * diff
+    for j, col in zip(idx, (scale * diff).T):  # a repeat adds, as in the loss
+        grad[:, j] += col
     loss = 0.5 * scale * float(np.sum(diff * diff))
     return grad, loss
 

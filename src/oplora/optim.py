@@ -222,7 +222,7 @@ class SvdLoraState:
 
     @staticmethod
     def from_pair(pair: FactorPair) -> "SvdLoraState":
-        w = pair.u @ pair.v.T
+        w = matmul(pair.u, pair.v, transpose_b=True)
         return SvdLoraState(w, np.zeros_like(w))
 
 

@@ -6,7 +6,6 @@ and runtime budget and prints one pass/fail line.  Run with::
     pytest tests/test_acceptance.py -v -s
 """
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -20,8 +19,8 @@ from oplora.bench.config import ExperimentConfig
 from oplora.bench.runner import RUN_HEADER, read_run_csv, run_experiment
 from oplora.instrument import counters
 from oplora.lorsum import lorsum
-from oplora.lowrank import (FactorPair, product_distance,
-                            product_distance_to_dense, truncated_svd)
+from oplora.lowrank import (FactorPair, product_distance_to_dense,
+                            truncated_svd)
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          init_adapter_random, linear_task_grad,
                          linear_task_grad_dense, make_linear_target,

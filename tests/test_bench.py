@@ -124,6 +124,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("method", ["oplora", "lora_sgd", "svdlora"])
+    def test_beta_below_one_needs_the_scaled_method(self, tmp_path, method):
+        doc = base_config(tmp_path, method=method, beta=0.9)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == "beta"
+
     def test_batch_size_bounded_by_columns(self, tmp_path):
         doc = base_config(tmp_path, batch={"mode": "minibatch", "size": 17})
         with pytest.raises(ConfigError):

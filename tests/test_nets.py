@@ -262,6 +262,25 @@ class TestLinearTask:
         with pytest.raises(ShapeError):
             linear_task_grad(task, layer, [4])
 
+    def test_dense_gradient_counts_a_repeated_index_per_occurrence(self):
+        task = LinearTask(rng(18).standard_normal((3, 4)))
+        idx = [1, 1, 2]
+        w = np.zeros((3, 4))
+        grad, _ = linear_task_grad_dense(task, w, idx)
+        layer = LoraLinear(None, FactorPair(np.zeros((3, 1)),
+                                            np.zeros((4, 1))))
+        linear_task_grad(task, layer, idx)
+        assert np.allclose(grad, weight_grad(layer), rtol=0, atol=1e-15)
+        h = 1e-6
+        fd = np.zeros_like(w)
+        for i, j in np.ndindex(w.shape):
+            step = np.zeros_like(w)
+            step[i, j] = h
+            up = linear_task_grad_dense(task, w + step, idx)[1]
+            dn = linear_task_grad_dense(task, w - step, idx)[1]
+            fd[i, j] = (up - dn) / (2 * h)
+        assert np.allclose(grad, fd, rtol=0, atol=1e-6)
+
     @pytest.mark.parametrize("shape", [(4, 4), (3, 6), (3, 3)])
     def test_dense_iterate_must_match_the_target(self, shape):
         task = LinearTask(np.ones((3, 4)))

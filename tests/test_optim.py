@@ -8,7 +8,6 @@ from oplora.errors import (ConvergenceError, SingularMetricError,
                            StaleCaptureError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, product_distance, truncated_svd
-from oplora.lorsum import Metric
 from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
                          linear_task_grad_dense, make_linear_target)
 
