@@ -72,8 +72,8 @@ def read_run_csv(path):
 
 
 class _LinearProblem:
-    """The linear task as one adapter-only layer fitted by column sampling,
-    whose captures ``nets.linear_task_grad`` sets as the MLP pass does.
+    """The linear task as one adapter-only layer fitted by column sampling:
+    ``nets.linear_task_grad`` sets its captures, as the MLP pass does.
 
     The loss column reports the full objective (cheap to get thin);
     minibatching only affects the gradients.  Dense methods are scored

@@ -162,9 +162,9 @@ def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
     idx, scale = _sampled(task, indices)
     diff = matmul(layer.adapter.u, layer.adapter.v[idx, :],
                   transpose_b=True) - task.target[:, idx]
-    layer.captured_x = np.zeros((idx.size, task.d_in))
-    layer.captured_x[np.arange(idx.size), idx] = 1.0
-    layer.captured_s = (scale * diff).T
+    x = np.zeros((idx.size, task.d_in))
+    x[np.arange(idx.size), idx] = 1.0
+    layer.captured_x, layer.captured_s = x, (scale * diff).T
     return 0.5 * scale * float(np.sum(diff * diff))
 
 
