@@ -145,9 +145,11 @@ def sample_batch(n, size, rng) -> np.ndarray:
 
 def _sampled(task: LinearTask, indices):
     """Checked column indices and the unbiased rescaling ``d_in / B``."""
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("indices must be a nonempty flat sequence")
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"indices must be integers, not {idx.dtype}")
     if idx.min() < 0 or idx.max() >= task.d_in:
         raise ShapeError(f"column index out of range [0, {task.d_in})")
     return idx, task.d_in / idx.size

@@ -1,6 +1,7 @@
 """Test-only helpers: counter resets, dense references, reference losses,
 rank padding, naive momentum, state sizes, the allocation-growth audit,
-and the full-SVD reference of ``truncated_svd``."""
+the full-SVD reference of ``truncated_svd`` and the resampling reference
+of ``bootstrap_median_ci``."""
 
 import tracemalloc
 from contextlib import contextmanager
@@ -8,6 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from oplora import instrument, lowrank
+from oplora.bench.aggregate import BOOTSTRAP_SEED, N_RESAMPLES
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair, gram
 from oplora.matcore import solve_spd, svd_dense
@@ -175,3 +177,22 @@ def svd_operands():
         yield operands
     finally:
         lowrank.svd_dense = svd_dense
+
+
+def bootstrap_median_ci_loop(values):
+    """Reference for ``aggregate.bootstrap_median_ci``: resample, take
+    N_RESAMPLES medians per step, and two percentiles of them."""
+    values = np.asarray(values, dtype=np.float64)
+    n_seeds, n_steps = values.shape
+    med = np.median(values, axis=0)
+    if n_seeds == 1:
+        return med, med.copy(), med.copy()
+    rng = np.random.Generator(np.random.PCG64(BOOTSTRAP_SEED))
+    idx = rng.integers(0, n_seeds, size=(N_RESAMPLES, n_seeds))
+    lo = np.empty(n_steps)
+    hi = np.empty(n_steps)
+    for j in range(n_steps):
+        meds = np.median(values[idx, j], axis=1)
+        lo[j] = np.percentile(meds, 2.5)
+        hi[j] = np.percentile(meds, 97.5)
+    return med, lo, hi

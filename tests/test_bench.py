@@ -2,11 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oplora.bench.aggregate import AGG_HEADER, bootstrap_median_ci
+from oplora.bench import aggregate
+from oplora.bench.aggregate import (AGG_HEADER, N_RESAMPLES,
+                                    bootstrap_median_ci)
 from oplora.bench.cli import main as cli_main
 from oplora.bench.config import ExperimentConfig, is_125_grid_value
 from oplora.bench.methods import METHODS
@@ -20,7 +26,8 @@ from oplora.errors import (ConfigError, OploraError, ReportError,
 from oplora.instrument import counters
 
 from conftest import rng
-from helpers import (product_error, reset_counters, svd_operands,
+from helpers import (bootstrap_median_ci_loop, product_error,
+                     reset_counters, svd_operands, traced_peak_bytes,
                      truncated_svd_reference)
 
 
@@ -487,6 +494,121 @@ class TestAggregate:
         lines = (tmp_path / "agg_oplora_eta0.5.csv").read_text().splitlines()
         assert lines[0] == AGG_HEADER
         assert len(lines) == 5
+
+
+def _assert_same_as_loop(values, equal_nan=False):
+    for got, want in zip(bootstrap_median_ci(values),
+                         bootstrap_median_ci_loop(values)):
+        assert np.array_equal(got, want, equal_nan=equal_nan)
+
+
+def _seed_by_step(elements):
+    # every entry drawn on its own, not mostly one fill value
+    return arrays(np.float64, st.tuples(st.integers(1, 7),
+                                        st.integers(1, 60)),
+                  elements=elements, fill=st.nothing())
+
+
+# Repeated values make tied ranks and tied medians; two of them are the
+# signed zeros.
+TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+# A mean of two of these can overflow to inf, and inf - inf is NaN.
+HUGE = st.sampled_from([np.inf, -np.inf, 1.7e308, -1.7e308])
+
+
+class TestBootstrapMatchesResampling:
+    """``bootstrap_median_ci`` reads the CI from resample compositions;
+    it must equal the loop that takes N_RESAMPLES medians per step."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(_seed_by_step(st.one_of(TIES, st.floats(-1e300, 1e300))))
+    def test_finite_values(self, values):
+        _assert_same_as_loop(values)
+
+    @settings(deadline=None, max_examples=30)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @given(_seed_by_step(st.one_of(TIES, HUGE)))
+    def test_infinite_values(self, values):
+        _assert_same_as_loop(values, equal_nan=True)
+
+    @settings(deadline=None, max_examples=30)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @given(_seed_by_step(st.one_of(TIES, HUGE, st.just(np.nan),
+                                   st.floats())))
+    def test_nan_values(self, values):
+        _assert_same_as_loop(values, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("n_seeds", [8, 10])
+    def test_many_seeds(self, n_seeds):
+        g = rng(n_seeds)
+        values = g.standard_normal((n_seeds, 24))
+        values[:, :6] = g.choice([0.0, -0.0, 1.0, 2.0], size=(n_seeds, 6))
+        values[:, 6:12] = g.choice([np.inf, -np.inf, np.nan, 1.0],
+                                   size=(n_seeds, 6))
+        _assert_same_as_loop(values, equal_nan=True)
+
+    def test_lower_bound_between_two_distinct_medians(self):
+        # Here the 2.5% position falls between two distinct medians, and
+        # numpy's interpolation from the far end rounds differently
+        # from a + (b - a) t.
+        column = [0.7301380732402798, 0.9091340783973793,
+                  1.0310192039760147, -1.0955448172953985,
+                  -0.24742477421917614, -0.4023245809505672,
+                  -0.13626743684299147, 0.13593443359522644,
+                  -1.745486877055901, -0.6273304591618458]
+        _assert_same_as_loop(np.array(column)[:, None])
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_one_nan_median_among_finite_bounds(self):
+        # One resample of the 8-seed draw takes seeds 2 and 7 four times
+        # each, so its median is (-inf + inf) / 2; both percentile
+        # positions fall on finite medians.
+        values = np.array([0.0, 1.0, -np.inf, 3.0, 4.0, 5.0, 6.0, np.inf])
+        _assert_same_as_loop(values[:, None], equal_nan=True)
+        assert np.isnan(bootstrap_median_ci(values[:, None])[1:]).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_drawn_too_rarely_to_be_a_median(self):
+        # With 20 seeds, no resample draws one seed ten times, so no
+        # median is NaN; numpy's percentile is NaN all the same.
+        values = rng(4).standard_normal((20, 3))
+        values[7, 1] = np.nan
+        _assert_same_as_loop(values, equal_nan=True)
+        assert np.isnan(bootstrap_median_ci(values)[1][1])
+
+    def test_peak_memory_is_a_tenth_of_one_resampled_curve(self):
+        # Materialising the N_RESAMPLES medians of every step would take
+        # n_steps * N_RESAMPLES float64s: 160 MB at 2001 steps.
+        values = rng(3).standard_normal((5, 2001))
+        tracemalloc.start()
+        try:
+            peak = traced_peak_bytes(lambda: bootstrap_median_ci(values))
+        finally:
+            tracemalloc.stop()
+        assert peak < values.shape[1] * N_RESAMPLES * 8 / 10
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("batch", [{"mode": "full"},
+                                       {"mode": "minibatch", "size": 8}],
+                             ids=["full", "minibatch"])
+    def test_divergent_sweep_writes_the_loops_aggregates(self, tmp_path,
+                                                         monkeypatch, batch):
+        def sweep(out_dir):
+            doc = base_config(out_dir, method="lora_sgd", steps=6,
+                              seeds=[0, 1, 2, 3], batch=batch)
+            del doc["eta"]
+            doc["eta_grid"] = [1e-1, 1e+0, 2e+0, 5e+0, 1e+1]
+            lr_sweep(ExperimentConfig.from_dict(doc), quiet=True)
+            return {p.name: p.read_bytes()
+                    for p in sorted(out_dir.glob("agg_*.csv"))}
+
+        fast = sweep(tmp_path / "fast")
+        monkeypatch.setattr(aggregate, "bootstrap_median_ci",
+                            bootstrap_median_ci_loop)
+        assert sweep(tmp_path / "loop") == fast
+        # an ok run at the divergent eta=2 carries non-finite losses
+        assert b"nan" in fast["agg_lora_sgd_eta2.csv"]
 
 
 class TestGapReport:

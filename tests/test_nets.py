@@ -340,6 +340,14 @@ class TestColumnSampling:
         with pytest.raises(ShapeError, match="nonempty"):
             self._columns(dense, np.ones((2, 3)), [])
 
+    @pytest.mark.parametrize("idx", [[1.7, 2.2], [1.0, 2.0],
+                                     [True, False, True, False]],
+                             ids=["fractional", "integral_float", "mask"])
+    def test_non_integer_indices_rejected(self, dense, idx):
+        # a float would be truncated to a column, a mask read as 1s and 0s
+        with pytest.raises(ShapeError, match="integers"):
+            self._columns(dense, np.ones((3, 4)), idx)
+
 
 class TestAdapterInits:
     def test_svd_init_is_oracle(self):
