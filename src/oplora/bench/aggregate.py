@@ -9,7 +9,9 @@ of n seeds hold at most C(2n - 1, n) distinct compositions (126 at 5
 seeds).  Each percentile is read from the cumulative weights of the
 sorted distinct medians at numpy's ``linear`` interpolation position,
 so the CI equals ``np.percentile`` over the 10 000 medians
-``np.median`` gives, NaN and infinities included.
+``np.median`` gives, NaN and infinities included.  (Where a step holds
+both +0.0 and -0.0, the sign of a zero bound may differ: numpy leaves
+the order of tied zeros to its partition.)
 """
 
 import math
@@ -26,9 +28,9 @@ def f17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _percentile(ranked, cum_w, q):
+def _percentile(meds, cum_w, q):
     """``np.percentile(x, q)`` per column, where ``x`` holds N_RESAMPLES
-    values given as the sorted distinct values ``ranked`` with their
+    values given as the sorted distinct values ``meds`` with their
     cumulative counts ``cum_w``.
 
     numpy's ``linear`` method: the position (N_RESAMPLES - 1) q / 100
@@ -39,12 +41,12 @@ def _percentile(ranked, cum_w, q):
     v = (N_RESAMPLES - 1) * (q / 100)
     k = math.floor(v)
     t = v - k
-    cols = np.arange(ranked.shape[1])
-    a = ranked[(cum_w <= k).sum(axis=0), cols]
-    b = ranked[(cum_w <= k + 1).sum(axis=0), cols]
+    cols = np.arange(meds.shape[1])
+    a = meds[(cum_w <= k).sum(axis=0), cols]
+    b = meds[(cum_w <= k + 1).sum(axis=0), cols]
     diff = b - a
     out = b - diff * (1 - t) if t >= 0.5 else a + diff * t
-    out[np.isnan(ranked[-1])] = np.nan
+    out[np.isnan(meds[-1])] = np.nan
     return out
 
 
