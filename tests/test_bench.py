@@ -298,6 +298,19 @@ class TestRunExperiment:
         assert entry["error"] == ("NonFiniteError at step 13, layer 0: "
                                   "a contains non-finite entries")
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("eta, step", [(1000.0, 51), (10000.0, 38)])
+    def test_diverging_oplora_run_is_located_in_the_manifest(self, tmp_path,
+                                                             eta, step):
+        # the iterate overflows inside lorsum: at eta 1000 in a half-step's
+        # stacked product, at eta 10000 in its Gram
+        doc = base_config(tmp_path, eta=eta, steps=60)
+        manifest = run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
+        entry = manifest["runs"][0]
+        assert entry["status"] == "failed" and entry["csv"] is None
+        assert entry["error"].startswith(
+            f"NonFiniteError at step {step}, layer 0: ")
+
     def test_mlp_run_decreases_loss(self, tmp_path):
         doc = {
             "schema_version": 1,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplora.errors import ShapeError, SingularMetricError
+from oplora.errors import NonFiniteError, ShapeError, SingularMetricError
 from oplora.instrument import counters
 from oplora.lorsum import (Metric, apply_inverse_metric,
                            apply_metric_gram, lorsum)
@@ -397,3 +397,110 @@ class TestConvergenceAndCost:
                        num_iters=3)
         w1, w2 = materialize(out), materialize(out_t)
         assert np.linalg.norm(w1 - w2) <= 1e-6 * np.linalg.norm(w1)
+
+
+def desk_terms(g):
+    """The weight call of one ``oplora`` step at the desk linear shape:
+    a 120x40 iterate at rank 8, a 16-column gradient and a rank-16
+    momentum."""
+    pair = random_pair(g, 120, 40, 8)
+    return [(1.0, pair.u, pair.v),
+            (-0.1, g.standard_normal((120, 16)), g.standard_normal((40, 16))),
+            (-0.075, g.standard_normal((120, 16)),
+             g.standard_normal((40, 16)))]
+
+
+def desk_metrics(g):
+    """Rank-8 metric factors for both sides of :func:`desk_terms`."""
+    return {"metric_u": g.standard_normal((120, 8)),
+            "metric_v": g.standard_normal((40, 8))}
+
+
+def desk_call(terms, factors, deltas=None):
+    """``lorsum`` at the desk setting (K = 2), with a :class:`Metric` on
+    each side named in ``factors``, damped by ``deltas[side]`` (1e-4 by
+    default)."""
+    deltas = deltas or {}
+    metrics = {side: Metric(f, deltas.get(side, 1e-4))
+               for side, f in factors.items()}
+    return lorsum(terms, num_iters=2, lam=1e-4, **metrics)
+
+
+FAULT_SITES = ([f"terms[{i}].{side}" for i in range(3)
+                for side in ("left", "right")] + ["metric_u", "metric_v"])
+
+
+class TestFaultInjection:
+    """A non-finite entry, given or reached by overflow inside the call,
+    raises :class:`NonFiniteError`, never :class:`SingularMetricError`."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("site", FAULT_SITES)
+    def test_non_finite_entry(self, site, value):
+        g = rng(20)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        if site in factors:
+            target = factors[site]
+        else:
+            i, side = int(site[6]), site.split(".")[1]
+            target = terms[i][1 if side == "left" else 2]
+        target[3, 1] = value
+        with pytest.raises(NonFiniteError) as err:
+            desk_call(terms, factors)
+        assert type(err.value) is NonFiniteError
+
+    @staticmethod
+    def overflow_case(name):
+        """Finite operands whose arithmetic inside ``lorsum`` overflows,
+        and the side of the half-step whose system is the first to hold
+        the overflow.
+
+        - ``woodbury``: the inverse metric's small system F^T F / delta.
+        - ``scaled_outs``: the inverse-metric-scaled term factors stacked
+          for the U half-step.
+        - ``num``: the V half-step's stacked product.
+        - ``den``: the V half-step's metric Gram (one term, so no inverse
+          metric is applied).
+        """
+        g = rng(21)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        deltas, side = {}, "V"
+        if name == "woodbury":
+            factors["metric_u"] *= 1e5
+            deltas, side = {"metric_u": 1e-300}, None
+        elif name == "scaled_outs":
+            terms[1] = (terms[1][0], 1e10 * terms[1][1], terms[1][2])
+            deltas, side = {"metric_u": 1e-300}, "U"
+        elif name == "num":
+            terms[1] = (terms[1][0], 1e160 * terms[1][1], 1e160 * terms[1][2])
+        else:
+            terms = terms[:1]
+            factors["metric_u"] *= 1e160
+        return terms, factors, deltas, side
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("name", ["woodbury", "scaled_outs", "num", "den"])
+    def test_overflow_inside_the_call(self, name):
+        terms, factors, deltas, _ = self.overflow_case(name)
+        with pytest.raises(NonFiniteError) as err:
+            desk_call(terms, factors, deltas)
+        assert type(err.value) is NonFiniteError
+
+
+class TestBoundaryChecks:
+    """One ``lorsum`` call's charges."""
+
+    # flops and peak_alloc of one call, as charged before the inner
+    # kernels lost their operand checks
+    @pytest.mark.parametrize("sides, flops, peak_alloc", [
+        ((), 492200, 960),
+        (("metric_u",), 683004, 1920),
+        (("metric_v",), 560124, 960),
+        (("metric_u", "metric_v"), 750928, 1920),
+    ])
+    def test_charges_unchanged(self, sides, flops, peak_alloc):
+        g = rng(22)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        desk_call(terms, {side: factors[side] for side in sides})
+        assert (counters().flops, counters().peak_alloc) == (flops,
+                                                             peak_alloc)
