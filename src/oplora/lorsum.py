@@ -17,15 +17,20 @@ applied through the Woodbury identity (Euclidean when absent).  The two
 half-steps are one routine applied to either side.  Work per call is
 O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
 formed.
+
+:func:`lorsum` checks its term factors once on entry, and the
+:class:`Metric` constructor checks each metric factor; everything after
+that calls ``matcore``'s unchecked cores.  Each system is tested for
+finiteness before its solve (see ``matcore``'s validation contract).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SingularMetricError
-from .lowrank import FactorPair, gram
-from .matcore import as_matrix, matmul, solve_spd
+from .errors import NonFiniteError, ShapeError, SingularMetricError
+from .lowrank import FactorPair
+from .matcore import _all_finite, _cholesky_solve, _product, as_matrix
 
 MODES = ("alternating", "simultaneous")
 
@@ -51,7 +56,7 @@ class Metric:
 
 
 def _check_rows(m: Metric, x):
-    if m.factor.shape[0] != x.shape[0]:
+    if m is not None and m.factor.shape[0] != x.shape[0]:
         raise ShapeError(
             f"metric dimension {m.factor.shape[0]} does not match "
             f"rows {x.shape[0]}")
@@ -64,26 +69,47 @@ def apply_inverse_metric(m: Metric, x) -> np.ndarray:
     requires ``delta > 0``: the low-rank part alone is never invertible.
     """
     x = as_matrix(x, "x")
-    if m is None:
-        return x
-    if m.delta <= 0.0:
-        raise SingularMetricError(
-            "damped low-rank metric needs delta > 0 to be invertible")
     _check_rows(m, x)
-    f = m.factor
-    y = matmul(f, x, transpose_a=True)
-    small = gram(f) / m.delta + np.eye(f.shape[1])
-    z = solve_spd(small, y)
-    return (x - matmul(f, z) / m.delta) / m.delta
+    return _inverse_metric(m, x)
 
 
 def apply_metric_gram(m: Metric, x) -> np.ndarray:
     """``x^T (F F^T + delta I) x`` using thin products only; symmetric PSD."""
     x = as_matrix(x, "x")
-    if m is None:
-        return gram(x)
     _check_rows(m, x)
-    out = m.delta * gram(x) + gram(matmul(m.factor, x, transpose_a=True))
+    return _metric_gram(m, x)
+
+
+def _gram(a) -> np.ndarray:
+    """:func:`oplora.lowrank.gram` of a checked ``a``, unchecked."""
+    g = _product(a.T, a)
+    return (g + g.T) / 2.0
+
+
+def _inverse_metric(m: Metric, x) -> np.ndarray:
+    """:func:`apply_inverse_metric` of a checked ``x`` with as many rows
+    as the metric; tests the small system for finiteness, not ``x``."""
+    if m is None:
+        return x
+    if m.delta <= 0.0:
+        raise SingularMetricError(
+            "damped low-rank metric needs delta > 0 to be invertible")
+    f = m.factor
+    y = _product(f.T, x)
+    small = _gram(f) / m.delta + np.eye(f.shape[1])
+    if not (_all_finite(small) and _all_finite(y)):
+        raise NonFiniteError("the inverse metric's system holds "
+                             "non-finite entries")
+    z = _cholesky_solve(small, y)
+    return (x - _product(f, z) / m.delta) / m.delta
+
+
+def _metric_gram(m: Metric, x) -> np.ndarray:
+    """:func:`apply_metric_gram` of a checked ``x`` with as many rows as
+    the metric, unchecked."""
+    if m is None:
+        return _gram(x)
+    out = m.delta * _gram(x) + _gram(_product(m.factor.T, x))
     return (out + out.T) / 2.0
 
 
@@ -104,12 +130,17 @@ def _half_step(side, other, k, lam_eye):
     side's anchor factor, its stacked weighted (metric-scaled) term
     factors, the other side's stacked term factors, and the metric of
     the other side's Gram.  ``lam_eye`` is ``lam * I`` at the rank.
+    ``den`` is symmetric by construction, so only its finiteness is
+    tested.
     """
     name, pull, outs, ins, metric = side
-    num = matmul(outs, matmul(ins, other, transpose_a=True)) + pull
-    den = apply_metric_gram(metric, other) + lam_eye
+    num = _product(outs, _product(ins.T, other)) + pull
+    den = _metric_gram(metric, other) + lam_eye
+    if not (_all_finite(num) and _all_finite(den)):
+        raise NonFiniteError(f"non-finite system on the {name} side at "
+                             f"iteration {k}")
     try:
-        return solve_spd(den, num.T).T
+        return _cholesky_solve(den, num.T).T
     except SingularMetricError as exc:
         raise SingularMetricError(
             f"singular system on the {name} side at iteration {k}: {exc}",
@@ -154,7 +185,8 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     estimates before committing either.  Raises
     :class:`SingularMetricError` naming the updated side and iteration
     when an r x r system is not positive definite (a degenerate anchor
-    needs ``lam > 0`` or metric damping to be rescued).
+    needs ``lam > 0`` or metric damping to be rescued), and
+    :class:`NonFiniteError` naming them when it holds a NaN or inf.
     """
     if num_iters < 1:
         raise ShapeError("num_iters must be at least 1")
@@ -167,13 +199,15 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     rank, min_dim = left0.shape[1], min(left0.shape[0], right0.shape[0])
     if rank > min_dim:
         raise ShapeError(f"rank {rank} exceeds min dimension {min_dim}")
+    _check_rows(metric_u, left0)
+    _check_rows(metric_v, right0)
 
     # The inverse-metric scaling of non-anchor terms does not depend on
     # the evolving estimates, so each side's blocks are stacked once.
     rest = terms[1:]
-    outs_u = [c0 * left0] + [c * apply_inverse_metric(metric_u, left)
+    outs_u = [c0 * left0] + [c * _inverse_metric(metric_u, left)
                              for c, left, _ in rest]
-    outs_v = [c0 * right0] + [c * apply_inverse_metric(metric_v, right)
+    outs_v = [c0 * right0] + [c * _inverse_metric(metric_v, right)
                               for c, _, right in rest]
     lefts = np.hstack([left for _, left, _ in terms])
     rights = np.hstack([right for _, _, right in terms])

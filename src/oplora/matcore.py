@@ -5,13 +5,24 @@ summation order within one BLAS build).  Dense full-size matrices are
 only ever acceptable here, and only on oracle, baseline, and test paths;
 optimizer hot paths must stay with factor-shaped operands.
 
-Validation contract: every kernel checks the shape and finiteness of
-each of its own operands on every call and raises a typed error naming
-the operand.  The checks are exact (they accept and reject exactly the
-inputs an entrywise test would) and cheap next to the small products
-they guard.  They stay per call, not at a step's boundary, because an
-activation can zero a NaN or -inf pre-activation before it reaches the
-step's result.
+Validation contract: every public kernel checks the shape and
+finiteness of each of its own operands on every call and raises a typed
+error naming the operand.  The checks are exact (they accept and reject
+exactly the inputs an entrywise test would) and cheap next to the small
+products they guard.  They stay per call, not at a step's boundary,
+because an activation can zero a NaN or -inf pre-activation before it
+reaches the step's result.
+
+Each checked kernel is its checks followed by a private core that
+charges and computes without them (``matmul`` calls :func:`_product`,
+``solve_spd`` calls :func:`_cholesky_solve`).  Only
+:func:`oplora.lorsum.lorsum` calls the cores directly, on operands it
+checked at its boundary or built from them by products, sums and
+solves.  Those operations cannot hide a NaN or inf (0 * inf is NaN), so
+any non-finite intermediate reaches the system of a solve, and lorsum
+tests each system's operands for finiteness before it solves: LAPACK's
+Cholesky would turn a NaN into a failed pivot, a
+:class:`SingularMetricError` instead of a :class:`NonFiniteError`.
 """
 
 import math
@@ -54,10 +65,15 @@ def as_matrix(a, name="operand") -> np.ndarray:
         out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={out.ndim}")
-    if (not math.isfinite(np.add.reduce(out, axis=None))
-            and not np.isfinite(out).all()):
+    if not _all_finite(out):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return out
+
+
+def _all_finite(a) -> bool:
+    """Whether every entry of the float64 array ``a`` is finite."""
+    return (math.isfinite(np.add.reduce(a, axis=None))
+            or bool(np.isfinite(a).all()))
 
 
 def _symmetric_operand(a) -> np.ndarray:
@@ -80,6 +96,11 @@ def matmul(a, b, transpose_a=False, transpose_b=False) -> np.ndarray:
     if left.shape[1] != right.shape[0]:
         raise ShapeError(
             f"inner dimensions disagree: {left.shape} x {right.shape}")
+    return _product(left, right)
+
+
+def _product(left, right) -> np.ndarray:
+    """Charged ``left @ right`` of conforming float64 matrices, unchecked."""
     m, k = left.shape
     n = right.shape[1]
     charge(flops=2 * m * k * n, alloc=m * n)
@@ -94,8 +115,12 @@ def solve_spd(a, b) -> np.ndarray:
     reasonably conditioned systems.  The first pivot at or below
     ``PIVOT_TOL`` raises, even a positive one that LAPACK accepts.
     """
-    a = _symmetric_operand(a)
-    b = as_matrix(b, "b")
+    return _cholesky_solve(_symmetric_operand(a), as_matrix(b, "b"))
+
+
+def _cholesky_solve(a, b) -> np.ndarray:
+    """:func:`solve_spd` of a symmetric ``a`` and a ``b`` that are finite
+    float64 matrices, without checking either."""
     n = a.shape[0]
     if n > SPD_DIM_CAP:
         raise DensePolicyError(

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplora import lowrank, matcore
 from oplora.errors import NonFiniteError, ShapeError, SingularMetricError
 from oplora.instrument import counters
 from oplora.lorsum import (Metric, apply_inverse_metric,
@@ -486,9 +489,35 @@ class TestFaultInjection:
             desk_call(terms, factors, deltas)
         assert type(err.value) is NonFiniteError
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("name", ["scaled_outs", "num", "den"])
+    def test_half_step_error_names_side_and_iteration(self, name):
+        terms, factors, deltas, side = self.overflow_case(name)
+        with pytest.raises(NonFiniteError,
+                           match=f"on the {side} side at iteration 0"):
+            desk_call(terms, factors, deltas)
+
 
 class TestBoundaryChecks:
-    """One ``lorsum`` call's charges."""
+    """``lorsum`` checks each operand once at its boundary, and its inner
+    products and solves keep their charges."""
+
+    def test_each_operand_checked_once(self, monkeypatch):
+        g = rng(22)
+        terms = desk_terms(g)
+        metrics = {side: Metric(f, 1e-4)
+                   for side, f in desk_metrics(g).items()}
+        checked, real = [], matcore.as_matrix
+
+        def counting(a, name="operand"):
+            checked.append(id(a))
+            return real(a, name)
+
+        for module in (matcore, sys.modules["oplora.lorsum"], lowrank):
+            monkeypatch.setattr(module, "as_matrix", counting)
+        out = lorsum(terms, num_iters=2, lam=1e-4, **metrics)
+        inputs = [id(a) for _, left, right in terms for a in (left, right)]
+        assert checked == inputs + [id(out.u), id(out.v)]
 
     # flops and peak_alloc of one call, as charged before the inner
     # kernels lost their operand checks
