@@ -15,13 +15,13 @@ reaches the step's result.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them (``matmul`` calls :func:`_product`,
-``solve_spd`` calls :func:`_cholesky_solve`).  Only
-:func:`oplora.lorsum.lorsum` calls the cores directly, on operands it
-checked at its boundary or built from them by products, sums and
-solves.  Those operations cannot hide a NaN or inf (0 * inf is NaN), so
-any non-finite intermediate reaches the system of a solve, and lorsum
-tests each system's operands for finiteness before it solves: LAPACK's
-Cholesky would turn a NaN into a failed pivot, a
+``solve_spd`` calls :func:`_cholesky_solve`).  Outside this module only
+:func:`oplora.lorsum.lorsum` calls the cores, on operands it checked at
+its boundary or built from them by products, sums and solves.  Those
+operations cannot hide a NaN or inf (0 * inf is NaN), so any non-finite
+intermediate reaches the system of a solve, and lorsum tests each
+system's operands for finiteness before it solves: LAPACK's Cholesky
+would turn a NaN into a failed pivot, a
 :class:`SingularMetricError` instead of a :class:`NonFiniteError`.
 """
 

@@ -429,8 +429,10 @@ def desk_call(terms, factors, deltas=None):
     return lorsum(terms, num_iters=2, lam=1e-4, **metrics)
 
 
-FAULT_SITES = ([f"terms[{i}].{side}" for i in range(3)
-                for side in ("left", "right")] + ["metric_u", "metric_v"])
+# test id -> a key of desk_metrics, or (term index, tuple position)
+FAULT_SITES = {f"terms[{i}].{side}": (i, j) for i in range(3)
+               for j, side in ((1, "left"), (2, "right"))}
+FAULT_SITES.update(metric_u="metric_u", metric_v="metric_v")
 
 
 class TestFaultInjection:
@@ -442,11 +444,9 @@ class TestFaultInjection:
     def test_non_finite_entry(self, site, value):
         g = rng(20)
         terms, factors = desk_terms(g), desk_metrics(g)
-        if site in factors:
-            target = factors[site]
-        else:
-            i, side = int(site[6]), site.split(".")[1]
-            target = terms[i][1 if side == "left" else 2]
+        where = FAULT_SITES[site]
+        target = factors[where] if where in factors else (
+            terms[where[0]][where[1]])
         target[3, 1] = value
         with pytest.raises(NonFiniteError) as err:
             desk_call(terms, factors)
@@ -519,8 +519,8 @@ class TestBoundaryChecks:
         inputs = [id(a) for _, left, right in terms for a in (left, right)]
         assert checked == inputs + [id(out.u), id(out.v)]
 
-    # flops and peak_alloc of one call, as charged before the inner
-    # kernels lost their operand checks
+    # the work lorsum charges to the flops column of every oplora run;
+    # skipping an operand check must not change it
     @pytest.mark.parametrize("sides, flops, peak_alloc", [
         ((), 492200, 960),
         (("metric_u",), 683004, 1920),
