@@ -18,10 +18,10 @@ half-steps are one routine applied to either side.  Work per call is
 O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
 formed.
 
-:func:`lorsum` checks its term factors once on entry, and the
-:class:`Metric` constructor checks each metric factor; everything after
-that calls ``matcore``'s unchecked cores.  Each system is tested for
-finiteness before its solve (see ``matcore``'s validation contract).
+:func:`lorsum` checks its term factors once on entry and :class:`Metric`
+each metric factor and its damping; everything after that calls
+``matcore``'s unchecked cores.  Each system is tested for finiteness
+before its solve (see ``matcore``'s validation contract).
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularMetricError
 from .lowrank import FactorPair
-from .matcore import _all_finite, _cholesky_solve, _product, as_matrix
+from .matcore import _all_finite, _cholesky_solve, _gram, _product, as_matrix
 
 MODES = ("alternating", "simultaneous")
 
@@ -39,16 +39,16 @@ MODES = ("alternating", "simultaneous")
 class Metric:
     """A damped symmetric PSD scale ``factor @ factor.T + delta I``.
 
-    Wherever a metric is optional, ``None`` stands for the Euclidean
-    metric.
+    ``delta > 0``, as the low-rank part alone is never invertible;
+    wherever a metric is optional, ``None`` stands for the Euclidean one.
     """
 
     factor: np.ndarray
-    delta: float = 0.0
+    delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ShapeError("metric damping must be nonnegative")
+        if not self.delta > 0:
+            raise ShapeError("metric damping delta must be positive")
         object.__setattr__(
             self, "factor", as_matrix(self.factor, "metric factor"))
         if self.factor.shape[1] == 0:
@@ -62,38 +62,12 @@ def _check_rows(m: Metric, x):
             f"rows {x.shape[0]}")
 
 
-def apply_inverse_metric(m: Metric, x) -> np.ndarray:
-    """``(F F^T + delta I)^{-1} x`` via Woodbury; only thin solves occur.
-
-    ``None`` returns ``x`` unchanged (possibly the same array).  A metric
-    requires ``delta > 0``: the low-rank part alone is never invertible.
-    """
-    x = as_matrix(x, "x")
-    _check_rows(m, x)
-    return _inverse_metric(m, x)
-
-
-def apply_metric_gram(m: Metric, x) -> np.ndarray:
-    """``x^T (F F^T + delta I) x`` using thin products only; symmetric PSD."""
-    x = as_matrix(x, "x")
-    _check_rows(m, x)
-    return _metric_gram(m, x)
-
-
-def _gram(a) -> np.ndarray:
-    """:func:`oplora.lowrank.gram` of a checked ``a``, unchecked."""
-    g = _product(a.T, a)
-    return (g + g.T) / 2.0
-
-
 def _inverse_metric(m: Metric, x) -> np.ndarray:
-    """:func:`apply_inverse_metric` of a checked ``x`` with as many rows
-    as the metric; tests the small system for finiteness, not ``x``."""
+    """``(F F^T + delta I)^{-1} x`` via Woodbury (thin solves only) for a
+    checked ``x``; ``None`` returns ``x`` itself.  Tests the small system
+    for finiteness, not ``x``."""
     if m is None:
         return x
-    if m.delta <= 0.0:
-        raise SingularMetricError(
-            "damped low-rank metric needs delta > 0 to be invertible")
     f = m.factor
     y = _product(f.T, x)
     small = _gram(f) / m.delta + np.eye(f.shape[1])
@@ -105,8 +79,8 @@ def _inverse_metric(m: Metric, x) -> np.ndarray:
 
 
 def _metric_gram(m: Metric, x) -> np.ndarray:
-    """:func:`apply_metric_gram` of a checked ``x`` with as many rows as
-    the metric, unchecked."""
+    """``x^T (F F^T + delta I) x`` using thin products only, for a
+    checked ``x`` with as many rows as the metric; symmetric PSD."""
     if m is None:
         return _gram(x)
     out = m.delta * _gram(x) + _gram(_product(m.factor.T, x))
@@ -190,8 +164,8 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     """
     if num_iters < 1:
         raise ShapeError("num_iters must be at least 1")
-    if lam < 0:
-        raise ShapeError("the proximal weight must be nonnegative")
+    if not lam >= 0:
+        raise ShapeError("the proximal weight lam must be nonnegative")
     if mode not in MODES:
         raise ShapeError(f"mode must be one of {MODES}")
     terms = _checked_terms(terms)

@@ -6,6 +6,9 @@ sum of such products is a plain list of ``(c, left, right)`` terms,
 which :func:`oplora.lorsum.lorsum` checks and compresses.  No function
 here forms the dense product of a pair: the distances between products
 go through r x r Grams.
+
+:func:`truncated_svd` checks ``w`` once and then calls ``matcore``'s
+unchecked cores (see its validation contract).
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import as_matrix, eigh_top, lead_nonnegative, matmul, svd_dense
+from .matcore import (_gram, _product, as_matrix, eigh_top,
+                      lead_nonnegative, matmul, svd_dense)
 
 EPS = np.finfo(np.float64).eps
 TINY = np.finfo(np.float64).tiny
@@ -91,7 +95,7 @@ def _gram_ritz(w, r: int):
     None where its a-priori error estimate exceeds ``GRAM_TOL``."""
     tall = w.shape[0] >= w.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = gram(w if tall else w.T)
+        g = _gram(w if tall else w.T)
     if not np.isfinite(g).all():  # overflow; svd_dense scales internally
         return None
     lam, q = eigh_top(g, r + 1)
@@ -99,18 +103,12 @@ def _gram_ritz(w, r: int):
     if max(EPS * lam[0], TINY) > GRAM_TOL * (lam[r - 1] - lam[r]):
         return None
     if tall:
-        u, sigma, x = svd_dense(matmul(w, q))
-        return u, sigma, matmul(q, x)
-    x, sigma, v = svd_dense(matmul(q, w, transpose_a=True))
-    u = matmul(q, x)
+        u, sigma, x = svd_dense(_product(w, q))
+        return u, sigma, _product(q, x)
+    x, sigma, v = svd_dense(_product(q.T, w))
+    u = _product(q, x)
     lead_nonnegative(u, v)
     return u, sigma, v
-
-
-def gram(a) -> np.ndarray:
-    """``a.T @ a``, symmetrized to remove roundoff asymmetry."""
-    g = matmul(a, a, transpose_a=True)
-    return (g + g.T) / 2.0
 
 
 def product_inner(p: FactorPair, q: FactorPair) -> float:

@@ -14,15 +14,15 @@ because an activation can zero a NaN or -inf pre-activation before it
 reaches the step's result.
 
 Each checked kernel is its checks followed by a private core that
-charges and computes without them (``matmul`` calls :func:`_product`,
-``solve_spd`` calls :func:`_cholesky_solve`).  Outside this module only
-:func:`oplora.lorsum.lorsum` calls the cores, on operands it checked at
-its boundary or built from them by products, sums and solves.  Those
-operations cannot hide a NaN or inf (0 * inf is NaN), so any non-finite
-intermediate reaches the system of a solve, and lorsum tests each
-system's operands for finiteness before it solves: LAPACK's Cholesky
-would turn a NaN into a failed pivot, a
-:class:`SingularMetricError` instead of a :class:`NonFiniteError`.
+charges and computes without them: ``matmul`` calls :func:`_product`,
+``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Only
+``lorsum`` and ``lowrank.truncated_svd`` call the cores from outside, on
+operands they checked at their boundary or built from them by products,
+sums and solves, which cannot hide a NaN or inf (0 * inf is NaN).
+truncated_svd passes its results to the checked ``eigh_top`` and
+``svd_dense``; lorsum tests each system's operands for finiteness before
+it solves, where LAPACK's Cholesky would turn a NaN into a failed pivot,
+a :class:`SingularMetricError` instead of a :class:`NonFiniteError`.
 """
 
 import math
@@ -105,6 +105,17 @@ def _product(left, right) -> np.ndarray:
     n = right.shape[1]
     charge(flops=2 * m * k * n, alloc=m * n)
     return left @ right
+
+
+def gram(a) -> np.ndarray:
+    """``a.T @ a``, symmetrized to remove roundoff asymmetry."""
+    return _gram(as_matrix(a, "a"))
+
+
+def _gram(a) -> np.ndarray:
+    """:func:`gram` of a finite float64 matrix, unchecked."""
+    g = _product(a.T, a)
+    return (g + g.T) / 2.0
 
 
 def solve_spd(a, b) -> np.ndarray:

@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .lowrank import FactorPair, gram, truncated_svd
+from .lowrank import FactorPair, truncated_svd
 from .lorsum import Metric, lorsum
-from .matcore import as_matrix, matmul, solve_spd, thin_qr
+from .matcore import as_matrix, gram, matmul, solve_spd, thin_qr
 from .nets import captures, factor_grads, seeded_stream
 
 # Tiny proximal weight that keeps the r x r systems positive definite
@@ -56,8 +56,9 @@ class OploraConfig:
             raise ShapeError("momentum coefficient must lie in [0, 1)")
         if not 0.0 < self.beta <= 1.0:
             raise ShapeError("scale smoothing must lie in (0, 1]")
-        if self.delta < 0 or self.lam < 0:
-            raise ShapeError("weights and damping must be nonnegative")
+        for name in ("lam", "delta"):
+            if not getattr(self, name) >= 0:
+                raise ShapeError(f"{name} must be nonnegative")
         if self.num_iters < 1:
             raise ShapeError("num_iters must be at least 1")
 

@@ -11,8 +11,8 @@ import numpy as np
 from oplora import instrument, lowrank
 from oplora.bench.aggregate import BOOTSTRAP_SEED, N_RESAMPLES
 from oplora.errors import ShapeError
-from oplora.lowrank import FactorPair, gram
-from oplora.matcore import solve_spd, svd_dense
+from oplora.lowrank import FactorPair
+from oplora.matcore import gram, solve_spd, svd_dense
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, _act,
                          _loss_and_logit_grad, factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState

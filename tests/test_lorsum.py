@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from oplora import lowrank, matcore
 from oplora.errors import NonFiniteError, ShapeError, SingularMetricError
 from oplora.instrument import counters
-from oplora.lorsum import (Metric, apply_inverse_metric,
-                           apply_metric_gram, lorsum)
-from oplora.lowrank import FactorPair, gram, truncated_svd
-from oplora.matcore import solve_spd
+from oplora.lorsum import Metric, _inverse_metric, _metric_gram, lorsum
+from oplora.lowrank import FactorPair, truncated_svd
+from oplora.matcore import gram, solve_spd
 
 from conftest import rng
 from helpers import (assert_alloc_linear_in_side, materialize, pad_rank,
@@ -86,14 +85,16 @@ def reference_lorsum(terms, num_iters, lam, du, dv, mode="alternating"):
 
 
 class TestMetricOps:
+    """``lorsum``'s private metric operations, on checked operands."""
+
     def test_identity_inverse_is_noop(self):
         x = rng(0).standard_normal((7, 3))
-        assert apply_inverse_metric(None, x) is x
+        assert _inverse_metric(None, x) is x
 
     def test_pure_damping(self):
         x = rng(1).standard_normal((5, 2))
         m = Metric(np.zeros((5, 3)), delta=2.0)
-        assert np.allclose(apply_inverse_metric(m, x), x / 2.0)
+        assert np.allclose(_inverse_metric(m, x), x / 2.0)
 
     def test_inverse_matches_dense_solve(self):
         g = rng(2)
@@ -102,25 +103,30 @@ class TestMetricOps:
         x = g.standard_normal((12, 4))
         dense = dense_metric(m, 12)
         expected = solve_spd(dense, x)
-        assert np.allclose(apply_inverse_metric(m, x), expected, atol=1e-10)
+        assert np.allclose(_inverse_metric(m, x), expected, atol=1e-10)
 
     def test_zero_width_factor_rejected(self):
         with pytest.raises(ShapeError):
             Metric(np.zeros((5, 0)), delta=1.0)
 
+    # the low-rank part alone is never invertible, so an undamped metric
+    # is refused when it is built, before any inverse is applied
     def test_inverse_requires_damping(self):
-        m = Metric(np.ones((4, 1)), delta=0.0)
-        with pytest.raises(SingularMetricError):
-            apply_inverse_metric(m, np.ones((4, 1)))
+        with pytest.raises(ShapeError, match="delta must be positive"):
+            Metric(np.ones((4, 1)), delta=0.0)
+
+    def test_nan_damping_rejected(self):
+        with pytest.raises(ShapeError, match="delta must be positive"):
+            Metric(np.ones((4, 1)), delta=float("nan"))
 
     def test_gram_identity(self):
         x = rng(3).standard_normal((6, 3))
-        assert np.allclose(apply_metric_gram(None, x), gram(x))
+        assert np.allclose(_metric_gram(None, x), gram(x))
 
     def test_gram_zero_factor_unit_damping(self):
         x = rng(4).standard_normal((6, 3))
         m = Metric(np.zeros((6, 2)), delta=1.0)
-        assert np.allclose(apply_metric_gram(m, x), gram(x))
+        assert np.allclose(_metric_gram(m, x), gram(x))
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10_000))
@@ -130,7 +136,7 @@ class TestMetricOps:
         m = Metric(f, delta=0.2)
         x = g.standard_normal((10, 4))
         expected = x.T @ dense_metric(m, 10) @ x
-        assert np.allclose(apply_metric_gram(m, x), expected, atol=1e-10)
+        assert np.allclose(_metric_gram(m, x), expected, atol=1e-10)
 
 
 class TestLorsumValidation:
@@ -184,6 +190,8 @@ class TestLorsumValidation:
         ({"num_iters": 0}, "num_iters"),
         ({"lam": -1.0}, "proximal weight"),
         ({"mode": "sideways"}, "mode must be one of"),
+        # a NaN weight is the argument's fault, not a non-finite iterate's
+        ({"lam": float("nan")}, "proximal weight lam"),
     ])
     def test_settings_rejected(self, kwargs, message):
         pair = random_pair(rng(4), 5, 4, 2)

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oplora import lowrank, matcore
 from oplora.errors import ShapeError
 from oplora.instrument import counters
-from oplora.lowrank import (FactorPair, gram, product_distance,
+from oplora.lowrank import (FactorPair, product_distance,
                             product_distance_to_dense, product_inner,
                             truncated_svd)
-from oplora.matcore import matmul, svd_dense
+from oplora.matcore import gram, matmul, svd_dense
 from oplora.nets import MlpTask, make_linear_target, make_mlp_layers
 
 from conftest import rng
-from helpers import (materialize, pad_rank, product_error, svd_operands,
-                     truncated_svd_reference)
+from helpers import (materialize, pad_rank, product_error, reset_counters,
+                     svd_operands, truncated_svd_reference)
 
 
 def random_pair(g, d_out, d_in, r):
@@ -215,6 +216,39 @@ class TestTruncatedSvdGramRoute:
         w = make_linear_target(600, 200, rng(35), geometric(40.0, 0.5, 20))
         truncated_svd(w, 8)
         assert counters().flops > 4 * 600 * 200 * 200 + 8 * 200 ** 3
+
+    @staticmethod
+    def full_scale_w():
+        """A 600 x 200 ``w`` that the Gram route takes at rank 8, the
+        shape of the full-scale preset's per-step projection."""
+        w = make_linear_target(600, 200, rng(34), geometric(40.0, 0.95, 200))
+        reset_counters()
+        return w
+
+    def test_w_checked_once(self, monkeypatch):
+        w = self.full_scale_w()
+        checked, real = [], matcore.as_matrix
+
+        def counting(a, name="operand"):
+            checked.append(id(a))
+            return real(a, name)
+
+        for module in (matcore, lowrank):
+            monkeypatch.setattr(module, "as_matrix", counting)
+        with svd_operands() as operands:
+            truncated_svd(w, 8)
+        assert not any(op is w for op in operands)
+        # w on entry; then the Gram (eigh_top), w @ q (svd_dense) and the
+        # returned pair's two factors
+        assert checked[0] == id(w)
+        assert checked.count(id(w)) == 1
+        assert len(checked) == 5
+
+    # the work truncated_svd charges to the flops column of every svdlora
+    # run; skipping an operand check must not change it
+    def test_charges_unchanged(self):
+        truncated_svd(self.full_scale_w(), 8)
+        assert (counters().flops, counters().peak_alloc) == (61779298, 40000)
 
 
 class TestGram:

@@ -3,7 +3,8 @@ import pytest
 
 from oplora.errors import ShapeError, StaleCaptureError
 from oplora.instrument import counters
-from oplora.lowrank import FactorPair, gram, truncated_svd
+from oplora.lowrank import FactorPair, truncated_svd
+from oplora.matcore import gram
 from oplora.nets import (LinearTask, LoraLinear, MlpTask,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,

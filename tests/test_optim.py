@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oplora import optim
-from oplora.errors import (ConvergenceError, SingularMetricError,
-                           StaleCaptureError)
+from oplora.errors import (ConvergenceError, ShapeError,
+                           SingularMetricError, StaleCaptureError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, product_distance, truncated_svd
 from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
@@ -39,6 +39,13 @@ def oplora_state(eta, **kw):
     defaults.update(kw)
     return optim.OploraState(optim.OploraConfig(eta=eta, **defaults),
                              init_seed=0)
+
+
+class TestOploraConfig:
+    @pytest.mark.parametrize("name", ["lam", "delta"])
+    def test_nan_weight_rejected(self, name):
+        with pytest.raises(ShapeError, match=f"{name} must be nonnegative"):
+            optim.OploraConfig(eta=0.1, **{name: float("nan")})
 
 
 class TestOploraStep:
