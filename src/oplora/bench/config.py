@@ -131,6 +131,7 @@ class TaskSpec:
         _check(d.get("kind") is None or d["kind"] in TASK_KINDS,
                f"task.kind must be one of {TASK_KINDS}", "task.kind")
         spec = _parse(cls, d, "task")
+        _check(spec.seed >= 0, "task.seed must be nonnegative", "task.seed")
         if spec.kind == "linear":
             _check(spec.d_out >= 1 and spec.d_in >= 1,
                    "task dimensions must be positive", "task.d_out")
@@ -254,11 +255,13 @@ class ExperimentConfig:
         _check(0.0 <= self.alpha < 1.0, "alpha must lie in [0, 1)", "alpha")
         _check(self.lam >= 0.0, "lambda must be nonnegative", "lambda")
         _check(0.0 < self.beta <= 1.0, "beta must lie in (0, 1]", "beta")
-        _check(self.delta >= 0.0, "delta must be nonnegative", "delta")
+        _check(self.delta > 0.0 if self.beta < 1.0 else self.delta >= 0.0,
+               "delta must be nonnegative, and positive when beta < 1",
+               "delta")
         _check(self.steps >= 1, "steps must be positive", "steps")
         _check(isinstance(self.seeds, list) and self.seeds
-               and all(_is(s, int) for s in self.seeds),
-               "seeds must be a nonempty list of ints", "seeds")
+               and all(_is(s, int) and s >= 0 for s in self.seeds),
+               "seeds must be a nonempty list of nonnegative ints", "seeds")
         _check(len(set(self.seeds)) == len(self.seeds),
                "seeds must be distinct", "seeds")
         _check((self.beta < 1.0) == (self.method == "oplora_scaled"),

@@ -52,6 +52,8 @@ class OploraConfig:
     mode: str = "alternating"
 
     def __post_init__(self):
+        if not 0.0 < self.eta < np.inf:
+            raise ShapeError("step size eta must be positive and finite")
         if not 0.0 <= self.alpha < 1.0:
             raise ShapeError("momentum coefficient must lie in [0, 1)")
         if not 0.0 < self.beta <= 1.0:
@@ -59,6 +61,8 @@ class OploraConfig:
         for name in ("lam", "delta"):
             if not getattr(self, name) >= 0:
                 raise ShapeError(f"{name} must be nonnegative")
+        if self.beta < 1.0 and not self.delta > 0:
+            raise ShapeError("delta must be positive when beta < 1")
         if self.num_iters < 1:
             raise ShapeError("num_iters must be at least 1")
 

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,9 @@ from helpers import (bootstrap_median_ci_loop, product_error,
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED_CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR)
                          if name.endswith(".json"))
+SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), "..", "scripts")
+STUDY_SCRIPTS = sorted(name for name in os.listdir(SCRIPTS_DIR)
+                       if name.endswith("_study.py"))
 
 # manifest.json bytes follow this key order; OPTIONAL keys appear when set
 CONFIG_KEYS = ["schema_version", "task", "method", "rank", "k", "alpha",
@@ -138,6 +142,15 @@ class TestConfig:
             ExperimentConfig.from_dict(doc)
         assert err.value.field == "beta"
 
+    def test_zero_delta_needs_beta_one(self, tmp_path):
+        doc = base_config(tmp_path, method="oplora_scaled", beta=0.9,
+                          delta=0.0)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == "delta"
+        doc = base_config(tmp_path, beta=1.0, delta=0.0)
+        assert ExperimentConfig.from_dict(doc).delta == 0.0
+
     def test_batch_size_bounded_by_columns(self, tmp_path):
         doc = base_config(tmp_path, batch={"mode": "minibatch", "size": 17})
         with pytest.raises(ConfigError):
@@ -173,6 +186,22 @@ class TestConfig:
                                                    doc["task"])
         assert list(out["batch"]) == _expected_keys(BATCH_KEYS, doc["batch"])
 
+    @pytest.mark.parametrize("script", STUDY_SCRIPTS)
+    def test_study_configs_validate(self, monkeypatch, script):
+        """Each study's svdlora reference and swept variants load, without
+        running the study."""
+        monkeypatch.syspath_prepend(SCRIPTS_DIR)
+        import study_driver
+        calls = []
+        monkeypatch.setattr(study_driver, "run_study",
+                            lambda *args: calls.append(args))
+        runpy.run_path(os.path.join(SCRIPTS_DIR, script),
+                       run_name="__main__")
+        [(base, key, values, _, _)] = calls
+        ExperimentConfig.from_dict(dict(base, method="svdlora"))
+        for value in values:
+            ExperimentConfig.from_dict(dict(base, **{key: value}))
+
     @pytest.mark.parametrize("field,value", [
         ("record_factors", "false"), ("timing", 0), ("steps", 2.5),
         ("k", "3"), ("rank", True), ("eta", True), ("alpha", None),
@@ -182,6 +211,7 @@ class TestConfig:
         ("task.singular_values", [3.0, None]),
         ("task.singular_values", [1.0, 2.0]), ("task.singular_values", [-1.0]),
         ("momentum_rank", 17), ("metric_rank", 20), ("batch", None),
+        ("seeds", [0, -1]), ("task.seed", -5),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):
@@ -561,6 +591,19 @@ class TestBootstrapMatchesResampling:
                                    size=(n_seeds, 6))
         _assert_same_as_loop(values, equal_nan=True)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_columns_across_block_boundaries(self):
+        # Three blocks at 5 seeds, the last one partial; the special
+        # values straddle each boundary.
+        n_steps = 2 * aggregate.BLOCK_STEPS + 5
+        g = rng(5)
+        values = g.standard_normal((5, n_steps))
+        special = g.choice([0.0, -0.0, 1.0, np.inf, -np.inf],
+                           size=(5, n_steps))
+        values[:, 1::3] = special[:, 1::3]
+        values[2, aggregate.BLOCK_STEPS] = np.nan
+        _assert_same_as_loop(values, equal_nan=True)
+
     def test_lower_bound_between_two_distinct_medians(self):
         # Here the 2.5% position falls between two distinct medians, and
         # numpy's interpolation from the far end rounds differently
@@ -748,6 +791,21 @@ class TestCli:
     def test_null_number_is_a_config_error(self, tmp_path):
         doc = base_config(tmp_path, steps=3, alpha=None)
         assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("where", ["seeds", "task.seed",
+                                       "--seed-override"])
+    def test_negative_seed_exit_one(self, tmp_path, where):
+        doc = base_config(tmp_path / "out", steps=3)
+        extra = []
+        if where == "seeds":
+            doc["seeds"] = [0, -1]
+        elif where == "task.seed":
+            doc["task"]["seed"] = -1
+        else:
+            extra = ["--seed-override=3,-2"]
+        path = self._write(tmp_path, doc)
+        assert cli_main(["run", path, "--quiet", *extra]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unreadable_config_exit_one(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json"),

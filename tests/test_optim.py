@@ -47,6 +47,16 @@ class TestOploraConfig:
         with pytest.raises(ShapeError, match=f"{name} must be nonnegative"):
             optim.OploraConfig(eta=0.1, **{name: float("nan")})
 
+    @pytest.mark.parametrize("eta", [float("nan"), -0.1, float("inf"), 0.0])
+    def test_bad_step_size_rejected(self, eta):
+        with pytest.raises(ShapeError, match="eta must be positive"):
+            optim.OploraConfig(eta=eta)
+
+    def test_zero_delta_needs_beta_one(self):
+        with pytest.raises(ShapeError, match="delta must be positive"):
+            optim.OploraConfig(eta=0.1, beta=0.9, delta=0.0)
+        assert optim.OploraConfig(eta=0.1, beta=1.0, delta=0.0).delta == 0.0
+
 
 class TestOploraStep:
     def test_one_step_simultaneous_matches_prec_lora(self):
