@@ -5,8 +5,8 @@ Subcommands:
     sweep <config.json>      run the eta grid and report the best eta
     report <dir> <ref_dir>   gap study of one run set against a reference
 
-Exit codes: 0 success, 1 config error, 2 run failures present,
-3 internal error.
+Exit codes: 0 success, 1 config or usage error (an empty flag value
+included), 2 run failures present, 3 internal error.
 """
 
 import argparse
@@ -17,6 +17,12 @@ from ..errors import ConfigError, OploraError
 from .config import ExperimentConfig
 from .report import gap_report
 from .runner import lr_sweep, run_experiment
+
+
+def _nonempty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
 
 
 def _build_parser():
@@ -30,15 +36,15 @@ def _build_parser():
     p_sweep = sub.add_parser("sweep", help="learning-rate sweep")
     p_sweep.add_argument("config")
     for p in (p_run, p_sweep):
-        p.add_argument("--seed-override", default=None,
+        p.add_argument("--seed-override", default=None, type=_nonempty,
                        help="comma-separated seed list replacing the config's")
-        p.add_argument("--out-dir", default=None)
+        p.add_argument("--out-dir", default=None, type=_nonempty)
         p.add_argument("--quiet", action="store_true")
 
     p_rep = sub.add_parser("report", help="gap study of two run sets")
     p_rep.add_argument("method_dir")
     p_rep.add_argument("reference_dir")
-    p_rep.add_argument("--out-dir", default=None)
+    p_rep.add_argument("--out-dir", default=None, type=_nonempty)
     p_rep.add_argument("--quiet", action="store_true")
     return parser
 
@@ -58,7 +64,10 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error
+        return 1 if exc.code else 0
     try:
         if args.command in ("run", "sweep"):
             cfg = _load_config(args)

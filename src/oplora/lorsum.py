@@ -25,6 +25,7 @@ before its solve (see ``matcore``'s validation contract).
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +54,12 @@ class Metric:
             self, "factor", as_matrix(self.factor, "metric factor"))
         if self.factor.shape[1] == 0:
             raise ShapeError("a metric factor needs at least one column")
+
+
+def check_count(value, name: str) -> None:
+    """Raise ``ShapeError`` naming ``name`` unless ``value`` is an int >= 1."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ShapeError(f"{name} must be an integer >= 1, not {value!r}")
 
 
 def _check_rows(m: Metric, x):
@@ -85,16 +92,6 @@ def _metric_gram(m: Metric, x) -> np.ndarray:
         return _gram(x)
     out = m.delta * _gram(x) + _gram(_product(m.factor.T, x))
     return (out + out.T) / 2.0
-
-
-def _note(trace, side, iteration, cur_u, cur_v):
-    if trace is not None:
-        trace.append({
-            "side": side,
-            "iteration": iteration,
-            "u": cur_u.copy(),
-            "v": cur_v.copy(),
-        })
 
 
 def _half_step(side, other, k, lam_eye):
@@ -147,7 +144,7 @@ def _checked_terms(terms) -> list:
 
 def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
            mode: str = "alternating", metric_u: Metric = None,
-           metric_v: Metric = None, trace: list = None) -> FactorPair:
+           metric_v: Metric = None) -> FactorPair:
     """Approximate ``sum_i c_i left_i right_i^T`` by a rank-r pair.
 
     ``terms`` is a non-empty sequence of ``(c, left, right)``.  The
@@ -162,8 +159,7 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     needs ``lam > 0`` or metric damping to be rescued), and
     :class:`NonFiniteError` naming them when it holds a NaN or inf.
     """
-    if num_iters < 1:
-        raise ShapeError("num_iters must be at least 1")
+    check_count(num_iters, "num_iters")
     if not lam >= 0:
         raise ShapeError("the proximal weight lam must be nonnegative")
     if mode not in MODES:
@@ -194,10 +190,7 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
         if mode == "simultaneous":
             cur_u, cur_v = (_half_step(u_side, cur_v, k, lam_eye),
                             _half_step(v_side, cur_u, k, lam_eye))
-            _note(trace, "UV", k, cur_u, cur_v)
         else:
             cur_v = _half_step(v_side, cur_u, k, lam_eye)
-            _note(trace, "V", k, cur_u, cur_v)
             cur_u = _half_step(u_side, cur_v, k, lam_eye)
-            _note(trace, "U", k, cur_u, cur_v)
     return FactorPair(cur_u, cur_v)

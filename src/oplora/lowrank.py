@@ -55,9 +55,6 @@ class FactorPair:
     def d_in(self) -> int:
         return self.v.shape[0]
 
-    def copy(self) -> "FactorPair":
-        return FactorPair(self.u.copy(), self.v.copy())
-
 
 def truncated_svd(w, r: int) -> FactorPair:
     """Best rank-r approximation of ``w`` as a balanced factor pair.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, truncated_svd
-from .lorsum import Metric, lorsum
+from .lorsum import Metric, check_count, lorsum
 from .matcore import as_matrix, gram, matmul, solve_spd, thin_qr
 from .nets import captures, factor_grads, seeded_stream
 
@@ -38,7 +38,8 @@ class OploraConfig:
 
     ``lam`` is the proximal weight of the weight sub-problem; the step
     multiplies it by ``eta`` before handing it to the subroutine.
-    ``beta == 1`` disables metric scaling entirely.
+    ``beta == 1`` disables metric scaling entirely.  A rank left at
+    ``None`` is the adapter's rank.
     """
 
     eta: float
@@ -63,8 +64,10 @@ class OploraConfig:
                 raise ShapeError(f"{name} must be nonnegative")
         if self.beta < 1.0 and not self.delta > 0:
             raise ShapeError("delta must be positive when beta < 1")
-        if self.num_iters < 1:
-            raise ShapeError("num_iters must be at least 1")
+        check_count(self.num_iters, "num_iters")
+        for name in ("momentum_rank", "metric_rank"):
+            if getattr(self, name) is not None:
+                check_count(getattr(self, name), name)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Test-only helpers: counter resets, dense references, reference losses,
-rank padding, naive momentum, state sizes, the allocation-growth audit,
-the full-SVD reference of ``truncated_svd`` and the resampling reference
-of ``bootstrap_median_ci``."""
+pair copies, rank padding, naive momentum, state sizes, the
+allocation-growth audit, the full-SVD reference of ``truncated_svd``,
+recorders of what ``lowrank`` and ``lorsum`` compute inside a call, and
+the resampling reference of ``bootstrap_median_ci``."""
 
+import importlib
 import tracemalloc
 from contextlib import contextmanager
 
@@ -34,6 +36,11 @@ def materialize(s) -> np.ndarray:
     for c, left, right in s:
         out += c * (left @ right.T)
     return out
+
+
+def copy_pair(p: FactorPair) -> FactorPair:
+    """A pair whose factors are copies of ``p``'s."""
+    return FactorPair(p.u.copy(), p.v.copy())
 
 
 def pair_scalar_count(p: FactorPair) -> int:
@@ -98,7 +105,7 @@ def pad_rank(p: FactorPair, r: int, rng: np.random.Generator) -> FactorPair:
     if extra < 0:
         raise ShapeError(f"cannot pad rank {p.rank} down to {r}")
     if extra == 0:
-        return p.copy()
+        return copy_pair(p)
     scale = float(np.linalg.norm(p.u) / np.sqrt(p.u.size)) or 1.0
     u_pad = scale * rng.standard_normal((p.d_out, extra))
     v_pad = np.zeros((p.d_in, extra))
@@ -177,6 +184,34 @@ def svd_operands():
         yield operands
     finally:
         lowrank.svd_dense = svd_dense
+
+
+@contextmanager
+def lorsum_half_steps():
+    """Collect every half-step ``lorsum`` takes, in order.
+
+    Each entry is ``{"side", "iteration", "u", "v"}``: copies of the pair
+    the half-step leaves, so on the V side ``u`` is the estimate it
+    solved against and ``v`` its result, and the reverse on the U side.
+    Wraps the module's ``_half_step`` (``oplora.lorsum`` as a package
+    attribute is the function, so the module is imported by name).
+    """
+    module = importlib.import_module("oplora.lorsum")
+    half_step = module._half_step
+    entries = []
+
+    def recording(side, other, k, lam_eye):
+        result = half_step(side, other, k, lam_eye)
+        u, v = (other, result) if side[0] == "V" else (result, other)
+        entries.append({"side": side[0], "iteration": k,
+                        "u": u.copy(), "v": v.copy()})
+        return result
+
+    module._half_step = recording
+    try:
+        yield entries
+    finally:
+        module._half_step = half_step
 
 
 def bootstrap_median_ci_loop(values):

@@ -27,9 +27,9 @@ from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          make_mlp_dataset, make_mlp_layers,
                          mlp_forward_backward, sample_batch)
 
-from helpers import (assert_alloc_linear_in_side, linear_task_loss,
-                     materialize, mlp_loss, pad_rank, reset_counters,
-                     state_scalar_count)
+from helpers import (assert_alloc_linear_in_side, copy_pair,
+                     linear_task_loss, lorsum_half_steps, materialize,
+                     mlp_loss, pad_rank, reset_counters, state_scalar_count)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,14 +134,14 @@ def test_criterion_03_one_step_recovers_preconditioned_lora():
             s = g.standard_normal((6, 14))
             eta = 0.3
             for lam in (1e-6, 1e-9, 1e-12):
-                layer_a = LoraLinear(None, pair.copy())
+                layer_a = LoraLinear(None, copy_pair(pair))
                 layer_a.captured_x, layer_a.captured_s = x, s
                 state = optim.OploraState(
                     optim.OploraConfig(eta=eta, lam=lam, num_iters=1,
                                        mode="simultaneous"),
                     init_seed=0)
                 out = optim.oplora_step(layer_a, state)
-                layer_b = LoraLinear(None, pair.copy())
+                layer_b = LoraLinear(None, copy_pair(pair))
                 layer_b.captured_x, layer_b.captured_s = x, s
                 ref = optim.prec_lora_step(layer_b, eta, lam * eta)
                 update = max(np.linalg.norm(ref.u - pair.u),
@@ -162,8 +162,9 @@ def test_criterion_04_subspace_iteration_identities():
             terms = [(1.0, pair.u, pair.v), (0.8, extra.u, extra.v)]
             target = materialize(terms)
             norm = np.linalg.norm(target)
-            trace = []
-            lorsum(terms, num_iters=3, trace=trace)
+            with lorsum_half_steps() as trace:
+                lorsum(terms, num_iters=3)
+            assert len(trace) == 2 * 3
             for entry in trace:
                 u, v = entry["u"], entry["v"]
                 prod = u @ v.T
@@ -193,14 +194,14 @@ def _run_alternating(target, init, cfg_kw, steps, seed,
                      batch_size=None):
     task = LinearTask(target)
     batch_rng = seeded(seed, 2)
-    layer = LoraLinear(None, init.copy())
+    layer = LoraLinear(None, copy_pair(init))
     state = optim.OploraState(optim.OploraConfig(**cfg_kw), init_seed=seed)
     iterates = []
     for _ in range(steps):
         linear_task_grad(task, layer,
                          sample_batch(task.d_in, batch_size, batch_rng))
         optim.oplora_step(layer, state)
-        iterates.append(layer.adapter.copy())
+        iterates.append(copy_pair(layer.adapter))
     final_loss = linear_task_loss(task, layer.adapter)
     return iterates, final_loss
 

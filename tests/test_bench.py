@@ -811,6 +811,34 @@ class TestCli:
         assert cli_main(["run", str(tmp_path / "missing.json"),
                          "--quiet"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["frobnicate"], ["run", "CONFIG", "--seed-override", "-1,2"]])
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv):
+        path = self._write(tmp_path, base_config(tmp_path / "out", steps=3))
+        argv = [path if a == "CONFIG" else a for a in argv]
+        assert cli_main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_zero(self, capsys):
+        assert cli_main(["run", "--help"]) == 0
+        assert "--seed-override" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--seed-override=", "--out-dir="])
+    def test_empty_flag_value_exit_one(self, tmp_path, capsys, flag):
+        path = self._write(tmp_path, base_config(tmp_path / "out", steps=3))
+        assert cli_main(["run", path, "--quiet", flag]) == 1
+        assert "must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_empty_out_dir_exit_one(self, tmp_path, monkeypatch):
+        doc = base_config(tmp_path / "r1", method="svdlora", steps=6)
+        assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 0
+        monkeypatch.chdir(tmp_path)
+        runs = str(tmp_path / "r1")
+        assert cli_main(["report", runs, runs, "--out-dir=", "--quiet"]) == 1
+        assert not (tmp_path / "gap_report.json").exists()
+
     def test_seed_override(self, tmp_path):
         path = self._write(tmp_path, base_config(tmp_path / "out2", steps=3))
         assert cli_main(["run", path, "--seed-override", "7,8",

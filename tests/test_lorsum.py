@@ -13,8 +13,8 @@ from oplora.lowrank import FactorPair, truncated_svd
 from oplora.matcore import gram, solve_spd
 
 from conftest import rng
-from helpers import (assert_alloc_linear_in_side, materialize, pad_rank,
-                     reset_counters)
+from helpers import (assert_alloc_linear_in_side, lorsum_half_steps,
+                     materialize, pad_rank, reset_counters)
 
 
 def random_pair(g, d_out, d_in, r):
@@ -192,6 +192,8 @@ class TestLorsumValidation:
         ({"mode": "sideways"}, "mode must be one of"),
         # a NaN weight is the argument's fault, not a non-finite iterate's
         ({"lam": float("nan")}, "proximal weight lam"),
+        ({"num_iters": 2.0}, "num_iters must be an integer"),
+        ({"num_iters": True}, "num_iters must be an integer"),
     ])
     def test_settings_rejected(self, kwargs, message):
         pair = random_pair(rng(4), 5, 4, 2)
@@ -316,8 +318,9 @@ class TestSubspaceIdentities:
         extra = random_pair(g, 11, 8, 3)
         terms = [(1.0, pair.u, pair.v), (0.7, extra.u, extra.v)]
         target = materialize(terms)
-        trace = []
-        lorsum(terms, num_iters=3, trace=trace)
+        with lorsum_half_steps() as trace:
+            lorsum(terms, num_iters=3)
+        assert len(trace) == 2 * 3
         for entry in trace:
             u, v = entry["u"], entry["v"]
             prod = u @ v.T

@@ -12,7 +12,7 @@ from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
                          linear_task_grad_dense, make_linear_target)
 
 from conftest import rng
-from helpers import (assert_alloc_linear_in_side, materialize,
+from helpers import (assert_alloc_linear_in_side, copy_pair, materialize,
                      momentum_update_naive, pair_scalar_count,
                      reset_counters, state_scalar_count)
 
@@ -52,6 +52,21 @@ class TestOploraConfig:
         with pytest.raises(ShapeError, match="eta must be positive"):
             optim.OploraConfig(eta=eta)
 
+    @pytest.mark.parametrize("name, value", [
+        ("momentum_rank", 0), ("momentum_rank", -3), ("momentum_rank", 2.5),
+        ("metric_rank", 0), ("metric_rank", -3), ("metric_rank", 2.5),
+        ("num_iters", 0), ("num_iters", 1.5), ("num_iters", None),
+        ("num_iters", True)])
+    def test_bad_count_rejected(self, name, value):
+        with pytest.raises(ShapeError, match=f"{name} must be an integer"):
+            optim.OploraConfig(eta=0.1, **{name: value})
+
+    def test_counts_accept_ints_and_default_ranks(self):
+        cfg = optim.OploraConfig(eta=0.1, num_iters=np.int64(2),
+                                 momentum_rank=3, metric_rank=None)
+        assert (cfg.num_iters, cfg.momentum_rank, cfg.metric_rank) == (
+            2, 3, None)
+
     def test_zero_delta_needs_beta_one(self):
         with pytest.raises(ShapeError, match="delta must be positive"):
             optim.OploraConfig(eta=0.1, beta=0.9, delta=0.0)
@@ -63,7 +78,7 @@ class TestOploraStep:
         for seed in range(5):
             g = rng(seed)
             layer_a = make_layer(g)
-            layer_b = LoraLinear(None, layer_a.adapter.copy())
+            layer_b = LoraLinear(None, copy_pair(layer_a.adapter))
             layer_b.captured_x = layer_a.captured_x
             layer_b.captured_s = layer_a.captured_s
             eta, lam = 0.2, 1e-12
@@ -79,12 +94,12 @@ class TestOploraStep:
         x, s = base.captured_x, base.captured_s
 
         def run(lam):
-            layer = LoraLinear(None, base.adapter.copy())
+            layer = LoraLinear(None, copy_pair(base.adapter))
             layer.captured_x, layer.captured_s = x, s
             state = oplora_state(0.2, lam=lam, mode="simultaneous")
             return optim.oplora_step(layer, state)
 
-        layer = LoraLinear(None, base.adapter.copy())
+        layer = LoraLinear(None, copy_pair(base.adapter))
         layer.captured_x, layer.captured_s = x, s
         ref = optim.prec_lora_step(layer, 0.2, 0.0)
         eps_values = [1e-6, 1e-9, 1e-12]
@@ -101,14 +116,14 @@ class TestOploraStep:
         g = rng(1)
         layer = make_layer(g)
         layer.captured_s = np.zeros_like(layer.captured_s)
-        before = layer.adapter.copy()
+        before = copy_pair(layer.adapter)
         out = optim.oplora_step(layer, oplora_state(0.5))
         assert product_distance(out, before) <= 1e-9
 
     def test_first_step_with_momentum_is_bit_identical(self):
         g = rng(2)
         layer_a = make_layer(g)
-        layer_b = LoraLinear(None, layer_a.adapter.copy())
+        layer_b = LoraLinear(None, copy_pair(layer_a.adapter))
         layer_b.captured_x = layer_a.captured_x.copy()
         layer_b.captured_s = layer_a.captured_s.copy()
         out_a = optim.oplora_step(layer_a, oplora_state(0.3, alpha=0.0))
@@ -140,7 +155,7 @@ class TestOploraStep:
     def test_same_seed_same_trajectory(self):
         g = rng(5)
         layer_a = make_layer(g)
-        layer_b = LoraLinear(None, layer_a.adapter.copy())
+        layer_b = LoraLinear(None, copy_pair(layer_a.adapter))
         layer_b.captured_x = layer_a.captured_x.copy()
         layer_b.captured_s = layer_a.captured_s.copy()
         sa = oplora_state(0.3, alpha=0.5)
@@ -205,7 +220,7 @@ class TestOracleApproach:
 
     def _alternating(self, task, init, steps, k):
         from oplora.lowrank import product_distance_to_dense
-        layer = LoraLinear(None, init.copy())
+        layer = LoraLinear(None, copy_pair(init))
         state = optim.OploraState(
             optim.OploraConfig(eta=0.5, alpha=0.0, lam=1e-3, num_iters=k),
             init_seed=0)
@@ -276,7 +291,7 @@ class TestPrecLora:
         g = rng(9)
         layer = make_layer(g)
         layer.captured_s = np.zeros_like(layer.captured_s)
-        before = layer.adapter.copy()
+        before = copy_pair(layer.adapter)
         out = optim.prec_lora_step(layer, 0.4, 1e-3)
         assert np.allclose(out.u, before.u, atol=1e-12)
         assert np.allclose(out.v, before.v, atol=1e-12)
@@ -459,8 +474,8 @@ class TestProjAndNaiveMomentum:
         qu, _ = np.linalg.qr(g.standard_normal((10, 3)))
         qv, _ = np.linalg.qr(g.standard_normal((8, 3)))
         pair = FactorPair(qu, qv)
-        layer_a = LoraLinear(None, pair.copy())
-        layer_b = LoraLinear(None, pair.copy())
+        layer_a = LoraLinear(None, copy_pair(pair))
+        layer_b = LoraLinear(None, copy_pair(pair))
         state_a = optim.ProjMomentumState.like(pair)
         state_b = optim.ProjMomentumState.like(pair)
         for seed in (31, 32):
