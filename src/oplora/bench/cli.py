@@ -6,14 +6,15 @@ Subcommands:
     report <dir> <ref_dir>   gap study of one run set against a reference
 
 Exit codes: 0 success, 1 config or usage error (an empty flag value
-included), 2 run failures present, 3 internal error.
+included), 2 run failures present (or a sweep in which every run failed
+or diverged), 3 internal error.
 """
 
 import argparse
 import os
 import sys
 
-from ..errors import ConfigError, OploraError
+from ..errors import ConfigError, OploraError, SweepError
 from .config import ExperimentConfig
 from .report import gap_report
 from .runner import lr_sweep, run_experiment
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
         return 1
     except OploraError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, SweepError) else 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

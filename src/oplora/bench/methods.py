@@ -2,10 +2,10 @@
 
 A row holds what is method-specific about one layer.
 ``init(cfg, eta, seed, layer)`` returns the layer to train and its
-state; ``step(cfg, eta, layer, state, grad)`` updates them, from the
-dense gradient ``grad`` when the task supplies one, else from the
-layer's captures.  The dense baselines keep their iterate in an
-``optim.SvdLoraState``; the full baseline's layer has an empty adapter.
+state; ``step(cfg, eta, layer, state)`` updates them from the captures
+the task's pass left on the layer.  The dense baselines keep their
+iterate in an ``optim.SvdLoraState`` and step from ``nets.weight_grad``;
+the full baseline's layer is its dense weight under an empty adapter.
 
 Steps call ``optim`` through the module attribute at call time, so that
 wrappers put on the module (the benchmark's timing and tracing) see
@@ -37,20 +37,19 @@ def _oplora_init(cfg, eta, seed, layer):
     return layer, optim.OploraState(hyper, init_seed=seed)
 
 
-def _sgd_step(cfg, eta, layer, state, grad):
+def _sgd_step(cfg, eta, layer, state):
     grads = nets.factor_grads(layer, consume=True)
     layer.adapter = optim.sgd_step(layer.adapter, grads, eta, cfg.alpha, state)
 
 
-def _adamw_step(cfg, eta, layer, state, grad):
+def _adamw_step(cfg, eta, layer, state):
     grads = nets.factor_grads(layer, consume=True)
     layer.adapter = optim.adamw_step(layer.adapter, grads, eta, state=state)
 
 
-def _svdlora_step(cfg, eta, layer, state, grad):
-    if grad is None:
-        grad = nets.weight_grad(layer)
-    layer.adapter = optim.svdlora_step(state, grad, eta, cfg.alpha, cfg.rank)
+def _svdlora_step(cfg, eta, layer, state):
+    layer.adapter = optim.svdlora_step(state, nets.weight_grad(layer), eta,
+                                       cfg.alpha, cfg.rank)
     layer.clear_captures()
 
 
@@ -62,26 +61,24 @@ def _full_init(cfg, eta, seed, layer):
     return nets.LoraLinear(state.dense_weight, empty), state
 
 
-def _full_step(cfg, eta, layer, state, grad):
-    if grad is None:
-        grad = nets.weight_grad(layer)
-    optim.dense_heavy_ball(state, grad, eta, cfg.alpha)
+def _full_step(cfg, eta, layer, state):
+    optim.dense_heavy_ball(state, nets.weight_grad(layer), eta, cfg.alpha)
     layer.w0 = state.dense_weight
     layer.clear_captures()
 
 
-_OPLORA = Method(_oplora_init, lambda cfg, eta, layer, state, grad:
+_OPLORA = Method(_oplora_init, lambda cfg, eta, layer, state:
                  optim.oplora_step(layer, state))
 
 METHODS = {
     "lora_sgd": Method(_like(optim.SgdState), _sgd_step),
     "lora_adamw": Method(_like(optim.AdamwState), _adamw_step),
     "prec_lora": Method(lambda cfg, eta, seed, layer: (layer, None),
-                        lambda cfg, eta, layer, state, grad:
+                        lambda cfg, eta, layer, state:
                         optim.prec_lora_step(layer, eta, cfg.lam)),
     "oplora": _OPLORA,
     "oplora_proj": Method(_like(optim.ProjMomentumState),
-                          lambda cfg, eta, layer, state, grad:
+                          lambda cfg, eta, layer, state:
                           optim.proj_lora_step(layer, state, eta, cfg.alpha,
                                                cfg.lam)),
     "oplora_scaled": _OPLORA,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import nets, optim
+from .. import nets
 from ..errors import OploraError, SweepError
 from ..instrument import counters
 from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
@@ -72,12 +72,12 @@ def read_run_csv(path):
 
 
 class _LinearProblem:
-    """The linear task as one adapter-only layer fitted by column sampling:
+    """The linear task as one layer fitted by column sampling:
     ``nets.linear_task_grad`` sets its captures, as the MLP pass does.
 
     The loss column reports the full objective (cheap to get thin);
-    minibatching only affects the gradients.  Dense methods are scored
-    and differentiated at their dense weight.
+    minibatching only affects the gradients.  The full baseline's layer
+    is scored at its dense weight, every other one at its adapter.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed):
@@ -99,27 +99,23 @@ class _LinearProblem:
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
 
-    def evaluate(self, layers, states):
-        """Draw a batch; return (loss, gap, per-layer dense gradients or
-        None where the step reads the captures this sets)."""
-        layer, state = layers[0], states[0]
+    def evaluate(self, layers):
+        """Draw a batch, run the pass on it; return (loss, gap)."""
+        layer = layers[0]
         idx = nets.sample_batch(self.task.d_in, self.cfg.batch.size, self.rng)
-        if isinstance(state, optim.SvdLoraState):
-            w = state.dense_weight
-            grad, _ = nets.linear_task_grad_dense(self.task, w, idx)
-            loss = 0.5 * float(np.sum((w - self.task.target) ** 2))
-            gap = float(np.linalg.norm(w - self.oracle_dense))
-        else:
-            grad = None
-            nets.linear_task_grad(self.task, layer, idx)
+        nets.linear_task_grad(self.task, layer, idx)
+        if layer.w0 is None:
             loss = 0.5 * product_distance_to_dense(layer.adapter,
                                                    self.task.target) ** 2
             gap = product_distance(layer.adapter, self.oracle)
+        else:
+            loss = 0.5 * float(np.sum((layer.w0 - self.task.target) ** 2))
+            gap = float(np.linalg.norm(layer.w0 - self.oracle_dense))
         # the full baseline's empty adapter has no trail
         if self.cfg.record_factors and layer.adapter.rank:
             self.trail.append((layer.adapter.u.copy(),
                                layer.adapter.v.copy()))
-        return loss, gap, [grad]
+        return loss, gap
 
 
 class _MlpProblem:
@@ -136,12 +132,12 @@ class _MlpProblem:
         self.batch_size = cfg.batch.size
         self.trail = []  # never recorded for the MLP
 
-    def evaluate(self, layers, states):
+    def evaluate(self, layers):
         rows = nets.sample_batch(self.task.n_samples, self.batch_size,
                                  self.rng)
         loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
                                          self.y[rows])
-        return loss, None, [None] * len(layers)
+        return loss, None
 
 
 def run_single(cfg: ExperimentConfig, eta, seed):
@@ -161,13 +157,12 @@ def run_single(cfg: ExperimentConfig, eta, seed):
     for t in range(cfg.steps):
         i = None  # the layer being stepped; None while evaluating
         try:
-            loss, gap, grads = problem.evaluate(layers, states)
+            loss, gap = problem.evaluate(layers)
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
             records.append(RunRecord(t, loss, gap,
                                      counters().flops - flops0, wall))
-            for i, (layer, state, grad) in enumerate(zip(layers, states,
-                                                         grads)):
-                method.step(cfg, eta, layer, state, grad)
+            for i, (layer, state) in enumerate(zip(layers, states)):
+                method.step(cfg, eta, layer, state)
         except OploraError as exc:
             exc.step, exc.layer = t, i
             raise

@@ -7,8 +7,9 @@ which :func:`oplora.lorsum.lorsum` checks and compresses.  No function
 here forms the dense product of a pair: the distances between products
 go through r x r Grams.
 
-:func:`truncated_svd` checks ``w`` once and then calls ``matcore``'s
-unchecked cores (see its validation contract).
+:func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
+once and then call ``matcore``'s unchecked cores (see its validation
+contract).
 """
 
 from dataclasses import dataclass
@@ -129,7 +130,10 @@ def product_distance(p: FactorPair, q: FactorPair) -> float:
 def product_distance_to_dense(p: FactorPair, w) -> float:
     """``||u v^T - w||_F`` without forming the pair's product."""
     w = as_matrix(w, "w")
+    if w.shape != (p.d_out, p.d_in):
+        raise ShapeError(f"w {w.shape} does not match the pair's "
+                         f"({p.d_out}, {p.d_in})")
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = float(np.sum(p.u * matmul(w, p.v)))
+        cross = float(np.sum(p.u * _product(w, p.v)))
         sq = product_inner(p, p) - 2.0 * cross + float(np.sum(w * w))
     return float(np.sqrt(max(sq, 0.0)))

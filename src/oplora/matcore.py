@@ -16,9 +16,9 @@ reaches the step's result.
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
 ``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Only
-``lorsum`` and ``lowrank.truncated_svd`` call the cores from outside, on
-operands they checked at their boundary or built from them by products,
-sums and solves, which cannot hide a NaN or inf (0 * inf is NaN).
+``lorsum`` and ``lowrank`` call the cores from outside, on operands they
+checked at their boundary or built from them by products, sums and
+solves, which cannot hide a NaN or inf (0 * inf is NaN).
 truncated_svd passes its results to the checked ``eigh_top`` and
 ``svd_dense``; lorsum tests each system's operands for finiteness before
 it solves, where LAPACK's Cholesky would turn a NaN into a failed pivot,

@@ -73,17 +73,29 @@ class LoraLinear:
         self.captured_s = None
 
 
-def captures(layer):
-    """The layer's ``(X, S)`` captures; raises when either is missing."""
+def _fresh(layer):
     if layer.captured_x is None or layer.captured_s is None:
         raise StaleCaptureError("layer has no fresh forward/backward captures")
     return layer.captured_x, layer.captured_s
 
 
+def captures(layer):
+    """The layer's ``(X, S)``, an index X as its one-hot; raises if stale."""
+    x, s = _fresh(layer)
+    if x.ndim == 1:
+        x = (x[:, None] == np.arange(layer.adapter.d_in)).astype(np.float64)
+    return x, s
+
+
 def weight_grad(layer) -> np.ndarray:
-    """The full weight gradient S^T X, formed dense from the captures."""
-    x, s = captures(layer)
-    return matmul(s, x, transpose_a=True)
+    """The full weight gradient S^T X, dense; an index X scatters S."""
+    x, s = _fresh(layer)
+    if x.ndim == 2:
+        return matmul(s, x, transpose_a=True)
+    grad = np.zeros((s.shape[1], layer.adapter.d_in))
+    for j, col in zip(x, s):  # a repeat adds, as in the loss
+        grad[:, j] += col
+    return grad
 
 
 def factor_grads(layer: LoraLinear, consume: bool = False):
@@ -156,33 +168,29 @@ def _sampled(task: LinearTask, indices):
 
 
 def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
-    """The adapter-only layer's pass, as :func:`mlp_forward_backward` is
-    the MLP's: leaves the one-hot column selection X (B x d_in) and the
-    rescaled residual S = ((d_in / B) (U V^T - W)[:, idx])^T as captures,
-    so S^T X is the unbiased sampled loss's gradient.  Returns that loss.
+    """The linear task's pass, as :func:`mlp_forward_backward` is the
+    MLP's: leaves the column indices idx (X is their B x d_in one-hot)
+    and S = ((d_in / B) (w0 + U V^T - W)[:, idx])^T as captures, so
+    S^T X is the unbiased sampled loss's gradient.  Returns that loss.
     """
     idx, scale = _sampled(task, indices)
-    diff = matmul(layer.adapter.u, layer.adapter.v[idx, :],
-                  transpose_b=True) - task.target[:, idx]
-    x = np.zeros((idx.size, task.d_in))
-    x[np.arange(idx.size), idx] = 1.0
-    layer.captured_x, layer.captured_s = x, (scale * diff).T
+    pred = matmul(layer.adapter.u, layer.adapter.v[idx, :], transpose_b=True)
+    if layer.w0 is not None:
+        pred = pred + layer.w0[:, idx]
+    diff = pred - task.target[:, idx]
+    layer.captured_x, layer.captured_s = idx, (scale * diff).T
     return 0.5 * scale * float(np.sum(diff * diff))
 
 
 def linear_task_grad_dense(task: LinearTask, w, indices):
-    """Dense-iterate variant for the dense baselines."""
+    """``(gradient, loss)`` of the pass at the dense iterate ``w``."""
     w = as_matrix(w, "w")
     if w.shape != task.target.shape:
         raise ShapeError(f"iterate shape {w.shape} != target shape "
                          f"{task.target.shape}")
-    idx, scale = _sampled(task, indices)
-    diff = w[:, idx] - task.target[:, idx]
-    grad = np.zeros_like(w)
-    for j, col in zip(idx, (scale * diff).T):  # a repeat adds, as in the loss
-        grad[:, j] += col
-    loss = 0.5 * scale * float(np.sum(diff * diff))
-    return grad, loss
+    layer = LoraLinear(w, FactorPair(w[:, :0], w.T[:, :0]))
+    loss = linear_task_grad(task, layer, indices)
+    return weight_grad(layer), loss
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Test-only helpers: counter resets, dense references, reference losses,
-pair copies, rank padding, naive momentum, state sizes, the
-allocation-growth audit, the full-SVD reference of ``truncated_svd``,
-recorders of what ``lowrank`` and ``lorsum`` compute inside a call, and
-the resampling reference of ``bootstrap_median_ci``."""
+the linear task's dense-gradient reference, pair copies, rank padding,
+naive momentum, state sizes, the allocation-growth audit, the full-SVD
+reference of ``truncated_svd``, recorders of what ``lowrank`` and
+``lorsum`` compute inside a call, and the resampling reference of
+``bootstrap_median_ci``."""
 
 import importlib
 import tracemalloc
@@ -14,9 +15,10 @@ from oplora import instrument, lowrank
 from oplora.bench.aggregate import BOOTSTRAP_SEED, N_RESAMPLES
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair
-from oplora.matcore import gram, solve_spd, svd_dense
+from oplora.matcore import as_matrix, gram, solve_spd, svd_dense
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, _act,
-                         _loss_and_logit_grad, factor_grads, linear_task_grad)
+                         _loss_and_logit_grad, _sampled, factor_grads,
+                         linear_task_grad)
 from oplora.optim import ProjMomentumState
 
 
@@ -117,6 +119,23 @@ def linear_task_loss(task: LinearTask, adapter: FactorPair,
     if indices is None:
         indices = np.arange(task.d_in)
     return linear_task_grad(task, LoraLinear(None, adapter), indices)
+
+
+def linear_task_grad_dense_reference(task: LinearTask, w, indices):
+    """The linear task's gradient and loss at the dense iterate ``w``, by
+    its own residual and scatter loop: the reference for ``weight_grad``
+    after ``linear_task_grad``."""
+    w = as_matrix(w, "w")
+    if w.shape != task.target.shape:
+        raise ShapeError(f"iterate shape {w.shape} != target shape "
+                         f"{task.target.shape}")
+    idx, scale = _sampled(task, indices)
+    diff = w[:, idx] - task.target[:, idx]
+    grad = np.zeros_like(w)
+    for j, col in zip(idx, (scale * diff).T):  # a repeat adds, as in the loss
+        grad[:, j] += col
+    loss = 0.5 * scale * float(np.sum(diff * diff))
+    return grad, loss
 
 
 def mlp_loss(task: MlpTask, layers, x, y) -> float:

@@ -417,7 +417,7 @@ class TestMethodRegistry:
         nets.mlp_forward_backward(task, layers, x, y)
         reset_counters()
         for layer, state in zip(layers, states):
-            method.step(cfg, 0.1, layer, state, None)
+            method.step(cfg, 0.1, layer, state)
         # the S^T X products alone, as `full` charges them; the SVDs add on
         grad_flops = sum(2 * 64 * d_out * d_in for d_in, d_out
                          in zip(task.dims[:-1], task.dims[1:]))
@@ -429,7 +429,7 @@ class TestMethodRegistry:
         layer = nets.make_mlp_layers(nets.MlpTask([6, 8]), 2, rng(0))[0]
         layer, state = METHODS[method].init(cfg, 0.1, 0, layer)
         with pytest.raises(StaleCaptureError):
-            METHODS[method].step(cfg, 0.1, layer, state, None)
+            METHODS[method].step(cfg, 0.1, layer, state)
 
     @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
     def test_svdlora_flops_do_not_depend_on_record_factors(self, case,
@@ -852,6 +852,13 @@ class TestCli:
         doc = base_config(tmp_path / "out3", method="lora_sgd", steps=40,
                           eta=1e4)
         assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 2
+
+    def test_sweep_with_every_run_failed_exit_two(self, tmp_path, capsys):
+        doc = base_config(tmp_path / "out4", method="lora_sgd")
+        del doc["eta"]
+        doc["eta_grid"] = [1000.0, 2000.0]
+        assert cli_main(["sweep", self._write(tmp_path, doc), "--quiet"]) == 2
+        assert "all sweep runs failed or diverged" in capsys.readouterr().err
 
     def test_report_command(self, tmp_path):
         doc = base_config(tmp_path / "r1", method="svdlora", steps=6)

@@ -17,6 +17,20 @@ from helpers import (materialize, pad_rank, product_error, reset_counters,
                      svd_operands, truncated_svd_reference)
 
 
+def record_checks(monkeypatch):
+    """The ids of the arrays ``matcore`` and ``lowrank`` check from now
+    on, in order."""
+    checked, real = [], matcore.as_matrix
+
+    def counting(a, name="operand"):
+        checked.append(id(a))
+        return real(a, name)
+
+    for module in (matcore, lowrank):
+        monkeypatch.setattr(module, "as_matrix", counting)
+    return checked
+
+
 def random_pair(g, d_out, d_in, r):
     return FactorPair(g.standard_normal((d_out, r)),
                       g.standard_normal((d_in, r)))
@@ -227,14 +241,7 @@ class TestTruncatedSvdGramRoute:
 
     def test_w_checked_once(self, monkeypatch):
         w = self.full_scale_w()
-        checked, real = [], matcore.as_matrix
-
-        def counting(a, name="operand"):
-            checked.append(id(a))
-            return real(a, name)
-
-        for module in (matcore, lowrank):
-            monkeypatch.setattr(module, "as_matrix", counting)
+        checked = record_checks(monkeypatch)
         with svd_operands() as operands:
             truncated_svd(w, 8)
         assert not any(op is w for op in operands)
@@ -281,6 +288,23 @@ class TestProductHelpers:
         dense = g.standard_normal((8, 6))
         assert np.isclose(product_distance_to_dense(p, dense),
                           np.linalg.norm(wp - dense))
+
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_distance_to_dense_rejects_a_mismatched_w(self, d_out):
+        # one row used to broadcast to a distance, three to numpy's error
+        p = random_pair(rng(20), d_out, 4, 1)
+        with pytest.raises(ShapeError,
+                           match=rf"w \(5, 4\) .* \({d_out}, 4\)"):
+            product_distance_to_dense(p, np.ones((5, 4)))
+
+    def test_distance_to_dense_checks_w_once(self, monkeypatch):
+        g = rng(21)
+        p = random_pair(g, 8, 6, 3)
+        w = g.standard_normal((8, 6))
+        expected = product_distance_to_dense(p, w)
+        checked = record_checks(monkeypatch)
+        assert product_distance_to_dense(p, w) == expected
+        assert checked.count(id(w)) == 1
 
     def test_pad_rank_keeps_product(self):
         g = rng(19)

@@ -5,7 +5,7 @@ from oplora.errors import ShapeError, StaleCaptureError
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, truncated_svd
 from oplora.matcore import gram
-from oplora.nets import (LinearTask, LoraLinear, MlpTask,
+from oplora.nets import (LinearTask, LoraLinear, MlpTask, captures,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,
                          linear_task_grad, linear_task_grad_dense,
@@ -14,8 +14,10 @@ from oplora.nets import (LinearTask, LoraLinear, MlpTask,
                          mlp_forward_backward, sample_batch, weight_grad)
 
 from conftest import rng
-from helpers import (linear_task_loss, mlp_loss, product_error,
-                     reset_counters, truncated_svd_reference)
+from helpers import (assert_alloc_linear_in_side,
+                     linear_task_grad_dense_reference, linear_task_loss,
+                     mlp_loss, product_error, reset_counters,
+                     truncated_svd_reference)
 
 
 def random_layer(g, d_out=7, d_in=5, r=2, with_base=True):
@@ -251,9 +253,26 @@ class TestLinearTask:
         idx = np.array([4, 0, 2])
         loss = linear_task_grad(LinearTask(target), layer, idx)
         resid = (pair.u @ pair.v.T - target)[:, idx]
-        assert np.array_equal(layer.captured_x, np.eye(6)[idx])
-        assert np.allclose(layer.captured_s, (6 / 3) * resid.T, atol=1e-12)
+        x, s = captures(layer)
+        assert np.array_equal(x, np.eye(6)[idx])
+        assert np.allclose(s, (6 / 3) * resid.T, atol=1e-12)
         assert np.isclose(loss, 0.5 * (6 / 3) * np.sum(resid ** 2))
+
+    def test_pass_and_captures_allocate_linearly_in_the_side(self):
+        # the one-hot X grows with d_in; a d_in x d_in identity would not
+        def calls_at(side):
+            g = rng(side)
+            task = LinearTask(g.standard_normal((side, side)))
+            layer = LoraLinear(None, FactorPair(g.standard_normal((side, 4)),
+                                                g.standard_normal((side, 4))))
+
+            def call():
+                linear_task_grad(task, layer, sample_batch(side, 16, g))
+                captures(layer)
+            for _ in range(3):
+                yield call
+
+        assert_alloc_linear_in_side(calls_at)
 
     def test_bad_indices_rejected(self):
         g = rng(15)
@@ -287,6 +306,46 @@ class TestLinearTask:
         task = LinearTask(np.ones((3, 4)))
         with pytest.raises(ShapeError, match="iterate shape"):
             linear_task_grad_dense(task, np.zeros(shape), [0, 1])
+
+
+# (d_out, d_in, the indices or a batch size to draw)
+DENSE_REFERENCE_CASES = {
+    "repeated_index": (5, 4, [1, 3, 1, 1]),
+    "full_batch": (24, 16, None),
+    "minibatch_600x200": (600, 200, 64),
+}
+
+
+class TestDenseGradientReference:
+    """``weight_grad`` after the pass equals the standalone dense residual
+    and scatter loop array for array: the golden gate's tolerance would
+    not catch a gradient that changed only by rounding."""
+
+    @pytest.mark.parametrize("layer_kind", ["adapter", "w0", "w0_adapter"])
+    @pytest.mark.parametrize("case", DENSE_REFERENCE_CASES)
+    def test_weight_grad_equals_the_dense_loop(self, case, layer_kind):
+        d_out, d_in, batch = DENSE_REFERENCE_CASES[case]
+        g = rng(40)
+        task = LinearTask(g.standard_normal((d_out, d_in)))
+        idx = batch if isinstance(batch, list) else sample_batch(d_in, batch,
+                                                                 g)
+        # small integer factors: their product is exact in any order
+        r = 0 if layer_kind == "w0" else 3
+        pair = FactorPair(g.integers(-3, 4, (d_out, r)).astype(np.float64),
+                          g.integers(-3, 4, (d_in, r)).astype(np.float64))
+        w = pair.u @ pair.v.T
+        w0 = None
+        if layer_kind != "adapter":
+            w0 = g.standard_normal((d_out, d_in))
+            w = w0 + w
+        layer = LoraLinear(w0, pair)
+        loss = linear_task_grad(task, layer, idx)
+        grad, ref_loss = linear_task_grad_dense_reference(task, w, idx)
+        assert np.array_equal(weight_grad(layer), grad)
+        assert loss == pytest.approx(ref_loss, rel=1e-14)
+        if w0 is not None and r == 0:
+            assert np.array_equal(linear_task_grad_dense(task, w0, idx)[0],
+                                  grad)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["thin", "dense"])
