@@ -3,9 +3,10 @@
 A row holds what is method-specific about one layer.
 ``init(cfg, eta, seed, layer)`` returns the layer to train and its
 state; ``step(cfg, eta, layer, state)`` updates them from the captures
-the task's pass left on the layer.  The dense baselines keep their
-iterate in an ``optim.SvdLoraState`` and step from ``nets.weight_grad``;
-the full baseline's layer is its dense weight under an empty adapter.
+the task's pass left on the layer.  The dense baselines step from
+``nets.weight_grad`` and keep only their dense momentum as the state;
+svdlora's iterate is the layer's adapter, and the full baseline's layer
+is its dense weight under an empty adapter.
 
 Steps call ``optim`` through the module attribute at call time, so that
 wrappers put on the module (the benchmark's timing and tracing) see
@@ -15,8 +16,11 @@ every call.
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .. import nets, optim
 from ..lowrank import FactorPair
+from ..matcore import matmul
 
 
 @dataclass(frozen=True)
@@ -38,32 +42,35 @@ def _oplora_init(cfg, eta, seed, layer):
 
 
 def _sgd_step(cfg, eta, layer, state):
-    grads = nets.factor_grads(layer, consume=True)
+    grads = nets.factor_grads(layer)
     layer.adapter = optim.sgd_step(layer.adapter, grads, eta, cfg.alpha, state)
+    layer.clear_captures()
 
 
 def _adamw_step(cfg, eta, layer, state):
-    grads = nets.factor_grads(layer, consume=True)
+    grads = nets.factor_grads(layer)
     layer.adapter = optim.adamw_step(layer.adapter, grads, eta, state=state)
+    layer.clear_captures()
 
 
 def _svdlora_step(cfg, eta, layer, state):
-    layer.adapter = optim.svdlora_step(state, nets.weight_grad(layer), eta,
+    layer.adapter = optim.svdlora_step(layer.adapter, state,
+                                       nets.weight_grad(layer), eta,
                                        cfg.alpha, cfg.rank)
     layer.clear_captures()
 
 
 def _full_init(cfg, eta, seed, layer):
-    state = optim.SvdLoraState.from_pair(layer.adapter)
+    w = matmul(layer.adapter.u, layer.adapter.v, transpose_b=True)
     if layer.w0 is not None:
-        state.dense_weight = layer.w0 + state.dense_weight
+        w = layer.w0 + w
     empty = FactorPair(layer.adapter.u[:, :0], layer.adapter.v[:, :0])
-    return nets.LoraLinear(state.dense_weight, empty), state
+    return nets.LoraLinear(w, empty), np.zeros_like(w)
 
 
 def _full_step(cfg, eta, layer, state):
-    optim.dense_heavy_ball(state, nets.weight_grad(layer), eta, cfg.alpha)
-    layer.w0 = state.dense_weight
+    layer.w0 = optim.dense_heavy_ball(layer.w0, state, nets.weight_grad(layer),
+                                      eta, cfg.alpha)
     layer.clear_captures()
 
 
@@ -83,7 +90,8 @@ METHODS = {
                                                cfg.lam)),
     "oplora_scaled": _OPLORA,
     "svdlora": Method(lambda cfg, eta, seed, layer:
-                      (layer, optim.SvdLoraState.from_pair(layer.adapter)),
+                      (layer, np.zeros((layer.adapter.d_out,
+                                        layer.adapter.d_in))),
                       _svdlora_step),
     "full": Method(_full_init, _full_step),
 }

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, ReportError
 from ..lowrank import FactorPair, product_distance
-from .config import ExperimentConfig
+from .config import ExperimentConfig, TaskSpec
 from .runner import read_run_csv
 
 MONOTONE_SLACK = 1e-10
@@ -29,6 +29,8 @@ class RunInfo:
     seed: int
     k: int
     momentum_rank: int
+    task: TaskSpec
+    manifest_path: str
     csv_path: str
     trail_path: str
 
@@ -77,12 +79,26 @@ def collect_runs(root) -> list:
                 seed=entry["seed"],
                 k=cfg.k,
                 momentum_rank=cfg.momentum_rank or cfg.rank,
+                task=cfg.task,
+                manifest_path=path,
                 csv_path=os.path.join(dirpath, entry["csv"]),
                 trail_path=trail_path,
             ))
     if not runs:
         raise ReportError(f"no successful runs found under {root}")
     return runs
+
+
+def _by_key(runs) -> dict:
+    """The runs keyed by (eta, seed); two runs on one key are ambiguous."""
+    by_key = {}
+    for run in runs:
+        first = by_key.setdefault((run.eta, run.seed), run)
+        if first is not run:
+            raise ReportError(
+                f"two runs share eta={run.eta}, seed={run.seed}: "
+                f"{first.csv_path} and {run.csv_path}")
+    return by_key
 
 
 def _load_trail(path):
@@ -115,10 +131,11 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
     """Compare grouped runs against a reference run set.
 
     Groups the method runs by (K, momentum_rank); every group must cover
-    the same etas and seeds as the reference, and at most one of the two
-    axes may take more than one value.  Returns (and optionally writes)
-    a JSON document with one row per group plus monotonicity verdicts
-    over K and over momentum rank.
+    the same etas and seeds as the reference, each once and on the
+    reference's task, and at most one of the two axes may take more
+    than one value.  Returns (and optionally writes) a JSON document
+    with one row per group plus monotonicity verdicts over K and over
+    momentum rank.
     """
     method_runs = collect_runs(method_dir)
     ref_runs = collect_runs(reference_dir)
@@ -127,7 +144,7 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
         raise ReportError(
             f"reference directory must hold a single method, found "
             f"{ref_methods}")
-    ref_by_key = {(r.eta, r.seed): r for r in ref_runs}
+    ref_by_key = _by_key(ref_runs)
 
     groups = {}
     for run in method_runs:
@@ -141,14 +158,17 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
 
     rows = []
     for (k, m_rank), runs in sorted(groups.items()):
-        keys = sorted((r.eta, r.seed) for r in runs)
-        if keys != sorted(ref_by_key):
+        if sorted(_by_key(runs)) != sorted(ref_by_key):
             raise ReportError(
                 f"run set for k={k}, momentum_rank={m_rank} does not match "
                 f"the reference (eta, seed) combinations")
         ratios, gaps, dists = [], [], []
         for run in runs:
             ref = ref_by_key[(run.eta, run.seed)]
+            if run.task != ref.task:
+                raise ReportError(
+                    f"{run.manifest_path} and {ref.manifest_path} are runs "
+                    f"on different tasks")
             loss = _final_loss(run)
             ref_loss = _final_loss(ref)
             ratios.append(loss / ref_loss if ref_loss != 0 else float("inf")

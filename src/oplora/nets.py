@@ -98,13 +98,11 @@ def weight_grad(layer) -> np.ndarray:
     return grad
 
 
-def factor_grads(layer: LoraLinear, consume: bool = False):
+def factor_grads(layer: LoraLinear):
     """Factor gradients G_u = S^T (X v), G_v = X^T (S u) from captures."""
     x, s = captures(layer)
     g_u = matmul(s, matmul(x, layer.adapter.v), transpose_a=True)
     g_v = matmul(x, matmul(s, layer.adapter.u), transpose_a=True)
-    if consume:
-        layer.clear_captures()
     return g_u, g_v
 
 

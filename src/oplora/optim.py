@@ -215,46 +215,24 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     return new_pair
 
 
-@dataclass
-class SvdLoraState:
-    """Dense adapter and dense momentum for the projection oracle."""
-
-    dense_weight: np.ndarray
-    dense_momentum: np.ndarray
-
-    def __post_init__(self):
-        self.dense_weight = as_matrix(self.dense_weight, "dense_weight")
-        self.dense_momentum = as_matrix(self.dense_momentum, "dense_momentum")
-        if self.dense_weight.shape != self.dense_momentum.shape:
-            raise ShapeError("weight and momentum shapes disagree")
-
-    @staticmethod
-    def from_pair(pair: FactorPair) -> "SvdLoraState":
-        w = matmul(pair.u, pair.v, transpose_b=True)
-        return SvdLoraState(w, np.zeros_like(w))
-
-
-def dense_heavy_ball(state: SvdLoraState, grad, eta: float,
-                     alpha: float) -> None:
-    """Both dense baselines' heavy ball: M <- alpha M + G, W <- W - eta M."""
+def dense_heavy_ball(w, momentum: np.ndarray, grad, eta: float,
+                     alpha: float) -> np.ndarray:
+    """Both dense baselines' heavy ball: M <- alpha M + G in place, then
+    the new iterate W - eta M."""
     grad = as_matrix(grad, "grad")
-    if grad.shape != state.dense_weight.shape:
-        raise ShapeError("gradient shape does not match the adapter")
-    state.dense_momentum = alpha * state.dense_momentum + grad
-    state.dense_weight = state.dense_weight - eta * state.dense_momentum
+    if grad.shape != momentum.shape:
+        raise ShapeError("gradient shape does not match the momentum")
+    momentum *= alpha
+    momentum += grad
+    return w - eta * momentum
 
 
-def svdlora_step(state: SvdLoraState, grad, eta: float, alpha: float,
-                 r: int) -> FactorPair:
-    """Full dense heavy-ball step followed by a rank-r SVD projection.
-
-    The dense iterate is replaced by its projection after every step;
-    the momentum stays full rank.
-    """
-    dense_heavy_ball(state, grad, eta, alpha)
-    pair = truncated_svd(state.dense_weight, r)
-    state.dense_weight = matmul(pair.u, pair.v, transpose_b=True)
-    return pair
+def svdlora_step(pair: FactorPair, momentum: np.ndarray, grad, eta: float,
+                 alpha: float, r: int) -> FactorPair:
+    """A dense heavy-ball step from U V^T, projected back to rank r by
+    SVD; the momentum stays full rank."""
+    w = matmul(pair.u, pair.v, transpose_b=True)
+    return truncated_svd(dense_heavy_ball(w, momentum, grad, eta, alpha), r)
 
 
 @dataclass

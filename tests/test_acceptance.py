@@ -178,14 +178,14 @@ def test_criterion_04_subspace_iteration_identities():
 def _run_reference_projection(target, init, eta, alpha, steps, rank,
                               batch_rng=None, batch_size=None):
     task = LinearTask(target)
-    state = optim.SvdLoraState.from_pair(init)
+    pair, momentum = init, np.zeros(target.shape)
     iterates = []
     for _ in range(steps):
         idx = sample_batch(task.d_in, batch_size, batch_rng)
-        grad, _ = linear_task_grad_dense(task, state.dense_weight, idx)
-        optim.svdlora_step(state, grad, eta, alpha, rank)
-        iterates.append(state.dense_weight.copy())
-    _, final_loss = linear_task_grad_dense(task, state.dense_weight,
+        grad, _ = linear_task_grad_dense(task, materialize(pair), idx)
+        pair = optim.svdlora_step(pair, momentum, grad, eta, alpha, rank)
+        iterates.append(materialize(pair))
+    _, final_loss = linear_task_grad_dense(task, materialize(pair),
                                            np.arange(target.shape[1]))
     return iterates, final_loss
 

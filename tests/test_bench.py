@@ -431,6 +431,21 @@ class TestMethodRegistry:
         with pytest.raises(StaleCaptureError):
             METHODS[method].step(cfg, 0.1, layer, state)
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_step_consumes_the_captures(self, method, tmp_path):
+        """A second step without a new pass raises, for every method."""
+        extra = {"beta": 0.9} if method == "oplora_scaled" else {}
+        cfg = ExperimentConfig.from_dict(_mlp_config(
+            tmp_path, method=method, alpha=0.5, **extra))
+        g = rng(0)
+        layer = nets.make_mlp_layers(nets.MlpTask([6, 8]), 2, g)[0]
+        layer, state = METHODS[method].init(cfg, 0.1, 0, layer)
+        layer.forward(g.standard_normal((4, 6)))
+        layer.backward(g.standard_normal((4, 8)))
+        METHODS[method].step(cfg, 0.1, layer, state)
+        with pytest.raises(StaleCaptureError):
+            METHODS[method].step(cfg, 0.1, layer, state)
+
     @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
     def test_svdlora_flops_do_not_depend_on_record_factors(self, case,
                                                            tmp_path):
@@ -709,6 +724,37 @@ class TestGapReport:
         run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
         with pytest.raises(ReportError):
             gap_report(str(tmp_path / "bad"), str(ref))
+
+    def _task(self, seed):
+        return {"kind": "linear", "d_out": 24, "d_in": 16, "seed": seed,
+                "init": "random"}
+
+    @pytest.mark.parametrize("side", ["reference", "variants"])
+    def test_two_runs_on_one_key_rejected(self, tmp_path, side):
+        # two run sets on the same (eta, seed)s, one per task seed
+        for seed in (0, 7):
+            self._run(tmp_path / "dup", f"task{seed}", method="svdlora",
+                      task=self._task(seed))
+        single = self._run(tmp_path, "single", method="svdlora",
+                           task=self._task(0))
+        dirs = [str(single), str(tmp_path / "dup")]
+        if side == "variants":
+            dirs.reverse()
+        with pytest.raises(ReportError) as err:
+            gap_report(*dirs)
+        for seed in (0, 7):
+            run = collect_runs(str(tmp_path / "dup" / f"task{seed}"))[0]
+            assert run.csv_path in str(err.value)
+
+    def test_runs_on_another_task_rejected(self, tmp_path):
+        ref = self._run(tmp_path, "ref", method="svdlora",
+                        task=self._task(7))
+        var = self._run(tmp_path, "var", method="oplora",
+                        task=self._task(0))
+        with pytest.raises(ReportError) as err:
+            gap_report(str(var), str(ref))
+        assert str(ref / "manifest.json") in str(err.value)
+        assert str(var / "manifest.json") in str(err.value)
 
     @pytest.mark.parametrize("damage", [
         "truncated", "no_config", "no_runs", "entry_not_object", "no_status",

@@ -88,15 +88,6 @@ class TestForwardBackward:
         with pytest.raises(StaleCaptureError):
             layer.backward(np.zeros((2, 7)))
 
-    def test_consume_clears_captures(self):
-        g = rng(7)
-        layer = random_layer(g)
-        layer.forward(g.standard_normal((3, 5)))
-        layer.backward(g.standard_normal((3, 7)))
-        factor_grads(layer, consume=True)
-        with pytest.raises(StaleCaptureError):
-            factor_grads(layer)
-
     def test_thin_allocations_only(self):
         g = rng(8)
         layer = random_layer(g, d_out=60, d_in=45, r=3, with_base=False)

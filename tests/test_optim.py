@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oplora import optim
-from oplora.errors import (ConvergenceError, ShapeError,
+from oplora.errors import (ConvergenceError, NonFiniteError, ShapeError,
                            SingularMetricError, StaleCaptureError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, product_distance, truncated_svd
@@ -209,13 +209,13 @@ class TestOracleApproach:
         return LinearTask(target), init
 
     def _reference(self, task, init, steps):
-        state = optim.SvdLoraState.from_pair(init)
+        pair, momentum = init, np.zeros(task.target.shape)
         idx = np.arange(task.d_in)
         iterates = []
         for _ in range(steps):
-            grad, _ = linear_task_grad_dense(task, state.dense_weight, idx)
-            optim.svdlora_step(state, grad, 0.5, 0.0, 8)
-            iterates.append(state.dense_weight.copy())
+            grad, _ = linear_task_grad_dense(task, materialize(pair), idx)
+            pair = optim.svdlora_step(pair, momentum, grad, 0.5, 0.0, 8)
+            iterates.append(materialize(pair))
         return iterates
 
     def _alternating(self, task, init, steps, k):
@@ -329,18 +329,19 @@ class TestSvdLora:
     def test_full_rank_recovery_in_one_step(self):
         g = rng(12)
         target = g.standard_normal((7, 5))
-        state = optim.SvdLoraState(np.zeros((7, 5)), np.zeros((7, 5)))
-        pair = optim.svdlora_step(state, -target, eta=1.0, alpha=0.0, r=5)
+        zero = FactorPair(np.zeros((7, 5)), np.zeros((5, 5)))
+        pair = optim.svdlora_step(zero, np.zeros((7, 5)), -target, eta=1.0,
+                                  alpha=0.0, r=5)
         assert np.linalg.norm(materialize(pair) - target) \
             <= 1e-8 * np.linalg.norm(target)
 
     def test_truncation_keeps_top_diagonal(self):
-        state = optim.SvdLoraState(np.zeros((4, 4)), np.zeros((4, 4)))
+        zero = FactorPair(np.zeros((4, 2)), np.zeros((4, 2)))
         grad = -np.diag([5.0, 3.0, 2.0, 1.0])
-        pair = optim.svdlora_step(state, grad, eta=1.0, alpha=0.0, r=2)
+        pair = optim.svdlora_step(zero, np.zeros((4, 4)), grad, eta=1.0,
+                                  alpha=0.0, r=2)
         assert np.allclose(materialize(pair), np.diag([5.0, 3.0, 0.0, 0.0]),
                            atol=1e-10)
-        assert np.allclose(state.dense_weight, materialize(pair), atol=1e-12)
 
     def test_step_charges_the_rebuilt_iterate(self):
         g = rng(14)
@@ -348,13 +349,27 @@ class TestSvdLora:
         w = g.standard_normal((d_out, d_in))
         grad = g.standard_normal((d_out, d_in))
         reset_counters()
-        truncated_svd(w, r)
+        pair = truncated_svd(w, r)
         svd_flops = counters().flops
-        state = optim.SvdLoraState(w, np.zeros_like(w))
         reset_counters()
-        optim.svdlora_step(state, grad, eta=0.1, alpha=0.0, r=r)
-        # the SVD, then the dense product U V^T that replaces the iterate
+        optim.svdlora_step(pair, np.zeros_like(w), grad, eta=0.1, alpha=0.0,
+                           r=r)
+        # the dense product U V^T that rebuilds the iterate, then the SVD
         assert counters().flops >= svd_flops + 2 * d_out * r * d_in
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.ones((5, 4)), ShapeError),
+        (np.ones(20), ShapeError),
+        (np.full((4, 5), np.nan), NonFiniteError),
+        (np.full((4, 5), np.inf), NonFiniteError)])
+    def test_rejected_gradient_leaves_the_momentum(self, bad, error):
+        g = rng(15)
+        pair = well_conditioned_pair(g, 4, 5, 2)
+        momentum = g.standard_normal((4, 5))
+        before = momentum.copy()
+        with pytest.raises(error):
+            optim.svdlora_step(pair, momentum, bad, eta=0.1, alpha=0.5, r=2)
+        assert np.array_equal(momentum, before)
 
     def test_tuned_momentum_run_decreases_loss(self):
         # eta = 0.1 with heavy-ball alpha = 0.75, the tuned minibatch
@@ -365,17 +380,18 @@ class TestSvdLora:
         g = rng(13)
         target = make_linear_target(30, 20, g)
         task = LinearTask(target)
-        init = well_conditioned_pair(g, 30, 20, 4)
-        state = optim.SvdLoraState.from_pair(init)
+        pair = well_conditioned_pair(g, 30, 20, 4)
+        momentum = np.zeros((30, 20))
         sigma = np.linalg.svd(target, compute_uv=False)
         floor = 0.5 * float(np.sum(sigma[4:] ** 2))
         idx = np.arange(20)
         losses = []
         for _ in range(10):
-            grad, loss = linear_task_grad_dense(task, state.dense_weight, idx)
+            grad, loss = linear_task_grad_dense(task, materialize(pair), idx)
             losses.append(loss)
-            optim.svdlora_step(state, grad, eta=0.1, alpha=0.75, r=4)
-        _, final = linear_task_grad_dense(task, state.dense_weight, idx)
+            pair = optim.svdlora_step(pair, momentum, grad, eta=0.1,
+                                      alpha=0.75, r=4)
+        _, final = linear_task_grad_dense(task, materialize(pair), idx)
         losses.append(final)
         assert all(b < a for a, b in zip(losses[:6], losses[1:6]))
         assert losses[-1] - floor <= 0.1 * (losses[0] - floor)
