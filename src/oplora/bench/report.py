@@ -107,12 +107,14 @@ def _load_trail(path):
 
 
 def _mean_product_distance(run: RunInfo, ref: RunInfo) -> float:
+    runs = f"{run.csv_path} and {ref.csv_path}"
     if run.trail_path is None or ref.trail_path is None:
-        raise ReportError("runs were recorded without factor trajectories")
+        raise ReportError(f"{runs} were recorded without factor trajectories")
     u_a, v_a = _load_trail(run.trail_path)
     u_b, v_b = _load_trail(ref.trail_path)
     if u_a.shape[0] != u_b.shape[0]:
-        raise ReportError("trajectory lengths differ between run sets")
+        raise ReportError(f"trajectory lengths differ: {runs} hold "
+                          f"{u_a.shape[0]} and {u_b.shape[0]} steps")
     dists = [product_distance(FactorPair(u_a[t], v_a[t]),
                               FactorPair(u_b[t], v_b[t]))
              for t in range(u_a.shape[0])]

@@ -42,10 +42,6 @@ class ConvergenceError(OploraError, ArithmeticError):
     """An iterative numerical kernel failed to converge."""
 
 
-class DensePolicyError(OploraError, RuntimeError):
-    """A dense full-size operation was requested where it is banned."""
-
-
 class StaleCaptureError(OploraError, RuntimeError):
     """An optimizer step ran without fresh forward/backward captures."""
 

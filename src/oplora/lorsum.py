@@ -20,8 +20,10 @@ formed.
 
 :func:`lorsum` checks its term factors once on entry and :class:`Metric`
 each metric factor and its damping; everything after that calls
-``matcore``'s unchecked cores.  Each system is tested for finiteness
-before its solve (see ``matcore``'s validation contract).
+``matcore``'s unchecked cores.  No system is tested before its solve:
+the Cholesky core fails a NaN or infinite pivot and a non-finite
+solution, and names a non-finite system (see ``matcore``'s validation
+contract); the half-step only says where that happened.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularMetricError
 from .lowrank import FactorPair
-from .matcore import _all_finite, _cholesky_solve, _gram, _product, as_matrix
+from .matcore import _cholesky_solve, _gram, _product, as_matrix
 
 MODES = ("alternating", "simultaneous")
 
@@ -71,17 +73,17 @@ def _check_rows(m: Metric, x):
 
 def _inverse_metric(m: Metric, x) -> np.ndarray:
     """``(F F^T + delta I)^{-1} x`` via Woodbury (thin solves only) for a
-    checked ``x``; ``None`` returns ``x`` itself.  Tests the small system
-    for finiteness, not ``x``."""
+    checked ``x``; ``None`` returns ``x`` itself."""
     if m is None:
         return x
     f = m.factor
     y = _product(f.T, x)
     small = _gram(f) / m.delta + np.eye(f.shape[1])
-    if not (_all_finite(small) and _all_finite(y)):
+    try:
+        z = _cholesky_solve(small, y)
+    except NonFiniteError as exc:
         raise NonFiniteError("the inverse metric's system holds "
-                             "non-finite entries")
-    z = _cholesky_solve(small, y)
+                             "non-finite entries") from exc
     return (x - _product(f, z) / m.delta) / m.delta
 
 
@@ -101,17 +103,18 @@ def _half_step(side, other, k, lam_eye):
     side's anchor factor, its stacked weighted (metric-scaled) term
     factors, the other side's stacked term factors, and the metric of
     the other side's Gram.  ``lam_eye`` is ``lam * I`` at the rank.
-    ``den`` is symmetric by construction, so only its finiteness is
-    tested.
+    ``den`` is symmetric by construction and is not tested: the Cholesky
+    core fails a NaN or infinite pivot or solution and tells a
+    non-finite system from a singular one; this only adds where.
     """
     name, pull, outs, ins, metric = side
     num = _product(outs, _product(ins.T, other)) + pull
     den = _metric_gram(metric, other) + lam_eye
-    if not (_all_finite(num) and _all_finite(den)):
-        raise NonFiniteError(f"non-finite system on the {name} side at "
-                             f"iteration {k}")
     try:
         return _cholesky_solve(den, num.T).T
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"non-finite system on the {name} side at "
+                             f"iteration {k}") from exc
     except SingularMetricError as exc:
         raise SingularMetricError(
             f"singular system on the {name} side at iteration {k}: {exc}",

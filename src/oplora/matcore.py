@@ -20,30 +20,27 @@ charges and computes without them: ``matmul`` calls :func:`_product`,
 checked at their boundary or built from them by products, sums and
 solves, which cannot hide a NaN or inf (0 * inf is NaN).
 truncated_svd passes its results to the checked ``eigh_top`` and
-``svd_dense``; lorsum tests each system's operands for finiteness before
-it solves, where LAPACK's Cholesky would turn a NaN into a failed pivot,
-a :class:`SingularMetricError` instead of a :class:`NonFiniteError`.
+``svd_dense``.  Callers test no system before :func:`_cholesky_solve`:
+it gives the verdict on every solve, a :class:`NonFiniteError` when the
+system or its solution holds a NaN or inf, else a
+:class:`SingularMetricError` when a pivot fails.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
-    DensePolicyError,
     NonFiniteError,
     ShapeError,
     SingularMetricError,
 )
 from .instrument import charge
 
-# Largest symmetric system solve_spd accepts; the library never needs
-# solves beyond a few multiples of the adapter rank.
-SPD_DIM_CAP = 512
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-12
@@ -121,39 +118,43 @@ def _gram(a) -> np.ndarray:
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
-    LAPACK's Cholesky factorization and solve (``dpotrf``/``dpotrs``);
-    the residual satisfies ||a x - b||_F <= 1e-8 * max(1, ||b||_F) for
-    reasonably conditioned systems.  The first pivot at or below
-    ``PIVOT_TOL`` raises, even a positive one that LAPACK accepts.
+    LAPACK's Cholesky factorization and solve in one call (``dposv``),
+    at any dimension; the residual satisfies
+    ||a x - b||_F <= 1e-8 * max(1, ||b||_F) for reasonably conditioned
+    systems.  The first pivot at or below ``PIVOT_TOL``, or NaN or
+    infinite, raises :class:`SingularMetricError`, even a positive one
+    that LAPACK accepts; a solution that overflows raises
+    :class:`NonFiniteError`.
     """
     return _cholesky_solve(_symmetric_operand(a), as_matrix(b, "b"))
 
 
 def _cholesky_solve(a, b) -> np.ndarray:
-    """:func:`solve_spd` of a symmetric ``a`` and a ``b`` that are finite
-    float64 matrices, without checking either."""
+    """:func:`solve_spd` of a symmetric float64 ``a`` and a float64 ``b``,
+    unchecked: their entries are tested only after a pivot or the
+    solution fails, to tell a non-finite system from a singular one."""
     n = a.shape[0]
-    if n > SPD_DIM_CAP:
-        raise DensePolicyError(
-            f"solve_spd dimension {n} exceeds cap {SPD_DIM_CAP}")
     if b.shape[0] != n:
         raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
-    low, info = dpotrf(a, lower=True)
+    low, x, info = dposv(a, b, lower=True)
     # Pivots are the squared diagonal, but where LAPACK stops (info > 0)
     # it leaves the failing pivot itself on the diagonal.
     pivots = np.diagonal(low)[:info or n] ** 2
     if info:
         pivots[-1] = low[info - 1, info - 1]
-    bad = pivots <= PIVOT_TOL
-    if bad.any():
-        j = int(bad.argmax())
+    good = (pivots > PIVOT_TOL) & (pivots < np.inf)
+    if good.all() and _all_finite(x):
+        m = b.shape[1]
+        charge(flops=n * n * n // 3 + 2 * n * n * m, alloc=n * m)
+        return x
+    # A NaN or inf in the system fails a pivot or the solution.  The
+    # entries are tested only now, so that such a system is named as one.
+    if not good.all() and _all_finite(a) and _all_finite(b):
+        j = int(good.argmin())
         raise SingularMetricError(f"matrix is not positive definite "
                                   f"(pivot {pivots[j]:.3e} at index {j})",
                                   pivot_index=j)
-    x, _ = dpotrs(low, b, lower=True)
-    m = b.shape[1]
-    charge(flops=n * n * n // 3 + 2 * n * n * m, alloc=n * m)
-    return x
+    raise NonFiniteError("the system or its solution is not finite")
 
 
 def thin_qr(a):

@@ -756,6 +756,32 @@ class TestGapReport:
         assert str(ref / "manifest.json") in str(err.value)
         assert str(var / "manifest.json") in str(err.value)
 
+    def _single(self, tmp_path, name, **overrides):
+        """The run of a one-seed set, whose CSV a report error names."""
+        doc = base_config(tmp_path / name, **overrides)
+        run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
+        return tmp_path / name, collect_runs(str(tmp_path / name))[0]
+
+    def test_trajectory_lengths_differ_names_both_runs(self, tmp_path):
+        var, run = self._single(tmp_path, "var", method="oplora", steps=10)
+        ref, ref_run = self._single(tmp_path, "ref", method="svdlora",
+                                    steps=15)
+        with pytest.raises(ReportError) as err:
+            gap_report(str(var), str(ref))
+        message = str(err.value)
+        assert run.csv_path in message and ref_run.csv_path in message
+        assert "10 and 15 steps" in message
+
+    def test_runs_without_trajectories_name_both_runs(self, tmp_path):
+        var, run = self._single(tmp_path, "var", method="oplora",
+                                record_factors=False)
+        ref, ref_run = self._single(tmp_path, "ref", method="svdlora")
+        with pytest.raises(ReportError) as err:
+            gap_report(str(var), str(ref))
+        assert "without factor trajectories" in str(err.value)
+        assert run.csv_path in str(err.value)
+        assert ref_run.csv_path in str(err.value)
+
     @pytest.mark.parametrize("damage", [
         "truncated", "no_config", "no_runs", "entry_not_object", "no_status",
         "no_method", "no_eta", "no_seed", "no_csv", "csv_null",

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CORES = {"_product", "_cholesky_solve", "_gram", "_all_finite"}
+CORES = {"_product", "_cholesky_solve", "_gram"}
 CALLERS = {"lorsum.py", "lowrank.py"}
 
 

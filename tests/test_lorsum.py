@@ -220,6 +220,13 @@ class TestLorsumBasics:
         out = lorsum(self_sum(zero), num_iters=2, lam=1e-6)
         assert np.allclose(materialize(out), 0.0)
 
+    def test_rank_above_512_is_solved(self):
+        # a rank-513 half-step solves a 513 x 513 system
+        pair = random_pair(rng(23), 520, 520, 513)
+        out = lorsum(self_sum(pair), num_iters=1)
+        assert isinstance(out, FactorPair)
+        assert (out.u.shape, out.v.shape) == ((520, 513), (520, 513))
+
     def test_two_orthogonal_terms_reach_svd_oracle(self):
         g = rng(7)
         q_out, _ = np.linalg.qr(g.standard_normal((20, 8)))
@@ -507,6 +514,27 @@ class TestFaultInjection:
         with pytest.raises(NonFiniteError,
                            match=f"on the {side} side at iteration 0"):
             desk_call(terms, factors, deltas)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)],
+                             ids=["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("call, side, k", [(0, "V", 0), (3, "U", 1)])
+    def test_non_finite_den_names_side_and_iteration(self, monkeypatch,
+                                                      entry, call, side, k):
+        # an inf in one half-step's r x r system itself, past every check
+        module, calls = sys.modules["oplora.lorsum"], []
+
+        def injected(metric, x):
+            den = _metric_gram(metric, x)
+            if len(calls) == call:
+                den[entry] = den[entry[::-1]] = np.inf
+            calls.append(None)
+            return den
+
+        monkeypatch.setattr(module, "_metric_gram", injected)
+        terms = desk_terms(rng(20))
+        with pytest.raises(NonFiniteError,
+                           match=f"on the {side} side at iteration {k}$"):
+            desk_call(terms, {})
 
 
 class TestBoundaryChecks:

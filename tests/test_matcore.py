@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from oplora import matcore
 from oplora.errors import (ConvergenceError, DegenerateInputError,
-                           DensePolicyError, NonFiniteError, ShapeError,
-                           SingularMetricError)
+                           NonFiniteError, ShapeError, SingularMetricError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair
 from oplora.matcore import (as_matrix, eigh_top, matmul, solve_spd,
@@ -283,10 +282,34 @@ class TestSolveSpd:
         with pytest.raises(ShapeError):
             solve_spd(a, np.ones((2, 1)))
 
-    def test_dimension_cap(self):
+    def test_solves_a_600_dimensional_system(self):
         n = 600
-        with pytest.raises(DensePolicyError):
-            solve_spd(np.eye(n), np.ones((n, 1)))
+        a = np.diag(np.linspace(1.0, 2.0, n))
+        b = np.ones((n, 1))
+        assert np.allclose(solve_spd(a, b), b / np.diag(a)[:, None],
+                           rtol=1e-14)
+
+    def test_overflowing_solution_rejected(self):
+        with pytest.raises(NonFiniteError):
+            solve_spd([[1e-6]], [[1e305]])
+
+
+class TestCholeskyCore:
+    """``_cholesky_solve`` tests no operand up front, yet a NaN or inf in
+    the system is a :class:`NonFiniteError`, never a returned value and
+    never a :class:`SingularMetricError`."""
+
+    @pytest.mark.parametrize("a, b", [
+        ([[np.inf, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[1.0, np.inf], [np.inf, 1.0]], [[1.0], [1.0]]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        # singular and finite, so only the entry test names it
+        ([[1.0, 1.0], [1.0, 1.0]], [[np.nan], [1.0]]),
+    ], ids=["inf_diagonal", "inf_off_diagonal", "nan_diagonal",
+            "singular_with_nan_rhs"])
+    def test_non_finite_system_rejected(self, a, b):
+        with pytest.raises(NonFiniteError):
+            matcore._cholesky_solve(np.array(a), np.array(b))
 
 
 class TestThinQr:
