@@ -1,11 +1,15 @@
 """Experiment configuration: one strictly-validated JSON document.
 
-Each field is declared once, in its dataclass: the annotation is its
-type, the default its default (none: required), and ``key`` metadata
-its JSON key where that differs from the attribute name.  One parser
-and one serializer walk those declarations; range and choice checks are
-code in ``from_dict``/``validate``.  Unknown keys are rejected at every
-level so typos fail fast.  The schema is versioned via
+Each field is declared once, in its dataclass, with :func:`_field`: the
+annotation is its type, the default its default (none: required), and
+its metadata says the rest: ``key`` its JSON key where that differs from
+the attribute name, ``task`` the one task kind that has it, ``choices``
+its allowed values and ``min`` its inclusive lower bound.  One parser
+and one serializer walk those declarations.  What metadata cannot say
+is code in ``from_dict``/``validate``: rules on a list's entries, rules
+that involve more than one field, and open or upper bounds.  Every
+violation is a ``ConfigError`` naming its field.  Unknown keys are
+rejected at every level so typos fail fast.  The schema is versioned via
 ``schema_version``; see the README for the full field reference.
 """
 
@@ -15,12 +19,10 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, get_args
 
 from ..errors import ConfigError
+from ..nets import LOSSES, NONLINEARITIES
 from .methods import METHODS
 
 SCHEMA_VERSION = 1
-
-TASK_KINDS = ("linear", "mlp")
-INITS = ("random", "svd")
 
 
 def _is(x, kind) -> bool:
@@ -44,9 +46,10 @@ def _parse(cls, doc, scope):
 
     A field without a default is required, ``null`` is accepted only where
     the default is None, values must pass :func:`_is` for the annotated
-    type, float fields are stored as floats and nested dataclasses are
-    built by their ``from_dict``.  Another task kind's field, like any key
-    not declared, is rejected as unknown.
+    type and then the field's ``choices`` and ``min``, float fields are
+    stored as floats and nested dataclasses are built by their
+    ``from_dict``.  Another task kind's field, like any key not declared,
+    is rejected as unknown.
     """
     doc = dict(doc)
     values = {}
@@ -68,8 +71,12 @@ def _parse(cls, doc, scope):
         want = dict if is_dataclass(kind) else kind
         _check(_is(val, want), f"{name} must be {want.__name__}, got {val!r}",
                name)
-        values[f.name] = (kind.from_dict(val) if want is not kind
-                          else float(val) if kind is float else val)
+        values[f.name] = val = (kind.from_dict(val) if want is not kind
+                                else float(val) if kind is float else val)
+        choices, lo = f.metadata.get("choices"), f.metadata.get("min")
+        _check(choices is None or val in choices,
+               f"{name} must be one of {choices}", name)
+        _check(lo is None or val >= lo, f"{name} must be at least {lo}", name)
     if doc:
         key = sorted(doc)[0]
         name = f"{scope}.{key}" if scope else key
@@ -108,33 +115,30 @@ def is_125_grid_value(x) -> bool:
     return False
 
 
-def _for(task_kind, default):
-    """A field that only the ``task_kind`` task has."""
-    return field(default=default, metadata={"task": task_kind})
+def _field(default=MISSING, **metadata):
+    """A field declaration; see the module docstring for the metadata."""
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class TaskSpec:
-    kind: str
-    seed: int = 0
-    d_out: int = _for("linear", 120)
-    d_in: int = _for("linear", 40)
-    init: str = _for("linear", "random")
-    singular_values: Optional[list] = _for("linear", None)
-    dims: Optional[list] = _for("mlp", None)
-    nonlinearity: str = _for("mlp", "relu")
-    loss: str = _for("mlp", "mse")
-    n_samples: int = _for("mlp", 256)
+    kind: str = _field(choices=("linear", "mlp"))
+    seed: int = _field(default=0, min=0)
+    d_out: int = _field(task="linear", default=120, min=1)
+    d_in: int = _field(task="linear", default=40, min=1)
+    init: str = _field(task="linear", default="random",
+                       choices=("random", "svd"))
+    singular_values: Optional[list] = _field(task="linear", default=None)
+    dims: Optional[list] = _field(task="mlp", default=None)
+    nonlinearity: str = _field(task="mlp", default="relu",
+                               choices=NONLINEARITIES)
+    loss: str = _field(task="mlp", default="mse", choices=LOSSES)
+    n_samples: int = _field(task="mlp", default=256, min=1)
 
     @classmethod
     def from_dict(cls, d):
-        _check(d.get("kind") is None or d["kind"] in TASK_KINDS,
-               f"task.kind must be one of {TASK_KINDS}", "task.kind")
         spec = _parse(cls, d, "task")
-        _check(spec.seed >= 0, "task.seed must be nonnegative", "task.seed")
         if spec.kind == "linear":
-            _check(spec.d_out >= 1 and spec.d_in >= 1,
-                   "task dimensions must be positive", "task.d_out")
             sv = spec.singular_values
             if sv is not None:
                 _check(all(_is(s, float) for s in sv),
@@ -146,53 +150,39 @@ class TaskSpec:
                 _check(all(a >= b >= 0.0 for a, b in zip(sv, sv[1:] + [0.0])),
                        "task.singular_values must be nonincreasing and >= 0",
                        "task.singular_values")
-            _check(spec.init in INITS, f"task.init must be one of {INITS}",
-                   "task.init")
         else:
             _check(isinstance(spec.dims, list) and len(spec.dims) >= 2
                    and all(_is(x, int) and x >= 1 for x in spec.dims),
                    "task.dims must list at least two positive ints",
                    "task.dims")
-            _check(spec.nonlinearity in ("relu", "tanh"),
-                   "task.nonlinearity must be relu or tanh",
-                   "task.nonlinearity")
-            _check(spec.loss in ("mse", "cross_entropy"),
-                   "task.loss must be mse or cross_entropy", "task.loss")
-            _check(spec.n_samples >= 1, "task.n_samples must be positive",
-                   "task.n_samples")
         return spec
 
 
 @dataclass
 class BatchSpec:
-    mode: str
-    size: Optional[int] = None
+    mode: str = _field(choices=("full", "minibatch"))
+    size: Optional[int] = _field(default=None, min=1)
 
     @classmethod
     def from_dict(cls, d):
         spec = _parse(cls, d, "batch")
-        _check(spec.mode in ("full", "minibatch"),
-               "batch.mode must be full or minibatch", "batch.mode")
-        if spec.mode == "minibatch":
-            _check(spec.size is not None and spec.size >= 1,
-                   "batch.size must be a positive int", "batch.size")
-        else:
-            _check(spec.size is None, "batch.size is only valid for minibatch",
-                   "batch.size")
+        _check((spec.size is not None) == (spec.mode == "minibatch"),
+               "batch.size is given if and only if batch.mode is minibatch",
+               "batch.size")
         return spec
 
 
 @dataclass
 class ExperimentConfig:
     task: TaskSpec
-    method: str
+    method: str = _field(choices=tuple(METHODS))
     rank: int = 8
-    k: int = 1
+    k: int = _field(default=1, min=1)
     alpha: float = 0.0
-    lam: float = field(default=1e-3, metadata={"key": "lambda"})
+    lam: float = _field(default=1e-3, key="lambda", min=0.0)
     beta: float = 1.0
     delta: float = 1e-4
-    steps: int = 200
+    steps: int = _field(default=200, min=1)
     seeds: list = field(default_factory=lambda: [0])
     batch: BatchSpec = field(default_factory=lambda: BatchSpec("full"))
     out_dir: str = "runs"
@@ -210,8 +200,6 @@ class ExperimentConfig:
         _check(_is(version, int) and version == SCHEMA_VERSION,
                f"unsupported schema_version {version!r}", "schema_version")
         cfg = _parse(cls, d, "")
-        _check(cfg.method in METHODS,
-               f"method must be one of {tuple(METHODS)}", "method")
         cfg.validate()
         return cfg
 
@@ -235,7 +223,6 @@ class ExperimentConfig:
             _check(value is None or 1 <= value <= side,
                    f"{name} must lie in [1, {side}], the smallest layer side",
                    name)
-        _check(self.k >= 1, "k must be at least 1", "k")
         _check((self.eta is None) != (self.eta_grid is None),
                "exactly one of eta and eta_grid is required", "eta")
         if self.eta is not None:
@@ -253,17 +240,16 @@ class ExperimentConfig:
                    f"eta_grid values must differ in their run names {tags}",
                    "eta_grid")
         _check(0.0 <= self.alpha < 1.0, "alpha must lie in [0, 1)", "alpha")
-        _check(self.lam >= 0.0, "lambda must be nonnegative", "lambda")
         _check(0.0 < self.beta <= 1.0, "beta must lie in (0, 1]", "beta")
         _check(self.delta > 0.0 if self.beta < 1.0 else self.delta >= 0.0,
                "delta must be nonnegative, and positive when beta < 1",
                "delta")
-        _check(self.steps >= 1, "steps must be positive", "steps")
         _check(isinstance(self.seeds, list) and self.seeds
                and all(_is(s, int) and s >= 0 for s in self.seeds),
                "seeds must be a nonempty list of nonnegative ints", "seeds")
         _check(len(set(self.seeds)) == len(self.seeds),
                "seeds must be distinct", "seeds")
+        _check(self.out_dir, "out_dir must not be empty", "out_dir")
         _check((self.beta < 1.0) == (self.method == "oplora_scaled"),
                "beta < 1 if and only if the method is oplora_scaled",
                "beta")

@@ -217,6 +217,10 @@ def init_adapter_lora(d_out, d_in, r, rng) -> FactorPair:
 # ---------------------------------------------------------------------------
 # Synthetic MLP task: Gaussian inputs, planted teacher labels.
 
+NONLINEARITIES = ("relu", "tanh")
+LOSSES = ("mse", "cross_entropy")
+
+
 @dataclass
 class MlpTask:
     dims: list
@@ -227,9 +231,9 @@ class MlpTask:
     def __post_init__(self):
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
             raise ShapeError("dims must list at least two positive sizes")
-        if self.nonlinearity not in ("relu", "tanh"):
+        if self.nonlinearity not in NONLINEARITIES:
             raise ShapeError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.loss not in ("mse", "cross_entropy"):
+        if self.loss not in LOSSES:
             raise ShapeError(f"unknown loss {self.loss!r}")
 
 
