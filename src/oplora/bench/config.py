@@ -46,10 +46,10 @@ def _parse(cls, doc, scope):
 
     A field without a default is required, ``null`` is accepted only where
     the default is None, values must pass :func:`_is` for the annotated
-    type and then the field's ``choices`` and ``min``, float fields are
-    stored as floats and nested dataclasses are built by their
-    ``from_dict``.  Another task kind's field, like any key not declared,
-    is rejected as unknown.
+    type and then the field's ``choices`` and ``min``, float fields must
+    be finite and are stored as floats and nested dataclasses are built
+    by their ``from_dict``.  Another task kind's field, like any key not
+    declared, is rejected as unknown.
     """
     doc = dict(doc)
     values = {}
@@ -71,6 +71,8 @@ def _parse(cls, doc, scope):
         want = dict if is_dataclass(kind) else kind
         _check(_is(val, want), f"{name} must be {want.__name__}, got {val!r}",
                name)
+        _check(kind is not float or math.isfinite(val),
+               f"{name} must be finite, got {val!r}", name)
         values[f.name] = val = (kind.from_dict(val) if want is not kind
                                 else float(val) if kind is float else val)
         choices, lo = f.metadata.get("choices"), f.metadata.get("min")
@@ -141,8 +143,8 @@ class TaskSpec:
         if spec.kind == "linear":
             sv = spec.singular_values
             if sv is not None:
-                _check(all(_is(s, float) for s in sv),
-                       "task.singular_values must list numbers",
+                _check(all(_is(s, float) and math.isfinite(s) for s in sv),
+                       "task.singular_values must list finite numbers",
                        "task.singular_values")
                 spec.singular_values = sv = [float(s) for s in sv]
                 _check(len(sv) <= min(spec.d_out, spec.d_in),
@@ -226,8 +228,7 @@ class ExperimentConfig:
         _check((self.eta is None) != (self.eta_grid is None),
                "exactly one of eta and eta_grid is required", "eta")
         if self.eta is not None:
-            _check(math.isfinite(self.eta) and self.eta > 0,
-                   "eta must be positive and finite", "eta")
+            _check(self.eta > 0, "eta must be positive", "eta")
         if self.eta_grid is not None:
             _check(isinstance(self.eta_grid, list) and self.eta_grid,
                    "eta_grid must be a nonempty list", "eta_grid")

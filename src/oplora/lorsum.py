@@ -182,10 +182,12 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
                              for c, left, _ in rest]
     outs_v = [c0 * right0] + [c * _inverse_metric(metric_v, right)
                               for c, _, right in rest]
-    lefts = np.hstack([left for _, left, _ in terms])
-    rights = np.hstack([right for _, _, right in terms])
-    u_side = ("U", lam * left0, np.hstack(outs_u), rights, metric_v)
-    v_side = ("V", lam * right0, np.hstack(outs_v), lefts, metric_u)
+    lefts = np.concatenate([left for _, left, _ in terms], axis=1)
+    rights = np.concatenate([right for _, _, right in terms], axis=1)
+    u_side = ("U", lam * left0, np.concatenate(outs_u, axis=1), rights,
+              metric_v)
+    v_side = ("V", lam * right0, np.concatenate(outs_v, axis=1), lefts,
+              metric_u)
 
     lam_eye = lam * np.eye(rank)
     cur_u, cur_v = left0, right0

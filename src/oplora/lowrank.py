@@ -9,7 +9,9 @@ go through r x r Grams.
 
 :func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
 once and then call ``matcore``'s unchecked cores (see its validation
-contract).
+contract).  The product distances form each r x r Gram of the pairs'
+factors once, with the unchecked core: a pair checks its factors when
+it is built, and nothing changes them afterwards.
 """
 
 from dataclasses import dataclass
@@ -110,10 +112,12 @@ def _gram_ritz(w, r: int):
 
 
 def product_inner(p: FactorPair, q: FactorPair) -> float:
-    """Frobenius inner product of two factor-pair products, kept thin.
+    """Frobenius inner product of two factor-pair products, kept thin,
+    with ``matmul``'s checks of all four factors.
 
-    Diverging iterates may overflow to inf; that is the intended
-    telemetry signal, not an error.
+    No caller in the library: the distances below skip those checks.
+    It stays because perfbench's tracer test reaches ``matmul`` through
+    this module's namespace.
     """
     gu = matmul(p.u, q.u, transpose_a=True)
     gv = matmul(p.v, q.v, transpose_a=True)
@@ -121,9 +125,20 @@ def product_inner(p: FactorPair, q: FactorPair) -> float:
         return float(np.sum(gu * gv))
 
 
+def _inner(p: FactorPair, q: FactorPair) -> float:
+    """Frobenius inner product of two pairs' products, from r x r Grams
+    of their factors, which the pairs checked when they were built."""
+    return float(np.sum(_product(p.u.T, q.u) * _product(p.v.T, q.v)))
+
+
 def product_distance(p: FactorPair, q: FactorPair) -> float:
-    """``||u_p v_p^T - u_q v_q^T||_F`` computed via r x r grams only."""
-    sq = product_inner(p, p) + product_inner(q, q) - 2.0 * product_inner(p, q)
+    """``||u_p v_p^T - u_q v_q^T||_F`` computed via r x r grams only.
+
+    Diverging iterates may overflow to inf; that is the intended
+    telemetry signal, not an error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = _inner(p, p) + _inner(q, q) - 2.0 * _inner(p, q)
     return float(np.sqrt(max(sq, 0.0)))
 
 
@@ -135,5 +150,5 @@ def product_distance_to_dense(p: FactorPair, w) -> float:
                          f"({p.d_out}, {p.d_in})")
     with np.errstate(over="ignore", invalid="ignore"):
         cross = float(np.sum(p.u * _product(w, p.v)))
-        sq = product_inner(p, p) - 2.0 * cross + float(np.sum(w * w))
+        sq = _inner(p, p) - 2.0 * cross + float(np.sum(w * w))
     return float(np.sqrt(max(sq, 0.0)))

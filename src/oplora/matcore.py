@@ -17,13 +17,15 @@ Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
 ``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Only
 ``lorsum`` and ``lowrank`` call the cores from outside, on operands they
-checked at their boundary or built from them by products, sums and
-solves, which cannot hide a NaN or inf (0 * inf is NaN).
-truncated_svd passes its results to the checked ``eigh_top`` and
-``svd_dense``.  Callers test no system before :func:`_cholesky_solve`:
-it gives the verdict on every solve, a :class:`NonFiniteError` when the
-system or its solution holds a NaN or inf, else a
-:class:`SingularMetricError` when a pivot fails.
+checked at their boundary (a ``FactorPair``'s factors when it was
+built) or built from them by products, sums and solves, which cannot
+hide a NaN or inf (0 * inf is NaN).  truncated_svd passes its results
+to the checked ``eigh_top`` and ``svd_dense``.  Callers test no system
+before :func:`_cholesky_solve`: it gives the verdict on every solve, a
+:class:`NonFiniteError` when the system or its solution holds a NaN or
+inf, else a :class:`SingularMetricError` when a pivot fails.  A solve
+that succeeds costs one combined test; only a failed one computes each
+pivot.
 """
 
 import math
@@ -137,16 +139,23 @@ def _cholesky_solve(a, b) -> np.ndarray:
     if b.shape[0] != n:
         raise ShapeError(f"b has {b.shape[0]} rows, expected {n}")
     low, x, info = dposv(a, b, lower=True)
-    # Pivots are the squared diagonal, but where LAPACK stops (info > 0)
-    # it leaves the failing pivot itself on the diagonal.
-    pivots = np.diagonal(low)[:info or n] ** 2
-    if info:
-        pivots[-1] = low[info - 1, info - 1]
-    good = (pivots > PIVOT_TOL) & (pivots < np.inf)
-    if good.all() and _all_finite(x):
+    # Pivots are the squared diagonal.  Where LAPACK finishes (info == 0)
+    # the diagonal holds square roots, each >= 0 or NaN, so the smallest
+    # and largest pivot are those of its smallest and largest entry, and
+    # a NaN fails both tests, as min and max propagate it.
+    diag = np.diagonal(low)
+    lo, hi = diag.min(), diag.max()
+    if (not info and lo * lo > PIVOT_TOL and hi * hi < np.inf
+            and _all_finite(x)):
         m = b.shape[1]
         charge(flops=n * n * n // 3 + 2 * n * n * m, alloc=n * m)
         return x
+    # Where LAPACK stops (info > 0) it leaves the failing pivot itself on
+    # the diagonal.
+    pivots = diag[:info or n] ** 2
+    if info:
+        pivots[-1] = low[info - 1, info - 1]
+    good = (pivots > PIVOT_TOL) & (pivots < np.inf)
     # A NaN or inf in the system fails a pivot or the solution.  The
     # entries are tested only now, so that such a system is named as one.
     if not good.all() and _all_finite(a) and _all_finite(b):

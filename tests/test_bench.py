@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import MISSING, fields
 import runpy
@@ -216,7 +217,8 @@ class TestConfig:
         ("seeds", [0, -1]), ("task.seed", -5), ("task.d_in", 0),
         ("task.kind", "cnn"), ("task.init", "zeros"), ("batch.mode", "half"),
         ("batch.size", 0), ("method", "adam"), ("k", 0), ("steps", 0),
-        ("lambda", -1e-3),
+        ("lambda", -1e-3), ("lambda", math.inf), ("delta", math.inf),
+        ("task.singular_values", [math.inf, 1.0]),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):

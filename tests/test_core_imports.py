@@ -1,7 +1,8 @@
-"""Only the two compound routines reach ``matcore``'s unchecked cores.
+"""Only two modules reach ``matcore``'s unchecked cores.
 
-``lorsum`` and ``truncated_svd`` check their operands once and then call
-the cores, which skip the checks (see ``matcore``'s validation
+``lorsum``, and ``lowrank``'s ``truncated_svd`` and product distances,
+check their operands once (a ``FactorPair`` when it is built) and then
+call the cores, which skip the checks (see ``matcore``'s validation
 contract).  The check reads each module under ``src/`` with the
 standard library's ``ast``, so a new caller of a core fails here rather
 than silently joining the unchecked path.

@@ -304,7 +304,27 @@ class TestProductHelpers:
         expected = product_distance_to_dense(p, w)
         checked = record_checks(monkeypatch)
         assert product_distance_to_dense(p, w) == expected
-        assert checked.count(id(w)) == 1
+        # the pair's factors were checked when it was built
+        assert checked == [id(w)]
+
+    # the work the runner's loss and gap charge to the flops column of
+    # every oplora run; skipping the factors' checks must not change it
+    @pytest.mark.parametrize("to_dense, d_out, d_in, flops, peak_alloc", [
+        (False, 120, 40, 61440, 64),
+        (False, 600, 200, 307200, 64),
+        (True, 120, 40, 97280, 960),
+        (True, 600, 200, 2022400, 4800),
+    ])
+    def test_charges_unchanged(self, to_dense, d_out, d_in, flops,
+                               peak_alloc):
+        g = rng(23)
+        p = random_pair(g, d_out, d_in, 8)
+        if to_dense:
+            product_distance_to_dense(p, g.standard_normal((d_out, d_in)))
+        else:
+            product_distance(p, random_pair(g, d_out, d_in, 8))
+        assert (counters().flops, counters().peak_alloc) == (flops,
+                                                             peak_alloc)
 
     def test_pad_rank_keeps_product(self):
         g = rng(19)

@@ -11,8 +11,8 @@ from oplora.errors import (ConvergenceError, DegenerateInputError,
                            NonFiniteError, ShapeError, SingularMetricError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair
-from oplora.matcore import (as_matrix, eigh_top, matmul, solve_spd,
-                            svd_dense, thin_qr)
+from oplora.matcore import (PIVOT_TOL, as_matrix, eigh_top, matmul,
+                            solve_spd, svd_dense, thin_qr)
 from oplora.nets import LoraLinear
 
 from conftest import rng
@@ -268,6 +268,8 @@ class TestSolveSpd:
         ([1.0, 1e-13, -1.0, 2.0], "1.000e-13", 1),
         # LAPACK stops at the first negative pivot, before later ones
         ([1.0, 2.0, -1.0, -3.0], "-1.000e+00", 2),
+        # a squared pivot of exactly PIVOT_TOL is too small
+        ([1.0, PIVOT_TOL, 2.0, 3.0], "1.000e-12", 1),
     ])
     def test_reports_the_first_of_several_bad_pivots(self, diag, pivot,
                                                      index):
@@ -276,6 +278,12 @@ class TestSolveSpd:
         assert str(err.value) == ("matrix is not positive definite "
                                   f"(pivot {pivot} at index {index})")
         assert err.value.pivot_index == index
+
+    def test_pivot_one_ulp_above_the_tolerance_solves(self):
+        # its squared pivot is 1.0000000000000004e-12 > PIVOT_TOL
+        diag = np.array([1.0, np.nextafter(PIVOT_TOL, np.inf), 2.0, 3.0])
+        x = solve_spd(np.diag(diag), np.ones((4, 1)))
+        assert np.allclose(x[:, 0], 1.0 / diag, rtol=1e-15)
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
