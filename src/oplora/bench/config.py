@@ -15,6 +15,7 @@ rejected at every level so typos fail fast.  The schema is versioned via
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, get_args
 
@@ -47,8 +48,9 @@ def _parse(cls, doc, scope):
     A field without a default is required, ``null`` is accepted only where
     the default is None, values must pass :func:`_is` for the annotated
     type and then the field's ``choices`` and ``min``, float fields must
-    be finite and are stored as floats and nested dataclasses are built
-    by their ``from_dict``.  Another task kind's field, like any key not
+    be finite as floats (not NaN, inf, or an int past the float range)
+    and are stored as floats and nested dataclasses are built by their
+    ``from_dict``.  Another task kind's field, like any key not
     declared, is rejected as unknown.
     """
     doc = dict(doc)
@@ -71,8 +73,8 @@ def _parse(cls, doc, scope):
         want = dict if is_dataclass(kind) else kind
         _check(_is(val, want), f"{name} must be {want.__name__}, got {val!r}",
                name)
-        _check(kind is not float or math.isfinite(val),
-               f"{name} must be finite, got {val!r}", name)
+        _check(kind is not float or abs(val) <= sys.float_info.max,
+               f"{name} must be a finite float, got {val!r}", name)
         values[f.name] = val = (kind.from_dict(val) if want is not kind
                                 else float(val) if kind is float else val)
         choices, lo = f.metadata.get("choices"), f.metadata.get("min")
@@ -107,7 +109,7 @@ def eta_tag(eta) -> str:
 
 def is_125_grid_value(x) -> bool:
     """True when x equals m * 10^e for a mantissa m in {1, 2, 5}."""
-    if not (_is(x, float) and math.isfinite(x) and x > 0):
+    if not (_is(x, float) and 0 < x <= sys.float_info.max):
         return False
     e = math.floor(math.log10(x) + 1e-12)
     for mant in (1.0, 2.0, 5.0):
@@ -143,7 +145,8 @@ class TaskSpec:
         if spec.kind == "linear":
             sv = spec.singular_values
             if sv is not None:
-                _check(all(_is(s, float) and math.isfinite(s) for s in sv),
+                _check(all(_is(s, float) and abs(s) <= sys.float_info.max
+                           for s in sv),
                        "task.singular_values must list finite numbers",
                        "task.singular_values")
                 spec.singular_values = sv = [float(s) for s in sv]
@@ -207,10 +210,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
+        # a ValueError is bad JSON or an int past Python's digit limit
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
@@ -245,9 +249,10 @@ class ExperimentConfig:
         _check(self.delta > 0.0 if self.beta < 1.0 else self.delta >= 0.0,
                "delta must be nonnegative, and positive when beta < 1",
                "delta")
+        # a run seed is spelled out in its file names
         _check(isinstance(self.seeds, list) and self.seeds
-               and all(_is(s, int) and s >= 0 for s in self.seeds),
-               "seeds must be a nonempty list of nonnegative ints", "seeds")
+               and all(_is(s, int) and 0 <= s < 2**64 for s in self.seeds),
+               "seeds must be a nonempty list of ints in [0, 2**64)", "seeds")
         _check(len(set(self.seeds)) == len(self.seeds),
                "seeds must be distinct", "seeds")
         _check(self.out_dir, "out_dir must not be empty", "out_dir")

@@ -55,13 +55,12 @@ def _adamw_step(cfg, eta, layer, state):
 
 def _svdlora_step(cfg, eta, layer, state):
     layer.adapter = optim.svdlora_step(layer.adapter, state,
-                                       nets.weight_grad(layer), eta,
-                                       cfg.alpha, cfg.rank)
+                                       nets.weight_grad(layer), eta, cfg.alpha)
     layer.clear_captures()
 
 
 def _full_init(cfg, eta, seed, layer):
-    w = matmul(layer.adapter.u, layer.adapter.v, transpose_b=True)
+    w = matmul(layer.adapter.u, layer.adapter.v.T)
     if layer.w0 is not None:
         w = layer.w0 + w
     empty = FactorPair(layer.adapter.u[:, :0], layer.adapter.v[:, :0])

@@ -93,8 +93,7 @@ class _LinearProblem:
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
         self.oracle = truncated_svd(target, cfg.rank)
-        self.oracle_dense = matmul(self.oracle.u, self.oracle.v,
-                                   transpose_b=True)
+        self.oracle_dense = matmul(self.oracle.u, self.oracle.v.T)
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
@@ -111,10 +110,10 @@ class _LinearProblem:
         else:
             loss = 0.5 * float(np.sum((layer.w0 - self.task.target) ** 2))
             gap = float(np.linalg.norm(layer.w0 - self.oracle_dense))
-        # the full baseline's empty adapter has no trail
+        # the full baseline's empty adapter has no trail; nothing mutates
+        # a pair's factors, so they are kept as they are, not copied
         if self.cfg.record_factors and layer.adapter.rank:
-            self.trail.append((layer.adapter.u.copy(),
-                               layer.adapter.v.copy()))
+            self.trail.append((layer.adapter.u, layer.adapter.v))
         return loss, gap
 
 

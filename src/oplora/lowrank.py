@@ -119,8 +119,8 @@ def product_inner(p: FactorPair, q: FactorPair) -> float:
     It stays because perfbench's tracer test reaches ``matmul`` through
     this module's namespace.
     """
-    gu = matmul(p.u, q.u, transpose_a=True)
-    gv = matmul(p.v, q.v, transpose_a=True)
+    gu = matmul(p.u.T, q.u)
+    gv = matmul(p.v.T, q.v)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sum(gu * gv))
 

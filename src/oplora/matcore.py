@@ -15,7 +15,10 @@ reaches the step's result.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
-``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Only
+``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.
+``matmul(a, b)`` takes its operands as multiplied, as ``_product``
+does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
+returns unchanged, so it is neither copied nor checked twice.  Only
 ``lorsum`` and ``lowrank`` call the cores from outside, on operands they
 checked at their boundary (a ``FactorPair``'s factors when it was
 built) or built from them by products, sums and solves, which cannot
@@ -86,16 +89,13 @@ def _symmetric_operand(a) -> np.ndarray:
     return a
 
 
-def matmul(a, b, transpose_a=False, transpose_b=False) -> np.ndarray:
-    """Dense product of ``a`` and ``b`` with optional transposition."""
+def matmul(a, b) -> np.ndarray:
+    """Dense product ``a @ b`` of the operands as multiplied."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
-    left = a.T if transpose_a else a
-    right = b.T if transpose_b else b
-    if left.shape[1] != right.shape[0]:
-        raise ShapeError(
-            f"inner dimensions disagree: {left.shape} x {right.shape}")
-    return _product(left, right)
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
+    return _product(a, b)
 
 
 def _product(left, right) -> np.ndarray:

@@ -45,10 +45,9 @@ class LoraLinear:
     def forward(self, x) -> np.ndarray:
         """``x @ (w0 + u v^T)^T`` with the adapter applied thin."""
         x = as_matrix(x, "x")
-        out = matmul(matmul(x, self.adapter.v), self.adapter.u,
-                     transpose_b=True)
+        out = matmul(matmul(x, self.adapter.v), self.adapter.u.T)
         if self.w0 is not None:
-            out = out + matmul(x, self.w0, transpose_b=True)
+            out = out + matmul(x, self.w0.T)
         self.captured_x = x
         return out
 
@@ -62,8 +61,7 @@ class LoraLinear:
                 f"output gradient shape {s.shape} does not match "
                 f"({self.captured_x.shape[0]}, {self.adapter.d_out})")
         self.captured_s = s
-        grad = matmul(matmul(s, self.adapter.u), self.adapter.v,
-                      transpose_b=True)
+        grad = matmul(matmul(s, self.adapter.u), self.adapter.v.T)
         if self.w0 is not None:
             grad = grad + matmul(s, self.w0)
         return grad
@@ -91,7 +89,7 @@ def weight_grad(layer) -> np.ndarray:
     """The full weight gradient S^T X, dense; an index X scatters S."""
     x, s = _fresh(layer)
     if x.ndim == 2:
-        return matmul(s, x, transpose_a=True)
+        return matmul(s.T, x)
     grad = np.zeros((s.shape[1], layer.adapter.d_in))
     for j, col in zip(x, s):  # a repeat adds, as in the loss
         grad[:, j] += col
@@ -101,8 +99,8 @@ def weight_grad(layer) -> np.ndarray:
 def factor_grads(layer: LoraLinear):
     """Factor gradients G_u = S^T (X v), G_v = X^T (S u) from captures."""
     x, s = captures(layer)
-    g_u = matmul(s, matmul(x, layer.adapter.v), transpose_a=True)
-    g_v = matmul(x, matmul(s, layer.adapter.u), transpose_a=True)
+    g_u = matmul(s.T, matmul(x, layer.adapter.v))
+    g_v = matmul(x.T, matmul(s, layer.adapter.u))
     return g_u, g_v
 
 
@@ -172,7 +170,7 @@ def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
     S^T X is the unbiased sampled loss's gradient.  Returns that loss.
     """
     idx, scale = _sampled(task, indices)
-    pred = matmul(layer.adapter.u, layer.adapter.v[idx, :], transpose_b=True)
+    pred = matmul(layer.adapter.u, layer.adapter.v[idx, :].T)
     if layer.w0 is not None:
         pred = pred + layer.w0[:, idx]
     diff = pred - task.target[:, idx]

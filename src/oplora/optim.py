@@ -228,11 +228,12 @@ def dense_heavy_ball(w, momentum: np.ndarray, grad, eta: float,
 
 
 def svdlora_step(pair: FactorPair, momentum: np.ndarray, grad, eta: float,
-                 alpha: float, r: int) -> FactorPair:
-    """A dense heavy-ball step from U V^T, projected back to rank r by
-    SVD; the momentum stays full rank."""
-    w = matmul(pair.u, pair.v, transpose_b=True)
-    return truncated_svd(dense_heavy_ball(w, momentum, grad, eta, alpha), r)
+                 alpha: float) -> FactorPair:
+    """A dense heavy-ball step from U V^T, projected back to the pair's
+    rank by SVD; the momentum stays full rank."""
+    w = matmul(pair.u, pair.v.T)
+    return truncated_svd(dense_heavy_ball(w, momentum, grad, eta, alpha),
+                         pair.rank)
 
 
 @dataclass
@@ -298,12 +299,11 @@ def adamw_step(factors: FactorPair, grads, eta: float,
 
 @dataclass
 class ProjMomentumState:
-    """Factor-shaped momentum plus the previous iterates it projects through."""
+    """Factor-shaped momentum plus the previous adapter it projects through."""
 
     momentum_u: np.ndarray
     momentum_v: np.ndarray
-    prev_u: Optional[np.ndarray] = None
-    prev_v: Optional[np.ndarray] = None
+    prev: Optional[FactorPair] = None
 
     @staticmethod
     def like(pair: FactorPair) -> "ProjMomentumState":
@@ -317,23 +317,20 @@ def momentum_update_proj(state: ProjMomentumState, layer,
         M_u <- G_u (V^T V + lam I)^-1
                + alpha M_u (V_prev^T V) (V^T V + lam I)^-1
 
-    and the V analog with U grams.  The current factors are stashed as
-    the next step's previous iterates.
+    and the V analog with U grams.  The current adapter is kept as the
+    next step's previous one; nothing mutates a pair's factors.
     """
-    g_u, g_v = factor_grads(layer)
+    num_u, num_v = factor_grads(layer)
     u, v = layer.adapter.u, layer.adapter.v
     eye = np.eye(layer.adapter.rank)
-    num_u = g_u
-    num_v = g_v
-    if state.prev_u is not None:
+    if state.prev is not None:
         num_u = num_u + alpha * matmul(
-            state.momentum_u, matmul(state.prev_v, v, transpose_a=True))
+            state.momentum_u, matmul(state.prev.v.T, v))
         num_v = num_v + alpha * matmul(
-            state.momentum_v, matmul(state.prev_u, u, transpose_a=True))
+            state.momentum_v, matmul(state.prev.u.T, u))
     state.momentum_u = solve_spd(gram(v) + lam * eye, num_u.T).T
     state.momentum_v = solve_spd(gram(u) + lam * eye, num_v.T).T
-    state.prev_u = u.copy()
-    state.prev_v = v.copy()
+    state.prev = layer.adapter
     return state.momentum_u, state.momentum_v
 
 

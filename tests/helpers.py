@@ -160,8 +160,7 @@ def momentum_update_naive(state: ProjMomentumState, layer,
     pre_v = solve_spd(gram(u) + lam * eye, g_v.T).T
     state.momentum_u = pre_u + alpha * state.momentum_u
     state.momentum_v = pre_v + alpha * state.momentum_v
-    state.prev_u = u.copy()
-    state.prev_v = v.copy()
+    state.prev = layer.adapter
     return state.momentum_u, state.momentum_v
 
 

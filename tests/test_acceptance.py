@@ -175,7 +175,7 @@ def test_criterion_04_subspace_iteration_identities():
                 assert np.linalg.norm(prod - proj) <= 1e-8 * norm
 
 
-def _run_reference_projection(target, init, eta, alpha, steps, rank,
+def _run_reference_projection(target, init, eta, alpha, steps,
                               batch_rng=None, batch_size=None):
     task = LinearTask(target)
     pair, momentum = init, np.zeros(target.shape)
@@ -183,7 +183,7 @@ def _run_reference_projection(target, init, eta, alpha, steps, rank,
     for _ in range(steps):
         idx = sample_batch(task.d_in, batch_size, batch_rng)
         grad, _ = linear_task_grad_dense(task, materialize(pair), idx)
-        pair = optim.svdlora_step(pair, momentum, grad, eta, alpha, rank)
+        pair = optim.svdlora_step(pair, momentum, grad, eta, alpha)
         iterates.append(materialize(pair))
     _, final_loss = linear_task_grad_dense(task, materialize(pair),
                                            np.arange(target.shape[1]))
@@ -213,7 +213,7 @@ def test_criterion_05_iteration_count_closes_gap_deterministic():
         target = make_linear_target(d_out, d_in, seeded(7, 0))
         init = init_adapter_random(d_out, d_in, r, seeded(7, 1))
         ref_iterates, ref_final = _run_reference_projection(
-            target, init, eta, 0.0, steps, r)
+            target, init, eta, 0.0, steps)
         mean_dists = {}
         finals = {}
         for k in (1, 2, 8):
@@ -240,7 +240,7 @@ def test_criterion_06_momentum_rank_closes_gap_minibatch():
         ref_final = {}
         for seed in seeds:
             _, ref_final[seed] = _run_reference_projection(
-                target, init, eta, alpha, steps, r,
+                target, init, eta, alpha, steps,
                 batch_rng=seeded(seed, 2), batch_size=bs)
         median_gap = {}
         for m_rank in (8, 16, 32):

@@ -219,12 +219,23 @@ class TestConfig:
         ("batch.size", 0), ("method", "adam"), ("k", 0), ("steps", 0),
         ("lambda", -1e-3), ("lambda", math.inf), ("delta", math.inf),
         ("task.singular_values", [math.inf, 1.0]),
+        # JSON integers too large for a float, and run seeds too long
+        # for a file name
+        *(pytest.param(field, value, id=f"{field}-overflow")
+          for field, value in [("eta", 10**400), ("alpha", 10**400),
+                               ("lambda", 10**400), ("beta", 10**400),
+                               ("delta", -10**400), ("eta_grid", [10**400]),
+                               ("task.singular_values", [10**400])]),
+        ("seeds", [2**64]), pytest.param("seeds", [0, 10**300],
+                                         id="seeds-300-digits"),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):
         doc = base_config(tmp_path)
         if field == "batch.size":
             doc["batch"] = {"mode": "minibatch"}
+        if field == "eta_grid":
+            del doc["eta"]
         scope, _, key = field.rpartition(".")
         (doc[scope] if scope else doc)[key] = value
         with pytest.raises(ConfigError) as err:
@@ -912,6 +923,22 @@ class TestCli:
             extra = ["--seed-override=3,-2"]
         path = self._write(tmp_path, doc)
         assert cli_main(["run", path, "--quiet", *extra]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["steps", "--seed-override"])
+    def test_oversized_number_exit_one(self, tmp_path, where):
+        """A 5000-digit integer is past Python's limit on converting a
+        string to an int; a 300-digit run seed makes too long a file
+        name."""
+        text = json.dumps(base_config(tmp_path / "out", steps=3))
+        extra = []
+        if where == "steps":
+            text = text.replace('"steps": 3', '"steps": ' + "9" * 5000)
+        else:
+            extra = ["--seed-override", "7" * 300]
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--quiet", *extra]) == 1
         assert not (tmp_path / "out").exists()
 
     def test_empty_out_dir_exit_one(self, tmp_path, monkeypatch):

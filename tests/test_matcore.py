@@ -167,14 +167,6 @@ class TestMatmul:
         b = g.standard_normal((3, 2))
         assert np.allclose(matmul(a, b), naive_matmul(a, b), atol=1e-13)
 
-    def test_transpose_flags(self):
-        g = rng(4)
-        a = g.standard_normal((3, 4))
-        b = g.standard_normal((3, 5))
-        assert np.allclose(matmul(a, b, transpose_a=True), a.T @ b)
-        c = g.standard_normal((5, 4))
-        assert np.allclose(matmul(a, c, transpose_b=True), a @ c.T)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
@@ -209,6 +201,69 @@ class TestMatmul:
         a = g.standard_normal((37, 29))
         b = g.standard_normal((29, 41))
         assert np.array_equal(matmul(a, b), matmul(a, b))
+
+
+class TestMatmulTransposedViews:
+    """A transpose reaches ``matmul`` as a ``.T`` view of its operand:
+    ``matmul(a.T, b)`` (4 x 5) and ``matmul(a, c.T)`` (3 x 5), with ``a``
+    3 x 4, ``b`` 3 x 5 and ``c`` 5 x 4."""
+
+    @staticmethod
+    def operands():
+        g = rng(4)
+        return (g.standard_normal((3, 4)), g.standard_normal((3, 5)),
+                g.standard_normal((5, 4)))
+
+    def test_bit_equal_to_numpy(self):
+        a, b, c = self.operands()
+        assert np.array_equal(matmul(a.T, b), a.T @ b)
+        assert np.array_equal(matmul(a, c.T), a @ c.T)
+
+    @pytest.mark.parametrize("left_t", [True, False])
+    def test_charges_2mkn_flops_and_mn_alloc(self, left_t):
+        a, b, c = self.operands()
+        out = matmul(a.T, b) if left_t else matmul(a, c.T)
+        m, n = out.shape
+        k = 3 if left_t else 4
+        assert (counters().flops, counters().peak_alloc) == (2 * m * k * n,
+                                                             m * n)
+
+    @pytest.mark.parametrize("left_t", [True, False])
+    def test_each_operand_checked_once_without_a_copy(self, monkeypatch,
+                                                      left_t):
+        a, b, c = self.operands()
+        ops = (a.T, b) if left_t else (a, c.T)
+        seen, real = [], matcore.as_matrix
+
+        def recording(x, name="operand"):
+            out = real(x, name)
+            seen.append((x, name, out))
+            return out
+
+        monkeypatch.setattr(matcore, "as_matrix", recording)
+        matmul(*ops)
+        assert [name for _, name, _ in seen] == ["a", "b"]
+        for op, (x, _, out) in zip(ops, seen):
+            assert x is op and out is op
+
+    @pytest.mark.parametrize("left_t", [True, False])
+    def test_nan_in_a_transposed_operand_is_named(self, left_t):
+        a, b, c = self.operands()
+        if left_t:
+            b[1, 2] = np.nan
+            ops, name = (b.T, a), "a"
+        else:
+            c[1, 2] = np.nan
+            ops, name = (a, c.T), "b"
+        with pytest.raises(NonFiniteError,
+                           match=f"^{name} contains non-finite"):
+            matmul(*ops)
+
+    def test_inner_dimension_message_has_the_transposed_shapes(self):
+        a, b, c = self.operands()
+        with pytest.raises(ShapeError, match=r"^inner dimensions disagree: "
+                           r"\(4, 3\) x \(4, 5\)$"):
+            matmul(a.T, c.T)
 
 
 class TestSolveSpd:

@@ -214,7 +214,7 @@ class TestOracleApproach:
         iterates = []
         for _ in range(steps):
             grad, _ = linear_task_grad_dense(task, materialize(pair), idx)
-            pair = optim.svdlora_step(pair, momentum, grad, 0.5, 0.0, 8)
+            pair = optim.svdlora_step(pair, momentum, grad, 0.5, 0.0)
             iterates.append(materialize(pair))
         return iterates
 
@@ -331,7 +331,7 @@ class TestSvdLora:
         target = g.standard_normal((7, 5))
         zero = FactorPair(np.zeros((7, 5)), np.zeros((5, 5)))
         pair = optim.svdlora_step(zero, np.zeros((7, 5)), -target, eta=1.0,
-                                  alpha=0.0, r=5)
+                                  alpha=0.0)
         assert np.linalg.norm(materialize(pair) - target) \
             <= 1e-8 * np.linalg.norm(target)
 
@@ -339,7 +339,7 @@ class TestSvdLora:
         zero = FactorPair(np.zeros((4, 2)), np.zeros((4, 2)))
         grad = -np.diag([5.0, 3.0, 2.0, 1.0])
         pair = optim.svdlora_step(zero, np.zeros((4, 4)), grad, eta=1.0,
-                                  alpha=0.0, r=2)
+                                  alpha=0.0)
         assert np.allclose(materialize(pair), np.diag([5.0, 3.0, 0.0, 0.0]),
                            atol=1e-10)
 
@@ -352,8 +352,7 @@ class TestSvdLora:
         pair = truncated_svd(w, r)
         svd_flops = counters().flops
         reset_counters()
-        optim.svdlora_step(pair, np.zeros_like(w), grad, eta=0.1, alpha=0.0,
-                           r=r)
+        optim.svdlora_step(pair, np.zeros_like(w), grad, eta=0.1, alpha=0.0)
         # the dense product U V^T that rebuilds the iterate, then the SVD
         assert counters().flops >= svd_flops + 2 * d_out * r * d_in
 
@@ -368,7 +367,7 @@ class TestSvdLora:
         momentum = g.standard_normal((4, 5))
         before = momentum.copy()
         with pytest.raises(error):
-            optim.svdlora_step(pair, momentum, bad, eta=0.1, alpha=0.5, r=2)
+            optim.svdlora_step(pair, momentum, bad, eta=0.1, alpha=0.5)
         assert np.array_equal(momentum, before)
 
     def test_tuned_momentum_run_decreases_loss(self):
@@ -390,7 +389,7 @@ class TestSvdLora:
             grad, loss = linear_task_grad_dense(task, materialize(pair), idx)
             losses.append(loss)
             pair = optim.svdlora_step(pair, momentum, grad, eta=0.1,
-                                      alpha=0.75, r=4)
+                                      alpha=0.75)
         _, final = linear_task_grad_dense(task, materialize(pair), idx)
         losses.append(final)
         assert all(b < a for a, b in zip(losses[:6], losses[1:6]))
