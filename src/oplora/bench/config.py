@@ -221,9 +221,23 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self):
+        # The target (or each layer's weight) and the MLP's activations
+        # are the largest dense arrays of a run; numpy cannot index one
+        # of more than sys.maxsize bytes (8 bytes a float64 entry).
+        t = self.task
+        if t.kind == "linear":
+            arrays = [("task.d_out", t.d_out, "task.d_in", t.d_in)]
+        else:
+            arrays = [("task.dims", a, "task.dims", b)
+                      for a, b in zip(t.dims, t.dims[1:])]
+            arrays.append(("task.n_samples", t.n_samples,
+                           "task.dims", max(t.dims)))
+        for rows_name, rows, cols_name, cols in arrays:
+            _check(8 * rows * cols <= sys.maxsize,
+                   f"a {rows} x {cols} array is past numpy's size limit",
+                   rows_name if rows >= cols else cols_name)
         # every layer's factors, momentum and metric are at most this wide
-        side = min(self.task.dims if self.task.kind == "mlp"
-                   else (self.task.d_out, self.task.d_in))
+        side = min(t.dims if t.kind == "mlp" else (t.d_out, t.d_in))
         for name in ("rank", "momentum_rank", "metric_rank"):
             value = getattr(self, name)
             _check(value is None or 1 <= value <= side,
@@ -260,11 +274,11 @@ class ExperimentConfig:
                "beta < 1 if and only if the method is oplora_scaled",
                "beta")
         if self.batch.mode == "minibatch":
-            if self.task.kind == "linear":
-                _check(self.batch.size <= self.task.d_in,
+            if t.kind == "linear":
+                _check(self.batch.size <= t.d_in,
                        "batch size exceeds column count", "batch.size")
             else:
-                _check(self.batch.size <= self.task.n_samples,
+                _check(self.batch.size <= t.n_samples,
                        "batch size exceeds sample count", "batch.size")
 
     def etas(self):

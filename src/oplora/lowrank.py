@@ -1,11 +1,13 @@
 """Rank-r factor pairs, product distances, and the truncated-SVD oracle.
 
 A :class:`FactorPair` ``(u, v)`` stands for the product ``u @ v.T`` and
-is the currency every optimizer in this library trades in.  A weighted
-sum of such products is a plain list of ``(c, left, right)`` terms,
-which :func:`oplora.lorsum.lorsum` checks and compresses.  No function
-here forms the dense product of a pair: the distances between products
-go through r x r Grams.
+is the currency every optimizer in this library trades in.  Only the
+product is meaningful: the factors carry LAPACK's signs, and negating a
+column in both changes neither the product nor any distance computed
+from it.  A weighted sum of such products is a plain list of
+``(c, left, right)`` terms, which :func:`oplora.lorsum.lorsum` checks
+and compresses.  No function here forms the dense product of a pair:
+the distances between products go through r x r Grams.
 
 :func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
 once and then call ``matcore``'s unchecked cores (see its validation
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import (_gram, _product, as_matrix, eigh_top,
-                      lead_nonnegative, matmul, svd_dense)
+from .matcore import (_gram, _product, as_matrix, check_rank, eigh_top,
+                      matmul, svd_dense)
 
 EPS = np.finfo(np.float64).eps
 TINY = np.finfo(np.float64).tiny
@@ -63,9 +65,8 @@ def truncated_svd(w, r: int) -> FactorPair:
     """Best rank-r approximation of ``w`` as a balanced factor pair.
 
     Both factors absorb a square root of the singular values, so
-    ``u.T @ u == v.T @ v == diag(sigma_r)``, and ``u`` keeps
-    :func:`svd_dense`'s sign convention.  Zero singular values yield
-    exact zero columns; downstream solves must rely on damping.
+    ``u.T @ u == v.T @ v == diag(sigma_r)``.  Zero singular values
+    yield exact zero columns; downstream solves must rely on damping.
 
     The top r + 1 eigenvectors of the Gram of ``w``'s smaller side span
     a subspace holding the top r singular vectors, and a Rayleigh-Ritz
@@ -78,8 +79,7 @@ def truncated_svd(w, r: int) -> FactorPair:
     :func:`svd_dense` of ``w`` is truncated instead.
     """
     w = as_matrix(w, "w")
-    if r < 1 or r > min(w.shape):
-        raise ShapeError(f"rank {r} invalid for shape {w.shape}")
+    check_rank(r, "r", w.shape)
     ritz = _gram_ritz(w, r) if r < min(w.shape) else None
     u, sigma, v = ritz if ritz is not None else svd_dense(w)
     head = sigma[:r].copy()
@@ -106,9 +106,7 @@ def _gram_ritz(w, r: int):
         u, sigma, x = svd_dense(_product(w, q))
         return u, sigma, _product(q, x)
     x, sigma, v = svd_dense(_product(q.T, w))
-    u = _product(q, x)
-    lead_nonnegative(u, v)
-    return u, sigma, v
+    return _product(q, x), sigma, v
 
 
 def product_inner(p: FactorPair, q: FactorPair) -> float:

@@ -29,9 +29,15 @@ before :func:`_cholesky_solve`: it gives the verdict on every solve, a
 inf, else a :class:`SingularMetricError` when a pivot fails.  A solve
 that succeeds costs one combined test; only a failed one computes each
 pivot.
+
+The factorizations impose no sign convention: ``thin_qr``'s and
+``svd_dense``'s columns carry LAPACK's signs.  Callers use factors only
+through their products, which negating matching columns of both factors
+leaves bit for bit unchanged.
 """
 
 import math
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh
@@ -49,7 +55,6 @@ from .instrument import charge
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
 RANK_TOL = 1e-12
-SIGN_TOL = 1e-12
 
 
 def as_matrix(a, name="operand") -> np.ndarray:
@@ -78,11 +83,21 @@ def _all_finite(a) -> bool:
             or bool(np.isfinite(a).all()))
 
 
+def check_rank(k, name, shape) -> None:
+    """Reject a ``k`` that is not an int (a bool is not one) in
+    [1, min(shape)], naming it ``name``."""
+    if (isinstance(k, bool) or not isinstance(k, Integral)
+            or not 1 <= k <= min(shape)):
+        raise ShapeError(f"{name}={k} invalid for a "
+                         f"{shape[0]}x{shape[1]} matrix")
+
+
 def _symmetric_operand(a) -> np.ndarray:
-    """:func:`as_matrix`, then reject a non-square or asymmetric ``a``."""
+    """:func:`as_matrix`, then reject a non-square, empty or asymmetric
+    ``a``."""
     a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"a must be square, got {a.shape}")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise ShapeError(f"a must be square and nonempty, got {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
         raise ShapeError("a is not symmetric within tolerance")
@@ -167,23 +182,21 @@ def _cholesky_solve(a, b) -> np.ndarray:
 
 
 def thin_qr(a):
-    """Reduced QR of a tall matrix with a nonnegative-diagonal R.
+    """Reduced QR of a tall matrix, as ``np.linalg.qr`` returns it.
 
-    Returns ``(q, r_factor)`` with orthonormal ``q`` columns.  Raises
-    on rank deficiency (smallest |R_jj| at or below 1e-12).
+    Returns ``(q, r_factor)`` with orthonormal ``q`` columns and an
+    upper-triangular R whose diagonal carries LAPACK's signs.  Raises on
+    rank deficiency (smallest |R_jj| at or below 1e-12); an operand with
+    no columns has the empty factorization.
     """
     a = as_matrix(a, "a")
     d, r = a.shape
     if d < r:
         raise ShapeError(f"thin_qr needs rows >= cols, got {a.shape}")
     q, rm = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(rm)
-    if float(np.min(np.abs(diag))) <= RANK_TOL:
+    if r and float(np.min(np.abs(np.diagonal(rm)))) <= RANK_TOL:
         raise DegenerateInputError(
             "input is rank deficient (tiny diagonal in R)")
-    sign = np.where(diag < 0.0, -1.0, 1.0)
-    q = q * sign
-    rm = rm * sign[:, None]
     charge(flops=2 * d * r * r, alloc=d * r)
     return q, rm
 
@@ -198,8 +211,7 @@ def eigh_top(a, k):
     """
     a = _symmetric_operand(a)
     n = a.shape[0]
-    if k < 1 or k > n:
-        raise ShapeError(f"k={k} invalid for a {n}x{n} matrix")
+    check_rank(k, "k", a.shape)
     try:
         lam, q = eigh(a, subset_by_index=[n - k, n - 1], driver="evr",
                       check_finite=False)
@@ -210,36 +222,18 @@ def eigh_top(a, k):
     return lam[::-1].copy(), q[:, ::-1].copy()
 
 
-def lead_nonnegative(u, v) -> None:
-    """Flip paired columns in place so that the first entry of each
-    ``u`` column whose magnitude exceeds 1e-12 is nonnegative."""
-    mask = np.abs(u) > SIGN_TOL
-    first = mask.argmax(axis=0)
-    has_lead = mask.any(axis=0)
-    lead = u[first, np.arange(u.shape[1])]
-    flip = has_lead & (lead < 0.0)
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-
-
 def svd_dense(a):
-    """Full thin SVD with a deterministic sign convention.
+    """Full thin SVD, with LAPACK's signs on the singular vectors.
 
-    Returns ``(u, sigma, v)`` with ``a = u @ diag(sigma) @ v.T``, sigma
-    nonincreasing, and the first entry of each left singular vector
-    whose magnitude exceeds 1e-12 made nonnegative.  Oracle and baseline
-    paths only.
+    Returns ``(u, sigma, v)`` with ``a = u @ diag(sigma) @ v.T`` and
+    sigma nonincreasing.  Oracle and baseline paths only.
     """
     a = as_matrix(a, "a")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
-    v = vt.T.copy()
-    u = u.copy()
-    lead_nonnegative(u, v)
     m, n = a.shape
     k = min(m, n)
     charge(flops=4 * m * n * k + 8 * k * k * k, alloc=(m + n) * k)
-    return u, s, v
-
+    return u, s, vt.T.copy()

