@@ -3,10 +3,10 @@
 A row holds what is method-specific about one layer.
 ``init(cfg, eta, seed, layer)`` returns the layer to train and its
 state; ``step(cfg, eta, layer, state)`` updates them from the captures
-the task's pass left on the layer.  The dense baselines step from
-``nets.weight_grad`` and keep only their dense momentum as the state;
+the task's pass left on the layer.  The dense baselines keep only their
+dense momentum as the state and add the captured gradient into it;
 svdlora's iterate is the layer's adapter, and the full baseline's layer
-is its dense weight under an empty adapter.
+is its dense weight under an empty adapter, updated in place.
 
 Steps call ``optim`` through the module attribute at call time, so that
 wrappers put on the module (the benchmark's timing and tracing) see
@@ -53,12 +53,6 @@ def _adamw_step(cfg, eta, layer, state):
     layer.clear_captures()
 
 
-def _svdlora_step(cfg, eta, layer, state):
-    layer.adapter = optim.svdlora_step(layer.adapter, state,
-                                       nets.weight_grad(layer), eta, cfg.alpha)
-    layer.clear_captures()
-
-
 def _full_init(cfg, eta, seed, layer):
     w = matmul(layer.adapter.u, layer.adapter.v.T)
     if layer.w0 is not None:
@@ -68,8 +62,7 @@ def _full_init(cfg, eta, seed, layer):
 
 
 def _full_step(cfg, eta, layer, state):
-    layer.w0 = optim.dense_heavy_ball(layer.w0, state, nets.weight_grad(layer),
-                                      eta, cfg.alpha)
+    optim.dense_heavy_ball(layer, layer.w0, state, eta, cfg.alpha)
     layer.clear_captures()
 
 
@@ -91,6 +84,7 @@ METHODS = {
     "svdlora": Method(lambda cfg, eta, seed, layer:
                       (layer, np.zeros((layer.adapter.d_out,
                                         layer.adapter.d_in))),
-                      _svdlora_step),
+                      lambda cfg, eta, layer, state:
+                      optim.svdlora_step(layer, state, eta, cfg.alpha)),
     "full": Method(_full_init, _full_step),
 }

@@ -93,7 +93,11 @@ class _LinearProblem:
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
         self.oracle = truncated_svd(target, cfg.rank)
-        self.oracle_dense = matmul(self.oracle.u, self.oracle.v.T)
+        with np.errstate(over="ignore"):  # inf is the telemetry's signal
+            self.target_sq = float(np.sum(target * target))
+        # only the full baseline's gap is read against the dense oracle
+        self.oracle_dense = (matmul(self.oracle.u, self.oracle.v.T)
+                             if cfg.method == "full" else None)
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
@@ -104,8 +108,8 @@ class _LinearProblem:
         idx = nets.sample_batch(self.task.d_in, self.cfg.batch.size, self.rng)
         nets.linear_task_grad(self.task, layer, idx)
         if layer.w0 is None:
-            loss = 0.5 * product_distance_to_dense(layer.adapter,
-                                                   self.task.target) ** 2
+            loss = 0.5 * product_distance_to_dense(
+                layer.adapter, self.task.target, self.target_sq) ** 2
             gap = product_distance(layer.adapter, self.oracle)
         else:
             loss = 0.5 * float(np.sum((layer.w0 - self.task.target) ** 2))

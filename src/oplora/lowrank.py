@@ -11,9 +11,10 @@ the distances between products go through r x r Grams.
 
 :func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
 once and then call ``matcore``'s unchecked cores (see its validation
-contract).  The product distances form each r x r Gram of the pairs'
-factors once, with the unchecked core: a pair checks its factors when
-it is built, and nothing changes them afterwards.
+contract); the Gram that truncated_svd builds goes to ``_eigh_top``.
+The product distances form each r x r Gram of the pairs' factors once,
+with the unchecked core: a pair checks its factors when it is built,
+and nothing changes them afterwards.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matcore import (_gram, _product, as_matrix, check_rank, eigh_top,
+from .matcore import (_eigh_top, _gram, _product, as_matrix, check_rank,
                       matmul, svd_dense)
 
 EPS = np.finfo(np.float64).eps
@@ -98,7 +99,8 @@ def _gram_ritz(w, r: int):
         g = _gram(w if tall else w.T)
     if not np.isfinite(g).all():  # overflow; svd_dense scales internally
         return None
-    lam, q = eigh_top(g, r + 1)
+    # g is symmetric by construction and finite, and r + 1 <= its side
+    lam, q = _eigh_top(g, r + 1)
     # TINY stands in for eps * lambda_1 where the Gram underflows.
     if max(EPS * lam[0], TINY) > GRAM_TOL * (lam[r - 1] - lam[r]):
         return None
@@ -140,13 +142,19 @@ def product_distance(p: FactorPair, q: FactorPair) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def product_distance_to_dense(p: FactorPair, w) -> float:
-    """``||u v^T - w||_F`` without forming the pair's product."""
+def product_distance_to_dense(p: FactorPair, w, w_sq=None) -> float:
+    """``||u v^T - w||_F`` without forming the pair's product.
+
+    ``w_sq``, when given, is ``float(np.sum(w * w))``, computed once by a
+    caller that measures many pairs against the same ``w``.
+    """
     w = as_matrix(w, "w")
     if w.shape != (p.d_out, p.d_in):
         raise ShapeError(f"w {w.shape} does not match the pair's "
                          f"({p.d_out}, {p.d_in})")
     with np.errstate(over="ignore", invalid="ignore"):
+        if w_sq is None:
+            w_sq = float(np.sum(w * w))
         cross = float(np.sum(p.u * _product(w, p.v)))
-        sq = _inner(p, p) - 2.0 * cross + float(np.sum(w * w))
+        sq = _inner(p, p) - 2.0 * cross + w_sq
     return float(np.sqrt(max(sq, 0.0)))

@@ -15,15 +15,17 @@ reaches the step's result.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
-``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.
+``gram`` :func:`_gram`, ``solve_spd`` :func:`_cholesky_solve` and
+``eigh_top`` :func:`_eigh_top`.
 ``matmul(a, b)`` takes its operands as multiplied, as ``_product``
 does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
 returns unchanged, so it is neither copied nor checked twice.  Only
 ``lorsum`` and ``lowrank`` call the cores from outside, on operands they
 checked at their boundary (a ``FactorPair``'s factors when it was
 built) or built from them by products, sums and solves, which cannot
-hide a NaN or inf (0 * inf is NaN).  truncated_svd passes its results
-to the checked ``eigh_top`` and ``svd_dense``.  Callers test no system
+hide a NaN or inf (0 * inf is NaN).  truncated_svd passes the Gram it
+built symmetric and tested finite to :func:`_eigh_top`, and its thin
+products to the checked ``svd_dense``.  Callers test no system
 before :func:`_cholesky_solve`: it gives the verdict on every solve, a
 :class:`NonFiniteError` when the system or its solution holds a NaN or
 inf, else a :class:`SingularMetricError` when a pivot fails.  A solve
@@ -210,8 +212,14 @@ def eigh_top(a, k):
     pairs; the tridiagonal reduction still costs O(n^3).
     """
     a = _symmetric_operand(a)
-    n = a.shape[0]
     check_rank(k, "k", a.shape)
+    return _eigh_top(a, k)
+
+
+def _eigh_top(a, k):
+    """:func:`eigh_top` of a symmetric finite float64 ``a`` and a ``k``
+    in [1, n], unchecked."""
+    n = a.shape[0]
     try:
         lam, q = eigh(a, subset_by_index=[n - k, n - 1], driver="evr",
                       check_finite=False)

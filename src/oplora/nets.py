@@ -86,14 +86,28 @@ def captures(layer):
 
 
 def weight_grad(layer) -> np.ndarray:
-    """The full weight gradient S^T X, dense; an index X scatters S."""
+    """The full weight gradient S^T X, dense."""
+    grad = np.zeros((layer.adapter.d_out, layer.adapter.d_in))
+    add_weight_grad(layer, grad)
+    return grad
+
+
+def add_weight_grad(layer, out, decay=1.0) -> None:
+    """``out <- decay * out + S^T X`` in place; an index X scatters S.
+
+    The captures are checked before ``out`` is touched, so a rejected
+    S leaves it as it was.
+    """
     x, s = _fresh(layer)
     if x.ndim == 2:
-        return matmul(s.T, x)
-    grad = np.zeros((s.shape[1], layer.adapter.d_in))
-    for j, col in zip(x, s):  # a repeat adds, as in the loss
-        grad[:, j] += col
-    return grad
+        grad = matmul(s.T, x)
+        out *= decay
+        out += grad
+    else:
+        s = as_matrix(s, "s")
+        out *= decay
+        for j, col in zip(x, s):  # a repeat adds, as in the loss
+            out[:, j] += col
 
 
 def factor_grads(layer: LoraLinear):
@@ -137,7 +151,7 @@ def make_linear_target(d_out, d_in, rng, singular_values=None) -> np.ndarray:
         raise ShapeError("singular values must be nonincreasing and >= 0")
     qa, _ = thin_qr(rng.standard_normal((d_out, sv.size)))
     qb, _ = thin_qr(rng.standard_normal((d_in, sv.size)))
-    return (qa * sv) @ qb.T
+    return matmul(qa * sv, qb.T)
 
 
 def sample_batch(n, size, rng) -> np.ndarray:
@@ -254,8 +268,8 @@ def _teacher_weights(task, rng):
 def _dense_forward(task, weights, x):
     h = x
     for w in weights[:-1]:
-        h = _act(task, h @ w.T)
-    return h @ weights[-1].T
+        h = _act(task, matmul(h, w.T))
+    return matmul(h, weights[-1].T)
 
 
 def make_mlp_dataset(task: MlpTask, rng):

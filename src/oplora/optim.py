@@ -23,7 +23,7 @@ from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, truncated_svd
 from .lorsum import Metric, check_count, lorsum
 from .matcore import as_matrix, gram, matmul, solve_spd, thin_qr
-from .nets import captures, factor_grads, seeded_stream
+from .nets import add_weight_grad, captures, factor_grads, seeded_stream
 
 # Tiny proximal weight that keeps the r x r systems positive definite
 # when momentum or metric factors are rank-deficient (e.g. right after
@@ -215,25 +215,25 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     return new_pair
 
 
-def dense_heavy_ball(w, momentum: np.ndarray, grad, eta: float,
-                     alpha: float) -> np.ndarray:
-    """Both dense baselines' heavy ball: M <- alpha M + G in place, then
-    the new iterate W - eta M."""
-    grad = as_matrix(grad, "grad")
-    if grad.shape != momentum.shape:
-        raise ShapeError("gradient shape does not match the momentum")
-    momentum *= alpha
-    momentum += grad
-    return w - eta * momentum
+def dense_heavy_ball(layer, w: np.ndarray, momentum: np.ndarray,
+                     eta: float, alpha: float) -> None:
+    """Both dense baselines' heavy ball, in place on the arrays it is
+    given: M <- alpha M + S^T X from the layer's captures, then
+    W <- W - eta M."""
+    add_weight_grad(layer, momentum, alpha)
+    w -= eta * momentum
 
 
-def svdlora_step(pair: FactorPair, momentum: np.ndarray, grad, eta: float,
+def svdlora_step(layer, momentum: np.ndarray, eta: float,
                  alpha: float) -> FactorPair:
-    """A dense heavy-ball step from U V^T, projected back to the pair's
-    rank by SVD; the momentum stays full rank."""
+    """A dense heavy-ball step from the adapter's U V^T, projected back
+    to its rank by SVD; the momentum stays full rank."""
+    pair = layer.adapter
     w = matmul(pair.u, pair.v.T)
-    return truncated_svd(dense_heavy_ball(w, momentum, grad, eta, alpha),
-                         pair.rank)
+    dense_heavy_ball(layer, w, momentum, eta, alpha)
+    layer.adapter = truncated_svd(w, pair.rank)
+    layer.clear_captures()
+    return layer.adapter
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Test-only helpers: counter resets, dense references, reference losses,
-the linear task's dense-gradient reference, pair copies, rank padding,
+the linear task's dense-gradient reference, a layer whose captures
+carry a given gradient, pair copies, rank padding,
 naive momentum, state sizes, the allocation-growth audit, the full-SVD
 reference of ``truncated_svd``, recorders of what ``lowrank`` and
 ``lorsum`` compute inside a call, and the resampling reference of
@@ -112,6 +113,16 @@ def pad_rank(p: FactorPair, r: int, rng: np.random.Generator) -> FactorPair:
     u_pad = scale * rng.standard_normal((p.d_out, extra))
     v_pad = np.zeros((p.d_in, extra))
     return FactorPair(np.hstack([p.u, u_pad]), np.hstack([p.v, v_pad]))
+
+
+def gradient_layer(pair: FactorPair, grad) -> LoraLinear:
+    """An adapter-only layer on ``pair`` whose captures are X = I and
+    S = grad^T, so that S^T X is ``grad`` exactly: a dense gradient fed
+    to a step that reads the captures."""
+    layer = LoraLinear(None, pair)
+    layer.captured_x = np.eye(pair.d_in)
+    layer.captured_s = as_matrix(grad, "grad").T
+    return layer
 
 
 def linear_task_loss(task: LinearTask, adapter: FactorPair,

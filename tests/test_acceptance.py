@@ -28,8 +28,9 @@ from oplora.nets import (LinearTask, LoraLinear, MlpTask, factor_grads,
                          mlp_forward_backward, sample_batch)
 
 from helpers import (assert_alloc_linear_in_side, copy_pair,
-                     linear_task_loss, lorsum_half_steps, materialize,
-                     mlp_loss, pad_rank, reset_counters, state_scalar_count)
+                     gradient_layer, linear_task_loss, lorsum_half_steps,
+                     materialize, mlp_loss, pad_rank, reset_counters,
+                     state_scalar_count)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,7 +184,8 @@ def _run_reference_projection(target, init, eta, alpha, steps,
     for _ in range(steps):
         idx = sample_batch(task.d_in, batch_size, batch_rng)
         grad, _ = linear_task_grad_dense(task, materialize(pair), idx)
-        pair = optim.svdlora_step(pair, momentum, grad, eta, alpha)
+        pair = optim.svdlora_step(gradient_layer(pair, grad), momentum, eta,
+                                  alpha)
         iterates.append(materialize(pair))
     _, final_loss = linear_task_grad_dense(task, materialize(pair),
                                            np.arange(target.shape[1]))

@@ -483,6 +483,36 @@ class TestMethodRegistry:
         with pytest.raises(StaleCaptureError):
             METHODS[method].step(cfg, 0.1, layer, state)
 
+    @pytest.mark.parametrize("method,arrays", [("svdlora", 2), ("full", 1)])
+    def test_dense_step_peak_allocation(self, method, arrays, tmp_path):
+        """After a warm-up step, a dense baseline's step holds at most
+        ``arrays`` d_out x d_in float64 arrays at once: svdlora its
+        rebuilt iterate and eta M, `full` eta M alone.  The gradient
+        goes into the momentum and the iterate is updated in place.  A
+        sixteenth of one array covers the thin blocks and the
+        interpreter's objects."""
+        d_out, d_in, batch = 240, 60, 16
+        cfg = ExperimentConfig.from_dict(base_config(
+            tmp_path, method=method, alpha=0.5))
+        g = rng(0)
+        task = nets.LinearTask(nets.make_linear_target(d_out, d_in, g))
+        layer = nets.LoraLinear(None, nets.init_adapter_random(
+            d_out, d_in, 4, g))
+        layer, state = METHODS[method].init(cfg, 0.1, 0, layer)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                nets.linear_task_grad(task, layer,
+                                      nets.sample_batch(d_in, batch, g))
+                peaks.append(traced_peak_bytes(
+                    lambda: METHODS[method].step(cfg, 0.1, layer, state)))
+        finally:
+            tracemalloc.stop()
+        full = 8 * d_out * d_in
+        assert peaks[1] <= arrays * full + full // 16, (
+            f"peak {peaks[1] / full:.3f} d_out x d_in arrays")
+
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_step_consumes_the_captures(self, method, tmp_path):
         """A second step without a new pass raises, for every method."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplora import lowrank, matcore
-from oplora.errors import ShapeError
+from oplora.errors import NonFiniteError, ShapeError
 from oplora.instrument import counters
 from oplora.lowrank import (FactorPair, product_distance,
                             product_distance_to_dense, product_inner,
@@ -249,11 +249,11 @@ class TestTruncatedSvdGramRoute:
         with svd_operands() as operands:
             truncated_svd(w, 8)
         assert not any(op is w for op in operands)
-        # w on entry; then the Gram (eigh_top), w @ q (svd_dense) and the
-        # returned pair's two factors
+        # w on entry; then w @ q (svd_dense) and the returned pair's two
+        # factors; the Gram goes to the unchecked _eigh_top
         assert checked[0] == id(w)
         assert checked.count(id(w)) == 1
-        assert len(checked) == 5
+        assert len(checked) == 4
 
     # the work truncated_svd charges to the flops column of every svdlora
     # run; skipping an operand check must not change it
@@ -310,6 +310,20 @@ class TestProductHelpers:
         assert product_distance_to_dense(p, w) == expected
         # the pair's factors were checked when it was built
         assert checked == [id(w)]
+
+    def test_distance_to_dense_with_cached_norm_is_identical(self):
+        # the runner passes the target's sum(w * w), computed at set-up
+        g = rng(22)
+        p = random_pair(g, 8, 6, 3)
+        w = g.standard_normal((8, 6))
+        w_sq = float(np.sum(w * w))
+        assert (product_distance_to_dense(p, w, w_sq)
+                == product_distance_to_dense(p, w))
+        # the cached value is used as given, and w is still checked
+        assert (product_distance_to_dense(p, w, 2.0 * w_sq)
+                > product_distance_to_dense(p, w))
+        with pytest.raises(NonFiniteError):
+            product_distance_to_dense(p, np.full((8, 6), np.nan), w_sq)
 
     # the work the runner's loss and gap charge to the flops column of
     # every oplora run; skipping the factors' checks must not change it
