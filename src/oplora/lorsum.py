@@ -20,12 +20,17 @@ formed.
 
 :func:`lorsum` checks its term factors once on entry and :class:`Metric`
 each metric factor and its damping; everything after that calls
-``matcore``'s unchecked cores.  No system is tested before its solve:
+``matcore``'s unchecked cores.  Each side's blocks are stacked once and
+weighted by one multiply with each column's coefficient.  A half-step
+charges its product ``outs @ (ins.T @ other)`` once and its Gram once,
+with the flops and largest allocation that one charge per product
+would give.  No system is tested before its solve:
 the Cholesky core fails a NaN or infinite pivot and a non-finite
 solution, and names a non-finite system (see ``matcore``'s validation
 contract); the half-step only says where that happened.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -33,7 +38,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularMetricError
 from .lowrank import FactorPair
-from .matcore import _cholesky_solve, _gram, _product, as_matrix
+from .matcore import _cholesky_solve, _gram, _product, _sandwich, as_matrix
 
 MODES = ("alternating", "simultaneous")
 
@@ -108,7 +113,8 @@ def _half_step(side, other, k, lam_eye):
     non-finite system from a singular one; this only adds where.
     """
     name, pull, outs, ins, metric = side
-    num = _product(outs, _product(ins.T, other)) + pull
+    num = _sandwich(outs, ins, other)
+    num += pull
     den = _metric_gram(metric, other) + lam_eye
     try:
         return _cholesky_solve(den, num.T).T
@@ -121,6 +127,16 @@ def _half_step(side, other, k, lam_eye):
             pivot_index=exc.pivot_index, side=name, iteration=k) from exc
 
 
+def _weighted(blocks, stacked, metric, coefs) -> np.ndarray:
+    """``stacked`` (the blocks side by side) times each column's
+    coefficient; with a ``metric``, the blocks but the anchor (the
+    first) are scaled by its inverse and stacked anew first."""
+    if metric is not None:
+        scaled = [_inverse_metric(metric, b) for b in blocks[1:]]
+        stacked = np.concatenate([blocks[0]] + scaled, axis=1)
+    return stacked * coefs
+
+
 def _checked_terms(terms) -> list:
     """``terms`` as ``(float, matrix, matrix)`` triples, each checked once.
 
@@ -131,7 +147,7 @@ def _checked_terms(terms) -> list:
     clean = []
     for i, (c, left, right) in enumerate(terms):
         c = float(c)
-        if not np.isfinite(c):
+        if not math.isfinite(c):
             raise ShapeError(f"term {i} has a non-finite coefficient")
         left = as_matrix(left, f"terms[{i}].left")
         right = as_matrix(right, f"terms[{i}].right")
@@ -168,7 +184,7 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     if mode not in MODES:
         raise ShapeError(f"mode must be one of {MODES}")
     terms = _checked_terms(terms)
-    c0, left0, right0 = terms[0]
+    _, left0, right0 = terms[0]
     rank, min_dim = left0.shape[1], min(left0.shape[0], right0.shape[0])
     if rank > min_dim:
         raise ShapeError(f"rank {rank} exceeds min dimension {min_dim}")
@@ -177,17 +193,13 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
 
     # The inverse-metric scaling of non-anchor terms does not depend on
     # the evolving estimates, so each side's blocks are stacked once.
-    rest = terms[1:]
-    outs_u = [c0 * left0] + [c * _inverse_metric(metric_u, left)
-                             for c, left, _ in rest]
-    outs_v = [c0 * right0] + [c * _inverse_metric(metric_v, right)
-                              for c, _, right in rest]
-    lefts = np.concatenate([left for _, left, _ in terms], axis=1)
-    rights = np.concatenate([right for _, _, right in terms], axis=1)
-    u_side = ("U", lam * left0, np.concatenate(outs_u, axis=1), rights,
-              metric_v)
-    v_side = ("V", lam * right0, np.concatenate(outs_v, axis=1), lefts,
-              metric_u)
+    coefs, lefts, rights = zip(*terms)
+    coefs = np.array(coefs).repeat([a.shape[1] for a in lefts])
+    ins_v, ins_u = np.concatenate(lefts, 1), np.concatenate(rights, 1)
+    u_side = ("U", lam * left0, _weighted(lefts, ins_v, metric_u, coefs),
+              ins_u, metric_v)
+    v_side = ("V", lam * right0, _weighted(rights, ins_u, metric_v, coefs),
+              ins_v, metric_u)
 
     lam_eye = lam * np.eye(rank)
     cur_u, cur_v = left0, right0

@@ -16,7 +16,10 @@ reaches the step's result.
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
 ``gram`` :func:`_gram`, ``solve_spd`` :func:`_cholesky_solve` and
-``eigh_top`` :func:`_eigh_top`.
+``eigh_top`` :func:`_eigh_top`.  :func:`_sandwich`, ``a @ (b.T @ c)``,
+has no checked kernel: it is a lorsum half-step's product, charged once
+with the flops of both products and the larger of their sizes, as two
+``_product`` calls would charge them.
 ``matmul(a, b)`` takes its operands as multiplied, as ``_product``
 does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
 returns unchanged, so it is neither copied nor checked twice.  Only
@@ -29,8 +32,10 @@ products to the checked ``svd_dense``.  Callers test no system
 before :func:`_cholesky_solve`: it gives the verdict on every solve, a
 :class:`NonFiniteError` when the system or its solution holds a NaN or
 inf, else a :class:`SingularMetricError` when a pivot fails.  A solve
-that succeeds costs one combined test; only a failed one computes each
-pivot.
+that succeeds costs one combined test on the factor's diagonal, read as
+a Python list (its smallest and largest entry, and its sum for a NaN),
+and one finiteness test of the solution; only a failed one computes
+each pivot.
 
 The factorizations impose no sign convention: ``thin_qr``'s and
 ``svd_dense``'s columns carry LAPACK's signs.  Callers use factors only
@@ -81,7 +86,7 @@ def as_matrix(a, name="operand") -> np.ndarray:
 
 def _all_finite(a) -> bool:
     """Whether every entry of the float64 array ``a`` is finite."""
-    return (math.isfinite(np.add.reduce(a, axis=None))
+    return (math.isfinite(np.add.reduce(a, None))
             or bool(np.isfinite(a).all()))
 
 
@@ -128,9 +133,19 @@ def gram(a) -> np.ndarray:
     return _gram(as_matrix(a, "a"))
 
 
+def _sandwich(a, b, c) -> np.ndarray:
+    """``a @ (b.T @ c)`` of conforming float64 matrices, unchecked, with
+    one charge for both products."""
+    (d, k), (n, r) = a.shape, c.shape
+    charge(flops=2 * k * r * (n + d), alloc=max(k, d) * r)
+    return a @ (b.T @ c)
+
+
 def _gram(a) -> np.ndarray:
     """:func:`gram` of a finite float64 matrix, unchecked."""
-    g = _product(a.T, a)
+    n, k = a.shape
+    charge(flops=2 * k * n * k, alloc=k * k)
+    g = a.T @ a
     return (g + g.T) / 2.0
 
 
@@ -158,12 +173,14 @@ def _cholesky_solve(a, b) -> np.ndarray:
     low, x, info = dposv(a, b, lower=True)
     # Pivots are the squared diagonal.  Where LAPACK finishes (info == 0)
     # the diagonal holds square roots, each >= 0 or NaN, so the smallest
-    # and largest pivot are those of its smallest and largest entry, and
-    # a NaN fails both tests, as min and max propagate it.
-    diag = np.diagonal(low)
-    lo, hi = diag.min(), diag.max()
-    if (not info and lo * lo > PIVOT_TOL and hi * hi < np.inf
-            and _all_finite(x)):
+    # and largest pivot are those of its smallest and largest entry.
+    # OpenBLAS finishes over a NaN pivot too, and Python's min and max
+    # skip a NaN that is not the first entry, so a NaN fails the sum.
+    diag = low.diagonal()
+    entries = diag.tolist()
+    lo, hi = min(entries), max(entries)
+    if (not info and lo * lo > PIVOT_TOL and hi * hi < math.inf
+            and not math.isnan(sum(entries)) and _all_finite(x)):
         m = b.shape[1]
         charge(flops=n * n * n // 3 + 2 * n * n * m, alloc=n * m)
         return x

@@ -310,11 +310,13 @@ def _loss_and_logit_grad(task, logits, y):
 
 def mlp_forward_backward(task: MlpTask, layers, x, y) -> float:
     """Full forward then reverse sweep; every layer ends up with fresh
-    X and S captures.  Returns the batch loss."""
+    X and S captures.  Returns the batch loss.  A hidden layer's output
+    is checked before its activation, which could turn a -inf into a
+    finite value."""
     h = as_matrix(x, "x")
     pre = []
     for layer in layers[:-1]:
-        z = layer.forward(h)
+        z = as_matrix(layer.forward(h), "pre-activation")
         pre.append(z)
         h = _act(task, z)
     logits = layers[-1].forward(h)

@@ -26,7 +26,7 @@ from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
                                  run_experiment)
 from oplora import lowrank, nets, optim
 from oplora.errors import (ConfigError, OploraError, ReportError,
-                           StaleCaptureError)
+                           SingularMetricError, StaleCaptureError)
 from oplora.instrument import counters
 
 from conftest import rng
@@ -576,6 +576,91 @@ class TestMethodRegistry:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict(base_config(tmp_path, method="nope"))
         assert err.value.field == "method"
+
+
+def _products_after_steps(method, kind, twist, tmp_path, steps=20):
+    """Each layer's product (the dense weight for ``full``) after
+    ``steps`` steps of ``method`` at lambda 0, from fixed random
+    adapters whose factors are first mapped to ``(u R, v R^-T)``, for a
+    fixed R = I + 0.5 N(0, 1) per layer, when ``twist`` is set."""
+    extra = {"beta": 0.9} if method == "oplora_scaled" else {}
+    cfg = ExperimentConfig.from_dict(base_config(
+        tmp_path, method=method, eta=0.02, alpha=0.5, **{"lambda": 0.0},
+        **extra))
+    g = rng(0)
+    if kind == "linear":
+        task = nets.LinearTask(nets.make_linear_target(24, 16, g))
+        layers = [nets.LoraLinear(None, nets.init_adapter_random(
+            24, 16, 4, g))]
+
+        def task_pass(batches):
+            nets.linear_task_grad(task, layers[0],
+                                  nets.sample_batch(16, 8, batches))
+    else:
+        task = nets.MlpTask([6, 8, 4], n_samples=64)
+        x, y = nets.make_mlp_dataset(task, g)
+        # random adapters: at lambda 0 a zero factor has a singular Gram
+        layers = [nets.LoraLinear(layer.w0, nets.init_adapter_random(
+            layer.adapter.d_out, layer.adapter.d_in, 2, g))
+            for layer in nets.make_mlp_layers(task, 2, g)]
+
+        def task_pass(batches):
+            rows = nets.sample_batch(64, 16, batches)
+            nets.mlp_forward_backward(task, layers, x[rows], y[rows])
+    for layer in layers:
+        r = np.eye(layer.adapter.rank) + 0.5 * g.standard_normal(
+            (layer.adapter.rank, layer.adapter.rank))
+        if twist:
+            layer.adapter = lowrank.FactorPair(
+                layer.adapter.u @ r, layer.adapter.v @ np.linalg.inv(r).T)
+    states = []
+    for i, layer in enumerate(layers):
+        layers[i], state = METHODS[method].init(cfg, cfg.eta, 0, layer)
+        states.append(state)
+    batches = rng(1)
+    for _ in range(steps):
+        task_pass(batches)
+        for layer, state in zip(layers, states):
+            METHODS[method].step(cfg, cfg.eta, layer, state)
+    return [layer.w0 if method == "full"
+            else layer.adapter.u @ layer.adapter.v.T for layer in layers]
+
+
+# the methods whose step reads the adapter only through U V^T at lambda 0
+INVARIANT = {"full", "oplora", "oplora_proj", "oplora_scaled", "prec_lora",
+             "svdlora"}
+
+
+def _invariance_params():
+    for method in sorted(METHODS):
+        for kind in ("linear", "mlp"):
+            marks = ()
+            if method == "oplora_scaled":
+                marks = pytest.mark.xfail(
+                    strict=True, raises=SingularMetricError,
+                    reason="known fault: at lambda 0 and the default delta "
+                           "a U-side system turns singular within the 20 "
+                           "steps, on both tasks")
+            yield pytest.param(method, kind, marks=marks,
+                               id=f"{method}-{kind}")
+
+
+class TestReparametrizationInvariance:
+    """At lambda 0 a preconditioned method's step depends on the adapter
+    only through U V^T, so starting from (U R, V R^-T) for an invertible
+    R ends where (U, V) does, up to rounding; the factor-wise baselines
+    (SGD and AdamW on U and V) do not."""
+
+    @pytest.mark.parametrize("method, kind", _invariance_params())
+    def test_twisted_start(self, method, kind, tmp_path):
+        plain = _products_after_steps(method, kind, False, tmp_path)
+        twisted = _products_after_steps(method, kind, True, tmp_path)
+        moved = max(np.linalg.norm(p - q) / np.linalg.norm(p)
+                    for p, q in zip(plain, twisted))
+        if method in INVARIANT:
+            assert moved <= 1e-10
+        else:
+            assert moved > 1e-3
 
 
 class TestShippedTruncatedSvd:

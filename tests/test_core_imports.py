@@ -12,7 +12,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CORES = {"_product", "_cholesky_solve", "_gram", "_eigh_top"}
+CORES = {"_product", "_sandwich", "_cholesky_solve", "_gram", "_eigh_top"}
 CALLERS = {"lorsum.py", "lowrank.py"}
 
 

@@ -558,6 +558,19 @@ class TestBoundaryChecks:
         inputs = [id(a) for _, left, right in terms for a in (left, right)]
         assert checked == inputs + [id(out.u), id(out.v)]
 
+    # calls other than desk_call's, on desk_terms and desk_metrics
+    OTHER_CALLS = {
+        # the momentum refresh: two rank-16 terms and the rescue weight
+        "momentum": lambda terms, factors: lorsum(
+            [(0.75,) + terms[2][1:], (1.0,) + terms[1][1:]], num_iters=2,
+            lam=1e-9),
+        "one_iteration": lambda terms, factors: lorsum(
+            terms, num_iters=1, lam=1e-4),
+        "simultaneous": lambda terms, factors: lorsum(
+            terms, num_iters=2, lam=1e-4, mode="simultaneous",
+            metric_u=Metric(factors["metric_u"], 1e-4)),
+    }
+
     # the work lorsum charges to the flops column of every oplora run;
     # skipping an operand check must not change it
     @pytest.mark.parametrize("sides, flops, peak_alloc", [
@@ -565,10 +578,32 @@ class TestBoundaryChecks:
         (("metric_u",), 683004, 1920),
         (("metric_v",), 560124, 960),
         (("metric_u", "metric_v"), 750928, 1920),
+        ("momentum", 988500, 1920),
+        ("one_iteration", 246100, 960),
+        ("simultaneous", 683004, 1920),
     ])
     def test_charges_unchanged(self, sides, flops, peak_alloc):
         g = rng(22)
         terms, factors = desk_terms(g), desk_metrics(g)
-        desk_call(terms, {side: factors[side] for side in sides})
+        if sides in self.OTHER_CALLS:
+            self.OTHER_CALLS[sides](terms, factors)
+        else:
+            desk_call(terms, {side: factors[side] for side in sides})
         assert (counters().flops, counters().peak_alloc) == (flops,
                                                              peak_alloc)
+
+    def test_failed_call_keeps_its_charges(self):
+        # the anchor's U and the gradient's left factor have disjoint row
+        # supports, so the V half-step gives an exact zero V and the U
+        # half-step's system is exactly singular; the work done up to
+        # the failed solve stays charged
+        g = rng(22)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        u, s = terms[0][1].copy(), terms[1][1].copy()
+        u[60:], s[:60] = 0.0, 0.0
+        with pytest.raises(SingularMetricError,
+                           match="on the U side at iteration 0"):
+            lorsum([(1.0, u, np.zeros_like(terms[0][2])),
+                    (-0.1, s, terms[1][2])], num_iters=2, lam=0.0,
+                   metric_v=Metric(factors["metric_v"], 1e-4))
+        assert (counters().flops, counters().peak_alloc) == (182612, 960)

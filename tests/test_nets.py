@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oplora.errors import ShapeError, StaleCaptureError
+from oplora.errors import NonFiniteError, ShapeError, StaleCaptureError
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, truncated_svd
 from oplora.matcore import gram
@@ -478,6 +478,19 @@ class TestMlpTask:
                                     np.array([1]))
         assert loss == pytest.approx(800.0, rel=1e-12)
         assert np.allclose(layer.captured_s, [[1.0, -1.0]])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("nonlinearity", ["relu", "tanh"])
+    def test_overflowed_pre_activation_raises(self, nonlinearity):
+        # x @ w0^T overflows to -inf in the hidden layer, which relu
+        # would turn into 0 and tanh into -1 before the loss sees it
+        task = MlpTask([2, 2, 2], nonlinearity, "mse", 4)
+        zero = FactorPair(np.zeros((2, 1)), np.zeros((2, 1)))
+        layers = [LoraLinear(np.array([[-1e308, -1e308], [1.0, 1.0]]), zero),
+                  LoraLinear(np.eye(2), zero)]
+        with pytest.raises(NonFiniteError, match="pre-activation"):
+            mlp_forward_backward(task, layers, np.ones((4, 2)),
+                                 np.zeros((4, 2)))
 
     def test_dense_layer_matches_lora_with_zero_adapter(self):
         # the full baseline's layer: a rank-0 adapter adds exact zeros
