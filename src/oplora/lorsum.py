@@ -94,11 +94,11 @@ def _inverse_metric(m: Metric, x) -> np.ndarray:
 
 def _metric_gram(m: Metric, x) -> np.ndarray:
     """``x^T (F F^T + delta I) x`` using thin products only, for a
-    checked ``x`` with as many rows as the metric; symmetric PSD."""
+    checked ``x`` with as many rows as the metric; PSD, and exactly
+    symmetric as a sum of two exactly symmetric Grams."""
     if m is None:
         return _gram(x)
-    out = m.delta * _gram(x) + _gram(_product(m.factor.T, x))
-    return (out + out.T) / 2.0
+    return m.delta * _gram(x) + _gram(_product(m.factor.T, x))
 
 
 def _half_step(side, other, k, lam_eye):

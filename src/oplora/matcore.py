@@ -15,11 +15,13 @@ reaches the step's result.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
-``gram`` :func:`_gram`, ``solve_spd`` :func:`_cholesky_solve` and
-``eigh_top`` :func:`_eigh_top`.  :func:`_sandwich`, ``a @ (b.T @ c)``,
-has no checked kernel: it is a lorsum half-step's product, charged once
-with the flops of both products and the larger of their sizes, as two
-``_product`` calls would charge them.
+``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Two
+cores have no checked kernel.  :func:`_sandwich`, ``a @ (b.T @ c)``, is
+a lorsum half-step's product, charged once with the flops of both
+products and the larger of their sizes, as two ``_product`` calls would
+charge them.  :func:`_eigh_top` computes truncated_svd's top
+eigenpairs.  A Gram is exactly symmetric as ``a.T @ a`` forms it, and
+its consumers (``dposv`` and ``dsyevr``) read one triangle.
 ``matmul(a, b)`` takes its operands as multiplied, as ``_product``
 does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
 returns unchanged, so it is neither copied nor checked twice.  Only
@@ -99,18 +101,6 @@ def check_rank(k, name, shape) -> None:
                          f"{shape[0]}x{shape[1]} matrix")
 
 
-def _symmetric_operand(a) -> np.ndarray:
-    """:func:`as_matrix`, then reject a non-square, empty or asymmetric
-    ``a``."""
-    a = as_matrix(a, "a")
-    if a.shape[0] != a.shape[1] or not a.size:
-        raise ShapeError(f"a must be square and nonempty, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
-        raise ShapeError("a is not symmetric within tolerance")
-    return a
-
-
 def matmul(a, b) -> np.ndarray:
     """Dense product ``a @ b`` of the operands as multiplied."""
     a = as_matrix(a, "a")
@@ -129,7 +119,7 @@ def _product(left, right) -> np.ndarray:
 
 
 def gram(a) -> np.ndarray:
-    """``a.T @ a``, symmetrized to remove roundoff asymmetry."""
+    """``a.T @ a``, exactly symmetric (see :func:`_gram`)."""
     return _gram(as_matrix(a, "a"))
 
 
@@ -142,11 +132,12 @@ def _sandwich(a, b, c) -> np.ndarray:
 
 
 def _gram(a) -> np.ndarray:
-    """:func:`gram` of a finite float64 matrix, unchecked."""
+    """:func:`gram` of a finite float64 matrix, unchecked.  numpy forms
+    ``a.T @ a`` with BLAS's symmetric rank-k update and mirrors one
+    triangle, so the result is exactly symmetric as it stands."""
     n, k = a.shape
     charge(flops=2 * k * n * k, alloc=k * k)
-    g = a.T @ a
-    return (g + g.T) / 2.0
+    return a.T @ a
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -160,7 +151,13 @@ def solve_spd(a, b) -> np.ndarray:
     that LAPACK accepts; a solution that overflows raises
     :class:`NonFiniteError`.
     """
-    return _cholesky_solve(_symmetric_operand(a), as_matrix(b, "b"))
+    a = as_matrix(a, "a")
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise ShapeError(f"a must be square and nonempty, got {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > SYMMETRY_TOL * scale:
+        raise ShapeError("a is not symmetric within tolerance")
+    return _cholesky_solve(a, as_matrix(b, "b"))
 
 
 def _cholesky_solve(a, b) -> np.ndarray:
@@ -220,22 +217,16 @@ def thin_qr(a):
     return q, rm
 
 
-def eigh_top(a, k):
-    """The ``k`` largest eigenpairs of a symmetric matrix.
+def _eigh_top(a, k):
+    """The ``k`` largest eigenpairs of a symmetric finite float64 ``a``,
+    for a ``k`` in [1, n], unchecked.
 
     Returns ``(lam, q)`` with ``lam`` nonincreasing and orthonormal
     columns ``q`` such that ``a @ q ~= q * lam``.  LAPACK's ``dsyevr``
     (relatively robust representations) computes only the requested
-    pairs; the tridiagonal reduction still costs O(n^3).
+    pairs from ``a``'s lower triangle; the tridiagonal reduction still
+    costs O(n^3).
     """
-    a = _symmetric_operand(a)
-    check_rank(k, "k", a.shape)
-    return _eigh_top(a, k)
-
-
-def _eigh_top(a, k):
-    """:func:`eigh_top` of a symmetric finite float64 ``a`` and a ``k``
-    in [1, n], unchecked."""
     n = a.shape[0]
     try:
         lam, q = eigh(a, subset_by_index=[n - k, n - 1], driver="evr",

@@ -85,13 +85,6 @@ def captures(layer):
     return x, s
 
 
-def weight_grad(layer) -> np.ndarray:
-    """The full weight gradient S^T X, dense."""
-    grad = np.zeros((layer.adapter.d_out, layer.adapter.d_in))
-    add_weight_grad(layer, grad)
-    return grad
-
-
 def add_weight_grad(layer, out, decay=1.0) -> None:
     """``out <- decay * out + S^T X`` in place; an index X scatters S.
 
@@ -200,7 +193,9 @@ def linear_task_grad_dense(task: LinearTask, w, indices):
                          f"{task.target.shape}")
     layer = LoraLinear(w, FactorPair(w[:, :0], w.T[:, :0]))
     loss = linear_task_grad(task, layer, indices)
-    return weight_grad(layer), loss
+    grad = np.zeros(w.shape)
+    add_weight_grad(layer, grad)
+    return grad, loss
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +308,7 @@ def mlp_forward_backward(task: MlpTask, layers, x, y) -> float:
     X and S captures.  Returns the batch loss.  A hidden layer's output
     is checked before its activation, which could turn a -inf into a
     finite value."""
-    h = as_matrix(x, "x")
+    h = x
     pre = []
     for layer in layers[:-1]:
         z = as_matrix(layer.forward(h), "pre-activation")

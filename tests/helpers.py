@@ -1,5 +1,6 @@
 """Test-only helpers: counter resets, dense references, reference losses,
-the linear task's dense-gradient reference, a layer whose captures
+a layer's dense weight gradient, the linear task's dense-gradient
+reference, a layer whose captures
 carry a given gradient, pair copies, rank padding,
 naive momentum, state sizes, the allocation-growth audit, the full-SVD
 reference of ``truncated_svd``, recorders of what ``lowrank`` and
@@ -18,8 +19,8 @@ from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair
 from oplora.matcore import as_matrix, gram, solve_spd, svd_dense
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, _act,
-                         _loss_and_logit_grad, _sampled, factor_grads,
-                         linear_task_grad)
+                         _loss_and_logit_grad, _sampled, add_weight_grad,
+                         factor_grads, linear_task_grad)
 from oplora.optim import ProjMomentumState
 
 
@@ -123,6 +124,13 @@ def gradient_layer(pair: FactorPair, grad) -> LoraLinear:
     layer.captured_x = np.eye(pair.d_in)
     layer.captured_s = as_matrix(grad, "grad").T
     return layer
+
+
+def weight_grad(layer) -> np.ndarray:
+    """The layer's full weight gradient S^T X, dense, in a fresh array."""
+    grad = np.zeros((layer.adapter.d_out, layer.adapter.d_in))
+    add_weight_grad(layer, grad)
+    return grad
 
 
 def linear_task_loss(task: LinearTask, adapter: FactorPair,

@@ -280,6 +280,14 @@ class TestGram:
         g = gram(a)
         assert np.array_equal(g, g.T)
 
+    def test_finite_gram_does_not_overflow(self):
+        # 4 * 5.4e153**2 = 1.1664e308 is finite; doubling it to symmetrize
+        # would overflow
+        a = np.full((4, 1), 5.4e153)
+        g = gram(a)
+        assert np.isfinite(g).all()
+        assert np.array_equal(g, a.T @ a)
+
 
 class TestProductHelpers:
     def test_inner_and_distance_match_dense(self):

@@ -11,13 +11,13 @@ from oplora.nets import (LinearTask, LoraLinear, MlpTask, captures,
                          linear_task_grad, linear_task_grad_dense,
                          make_linear_target,
                          make_mlp_dataset, make_mlp_layers,
-                         mlp_forward_backward, sample_batch, weight_grad)
+                         mlp_forward_backward, sample_batch)
 
 from conftest import rng
 from helpers import (assert_alloc_linear_in_side,
                      linear_task_grad_dense_reference, linear_task_loss,
                      mlp_loss, product_error, reset_counters,
-                     truncated_svd_reference)
+                     truncated_svd_reference, weight_grad)
 
 
 def random_layer(g, d_out=7, d_in=5, r=2, with_base=True):
