@@ -20,8 +20,10 @@ formed.
 
 :func:`lorsum` checks its term factors once on entry and :class:`Metric`
 each metric factor and its damping; everything after that calls
-``matcore``'s unchecked cores.  Each side's blocks are stacked once and
-weighted by one multiply with each column's coefficient.  A half-step
+``matcore``'s unchecked cores.  Each side's blocks are stacked once,
+its non-anchor columns scaled by the side's inverse metric together (one
+Woodbury solve per side), and weighted by one multiply with each
+column's coefficient.  A half-step
 charges its product ``outs @ (ins.T @ other)`` once and its Gram once,
 with the flops and largest allocation that one charge per product
 would give.  No system is tested before its solve:
@@ -127,14 +129,15 @@ def _half_step(side, other, k, lam_eye):
             pivot_index=exc.pivot_index, side=name, iteration=k) from exc
 
 
-def _weighted(blocks, stacked, metric, coefs) -> np.ndarray:
-    """``stacked`` (the blocks side by side) times each column's
-    coefficient; with a ``metric``, the blocks but the anchor (the
-    first) are scaled by its inverse and stacked anew first."""
-    if metric is not None:
-        scaled = [_inverse_metric(metric, b) for b in blocks[1:]]
-        stacked = np.concatenate([blocks[0]] + scaled, axis=1)
-    return stacked * coefs
+def _weighted(stacked, rank, metric, coefs) -> np.ndarray:
+    """``stacked`` (a side's blocks side by side) times each column's
+    coefficient; with a ``metric``, the columns past the anchor's first
+    ``rank`` are scaled by its inverse first, all in one solve."""
+    out = stacked * coefs
+    if metric is not None and stacked.shape[1] > rank:
+        out[:, rank:] = (_inverse_metric(metric, stacked[:, rank:])
+                         * coefs[rank:])
+    return out
 
 
 def _checked_terms(terms) -> list:
@@ -196,9 +199,9 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     coefs, lefts, rights = zip(*terms)
     coefs = np.array(coefs).repeat([a.shape[1] for a in lefts])
     ins_v, ins_u = np.concatenate(lefts, 1), np.concatenate(rights, 1)
-    u_side = ("U", lam * left0, _weighted(lefts, ins_v, metric_u, coefs),
+    u_side = ("U", lam * left0, _weighted(ins_v, rank, metric_u, coefs),
               ins_u, metric_v)
-    v_side = ("V", lam * right0, _weighted(rights, ins_u, metric_v, coefs),
+    v_side = ("V", lam * right0, _weighted(ins_u, rank, metric_v, coefs),
               ins_v, metric_u)
 
     lam_eye = lam * np.eye(rank)
