@@ -3,11 +3,13 @@
 
 Usage: ``python scripts/src_lines.py [DIR]`` (DIR defaults to ``src/``)
 
-The raw count is every line of every ``*.py`` file under DIR, as
-``find DIR -name '*.py' | xargs wc -l`` counts them.  A line of code is
-one that holds a token other than a comment, a docstring (a string that
-is a statement of its own) or a line break, as :mod:`tokenize` reads the
-file; a token spanning several lines counts each of them.
+One line per module (its path relative to DIR, in sorted order) comes
+first, and the total over DIR last.  The raw count is every line of
+every ``*.py`` file under DIR, as ``find DIR -name '*.py' | xargs wc -l``
+counts them.  A line of code is one that holds a token other than a
+comment, a docstring (a string that is a statement of its own) or a
+line break, as :mod:`tokenize` reads the file; a token spanning several
+lines counts each of them.
 """
 
 import argparse
@@ -39,24 +41,35 @@ def code_lines(text: str) -> int:
     return len(rows)
 
 
-def tree_size(top: str):
-    """``(raw lines, lines of code)`` summed over the ``*.py`` files
-    under ``top``."""
-    raw = code = 0
+def module_sizes(top: str):
+    """``(path relative to top, raw lines, lines of code)`` of each
+    ``*.py`` file under ``top``, sorted by path."""
+    sizes = []
     for folder, _, names in os.walk(top):
         for name in names:
             if name.endswith(".py"):
-                with open(os.path.join(folder, name)) as fh:
+                path = os.path.join(folder, name)
+                with open(path) as fh:
                     text = fh.read()
-                raw += text.count("\n")
-                code += code_lines(text)
-    return raw, code
+                sizes.append((os.path.relpath(path, top), text.count("\n"),
+                              code_lines(text)))
+    return sorted(sizes)
+
+
+def tree_size(top: str):
+    """``(raw lines, lines of code)`` summed over the ``*.py`` files
+    under ``top``."""
+    sizes = module_sizes(top)
+    return sum(s[1] for s in sizes), sum(s[2] for s in sizes)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", nargs="?", default=os.path.join(ROOT, "src"))
-    raw, code = tree_size(parser.parse_args(argv).dir)
+    top = parser.parse_args(argv).dir
+    for path, raw, code in module_sizes(top):
+        print(f"{path}: {raw} raw lines, {code} lines of code")
+    raw, code = tree_size(top)
     print(f"{raw} raw lines, {code} lines of code")
 
 

@@ -305,9 +305,9 @@ def _loss_and_logit_grad(task, logits, y):
 
 def mlp_forward_backward(task: MlpTask, layers, x, y) -> float:
     """Full forward then reverse sweep; every layer ends up with fresh
-    X and S captures.  Returns the batch loss.  A hidden layer's output
-    is checked before its activation, which could turn a -inf into a
-    finite value."""
+    X and S captures.  Returns the batch loss.  Layer 0's ``forward``
+    checks ``x``; a hidden layer's output is checked before its
+    activation, which could turn a -inf into a finite value."""
     h = x
     pre = []
     for layer in layers[:-1]:
