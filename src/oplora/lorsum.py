@@ -1,11 +1,12 @@
 """Alternating least-squares compression of weighted low-rank sums.
 
 Given a target expressed as a weighted sum of thin products
-``sum_i c_i U_i V_i^T``, passed as a list of ``(c_i, U_i, V_i)`` whose
-first term carries the current rank-r iterate, :func:`lorsum` refines
-that anchor pair ``(U1, V1)`` toward the best rank-r approximation of
-the target.  The sum is one thin product of stacked factors, so each
-half-step is one such product and one r x r symmetric solve:
+``sum_i c_i U_i V_i^T``, passed as a list of ``(c_i, U_i, V_i)`` or
+``(c_i, FactorPair(U_i, V_i))`` terms whose first term carries the
+current rank-r iterate, :func:`lorsum` refines that anchor pair
+``(U1, V1)`` toward the best rank-r approximation of the target.  The
+sum is one thin product of stacked factors, so each half-step is one
+such product and one r x r symmetric solve:
 
     V <- (lam * V1 + [c_i Dv^-1 V_i] [U_i]^T U) (U^T Du U + lam I)^-1
     U <- (lam * U1 + [c_i Du^-1 U_i] [V_i]^T V) (V^T Dv V + lam I)^-1
@@ -18,12 +19,13 @@ half-steps are one routine applied to either side.  Work per call is
 O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
 formed.
 
-:func:`lorsum` checks its term factors once on entry and :class:`Metric`
-each metric factor and its damping; everything after that calls
-``matcore``'s unchecked cores.  Each side's blocks are stacked once,
-its non-anchor columns scaled by the side's inverse metric together (one
-Woodbury solve per side), and weighted by one multiply with each
-column's coefficient.  A half-step
+:func:`lorsum` checks a ``(c, left, right)`` term's factors once on
+entry; a ``(c, pair)`` term's were checked when its ``FactorPair`` was
+built, and :class:`Metric` checks each metric factor and its damping.
+Everything after that calls ``matcore``'s unchecked cores.  Each side's
+blocks are stacked once, its non-anchor columns scaled by the side's
+inverse metric together (one Woodbury solve per side), and weighted by
+one multiply with each column's coefficient.  A half-step
 charges its product ``outs @ (ins.T @ other)`` once and its Gram once,
 with the flops and largest allocation that one charge per product
 would give.  No system is tested before its solve:
@@ -143,20 +145,25 @@ def _weighted(stacked, rank, metric, coefs) -> np.ndarray:
 def _checked_terms(terms) -> list:
     """``terms`` as ``(float, matrix, matrix)`` triples, each checked once.
 
-    Term widths k_i may differ; all terms must share d_out and d_in.
+    A ``(c, pair)`` term's factors are taken as the pair holds them: a
+    ``FactorPair`` checked them when it was built.  Term widths k_i may
+    differ; all terms must share d_out and d_in.
     """
     if not terms:
         raise ShapeError("a weighted factor sum needs at least one term")
     clean = []
-    for i, (c, left, right) in enumerate(terms):
+    for i, term in enumerate(terms):
+        pair = len(term) == 2 and isinstance(term[1], FactorPair)
+        c, left, right = (term[0], term[1].u, term[1].v) if pair else term
         c = float(c)
         if not math.isfinite(c):
             raise ShapeError(f"term {i} has a non-finite coefficient")
-        left = as_matrix(left, f"terms[{i}].left")
-        right = as_matrix(right, f"terms[{i}].right")
-        if left.shape[1] != right.shape[1]:
-            raise ShapeError(
-                f"term {i} widths disagree: {left.shape} vs {right.shape}")
+        if not pair:
+            left = as_matrix(left, f"terms[{i}].left")
+            right = as_matrix(right, f"terms[{i}].right")
+            if left.shape[1] != right.shape[1]:
+                raise ShapeError(f"term {i} widths disagree: "
+                                 f"{left.shape} vs {right.shape}")
         if clean and (left.shape[0] != clean[0][1].shape[0]
                       or right.shape[0] != clean[0][2].shape[0]):
             raise ShapeError(f"term {i} dimensions disagree with term 0")
@@ -169,10 +176,12 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
            metric_v: Metric = None) -> FactorPair:
     """Approximate ``sum_i c_i left_i right_i^T`` by a rank-r pair.
 
-    ``terms`` is a non-empty sequence of ``(c, left, right)``.  The
-    factors of ``terms[0]`` are the anchor: they supply both the
-    starting estimate and the proximal pull of weight ``lam``, which is
-    taken as already scaled (callers fold in any learning-rate factor).
+    ``terms`` is a non-empty sequence of ``(c, left, right)`` or
+    ``(c, pair)`` terms, ``pair`` a :class:`FactorPair` standing for
+    ``pair.u pair.v^T``.  The factors of ``terms[0]`` are the anchor:
+    they supply both the starting estimate and the proximal pull of
+    weight ``lam``, which is taken as already scaled (callers fold in
+    any learning-rate factor).
     ``alternating`` updates the input-side factor V and then U from the
     new V; ``simultaneous`` computes both half-updates from the same
     estimates before committing either.  Raises

@@ -5,9 +5,11 @@ is the currency every optimizer in this library trades in.  Only the
 product is meaningful: the factors carry LAPACK's signs, and negating a
 column in both changes neither the product nor any distance computed
 from it.  A weighted sum of such products is a plain list of
-``(c, left, right)`` terms, which :func:`oplora.lorsum.lorsum` checks
-and compresses.  No function here forms the dense product of a pair:
-the distances between products go through r x r Grams.
+``(c, left, right)`` or ``(c, pair)`` terms, which
+:func:`oplora.lorsum.lorsum` compresses; it checks a raw term's factors
+and takes a pair's as the pair checked them.  No function here forms
+the dense product of a pair: the distances between products go through
+r x r Grams.
 
 :func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
 once and then call ``matcore``'s unchecked cores (see its validation

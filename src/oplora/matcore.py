@@ -8,10 +8,15 @@ optimizer hot paths must stay with factor-shaped operands.
 Validation contract: every public kernel checks the shape and
 finiteness of each of its own operands on every call and raises a typed
 error naming the operand.  The checks are exact (they accept and reject
-exactly the inputs an entrywise test would) and cheap next to the small
-products they guard.  They stay per call, not at a step's boundary,
-because an activation can zero a NaN or -inf pre-activation before it
-reaches the step's result.
+exactly the inputs an entrywise test would).  On the optimizer's step
+they are made once, where an array enters it, and not again on every
+product: a ``FactorPair`` checks its factors when it is built, a
+``LoraLinear`` its base weight, its ``forward`` the input and its
+``backward`` the output gradient, and ``lorsum`` a raw term's factors.
+An activation can zero a NaN or -inf pre-activation before it reaches
+the step's result, so the MLP pass checks every layer's output (each
+pre-activation and the logits) before an activation or the loss sees
+it.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,
@@ -24,11 +29,13 @@ eigenpairs.  A Gram is exactly symmetric as ``a.T @ a`` forms it, and
 its consumers (``dposv`` and ``dsyevr``) read one triangle.
 ``matmul(a, b)`` takes its operands as multiplied, as ``_product``
 does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
-returns unchanged, so it is neither copied nor checked twice.  Only
-``lorsum`` and ``lowrank`` call the cores from outside, on operands they
-checked at their boundary (a ``FactorPair``'s factors when it was
-built) or built from them by products, sums and solves, which cannot
-hide a NaN or inf (0 * inf is NaN).  truncated_svd passes the Gram it
+returns unchanged, so it is neither copied nor checked twice.  Three
+modules call the cores from outside, on operands checked at those
+boundaries or built from them by products, sums and solves, which
+cannot hide a NaN or inf (0 * inf is NaN): ``lorsum`` uses
+``_product``, ``_sandwich``, ``_gram`` and ``_cholesky_solve``;
+``lowrank`` ``_product``, ``_gram`` and ``_eigh_top``; ``nets``' layer
+pass ``_product`` only.  truncated_svd passes the Gram it
 built symmetric and tested finite to :func:`_eigh_top`, and its thin
 products to the checked ``svd_dense``.  Callers test no system
 before :func:`_cholesky_solve`: it gives the verdict on every solve, a

@@ -7,6 +7,14 @@ pair.  The linear factorization task and a small synthetic MLP task
 drive the benchmark.  Each draws its batch with :func:`sample_batch`,
 and its pass (:func:`linear_task_grad`, :func:`mlp_forward_backward`)
 leaves fresh captures on every layer; all of it is manual, no autodiff.
+
+An array is checked where it enters the pass: ``forward`` checks its
+input X, ``backward`` its output gradient S, and
+:func:`mlp_forward_backward` every layer's output.  The adapter's
+factors were checked when its ``FactorPair`` was built and ``w0`` when
+its layer was, so the layer products call ``matcore``'s unchecked
+``_product`` (see its validation contract), which charges what
+``matmul`` charges.
 """
 
 import math
@@ -17,7 +25,7 @@ import numpy as np
 
 from .errors import ShapeError, StaleCaptureError
 from .lowrank import FactorPair, truncated_svd
-from .matcore import as_matrix, matmul, thin_qr
+from .matcore import _product, as_matrix, matmul, thin_qr
 
 
 @dataclass
@@ -25,8 +33,9 @@ class LoraLinear:
     """Base weight + adapter, with X/S capture hooks.
 
     ``w0`` may be None for adapter-only objectives (the linear
-    factorization task).  Only the full baseline trains it, under an
-    empty (rank-0) adapter, which adds exact zeros and charges no flops.
+    factorization task).  Only the full baseline trains it, in place,
+    under an empty (rank-0) adapter, which adds exact zeros and charges
+    no flops; a NaN or inf it reaches shows in the layer's output.
     """
 
     w0: Optional[np.ndarray]
@@ -45,9 +54,13 @@ class LoraLinear:
     def forward(self, x) -> np.ndarray:
         """``x @ (w0 + u v^T)^T`` with the adapter applied thin."""
         x = as_matrix(x, "x")
-        out = matmul(matmul(x, self.adapter.v), self.adapter.u.T)
+        u, v = self.adapter.u, self.adapter.v
+        if x.shape[1] != v.shape[0]:
+            raise ShapeError(
+                f"inner dimensions disagree: {x.shape} x {v.shape}")
+        out = _product(_product(x, v), u.T)
         if self.w0 is not None:
-            out = out + matmul(x, self.w0.T)
+            out += _product(x, self.w0.T)
         self.captured_x = x
         return out
 
@@ -61,9 +74,9 @@ class LoraLinear:
                 f"output gradient shape {s.shape} does not match "
                 f"({self.captured_x.shape[0]}, {self.adapter.d_out})")
         self.captured_s = s
-        grad = matmul(matmul(s, self.adapter.u), self.adapter.v.T)
+        grad = _product(_product(s, self.adapter.u), self.adapter.v.T)
         if self.w0 is not None:
-            grad = grad + matmul(s, self.w0)
+            grad += _product(s, self.w0)
         return grad
 
     def clear_captures(self) -> None:
@@ -177,7 +190,7 @@ def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
     S^T X is the unbiased sampled loss's gradient.  Returns that loss.
     """
     idx, scale = _sampled(task, indices)
-    pred = matmul(layer.adapter.u, layer.adapter.v[idx, :].T)
+    pred = _product(layer.adapter.u, layer.adapter.v[idx, :].T)
     if layer.w0 is not None:
         pred = pred + layer.w0[:, idx]
     diff = pred - task.target[:, idx]
@@ -298,23 +311,24 @@ def _loss_and_logit_grad(task, logits, y):
     rows = np.arange(b)
     # log-sum-exp: the probability of the label may underflow to 0
     loss = float(-np.mean(shifted[rows, y] - np.log(total[:, 0])))
-    grad = probs.copy()
-    grad[rows, y] -= 1.0
-    return loss, grad / b
+    probs[rows, y] -= 1.0
+    return loss, probs / b
 
 
 def mlp_forward_backward(task: MlpTask, layers, x, y) -> float:
     """Full forward then reverse sweep; every layer ends up with fresh
-    X and S captures.  Returns the batch loss.  Layer 0's ``forward``
-    checks ``x``; a hidden layer's output is checked before its
-    activation, which could turn a -inf into a finite value."""
+    X and S captures.  Returns the batch loss.  Each ``forward`` checks
+    its input and each ``backward`` its output gradient; each layer's
+    output, a hidden pre-activation or the logits, is checked before an
+    activation (which could turn a -inf into a finite value) or the loss
+    sees it."""
     h = x
     pre = []
     for layer in layers[:-1]:
         z = as_matrix(layer.forward(h), "pre-activation")
         pre.append(z)
         h = _act(task, z)
-    logits = layers[-1].forward(h)
+    logits = as_matrix(layers[-1].forward(h), "logits")
     loss, s = _loss_and_logit_grad(task, logits, y)
     for i in reversed(range(len(layers))):
         g_in = layers[i].backward(s)

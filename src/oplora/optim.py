@@ -165,7 +165,7 @@ def momentum_update_lor(state: OploraState, momentum: FactorPair,
     buffer is still rank-deficient.
     """
     h = state.hyper
-    terms = [(h.alpha, momentum.u, momentum.v), (1.0, grad_left, grad_right)]
+    terms = [(h.alpha, momentum), (1.0, grad_left, grad_right)]
     return lorsum(terms, num_iters=h.num_iters, lam=RESCUE_LAMBDA)
 
 
@@ -175,7 +175,10 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     The weight update passes the full unprojected momentum step
     ``U V^T - eta G - eta alpha M`` to the subroutine (three thin
     terms); the momentum buffer is then refreshed separately.  State and
-    layer are only mutated once everything has succeeded.
+    layer are only mutated once everything has succeeded.  The adapter
+    and the momentum enter ``lorsum`` as ``(c, pair)`` terms, checked
+    when their pairs were built; the gradient enters as the raw term
+    ``(s.T, x.T)``, which may be wider than a ``FactorPair`` allows.
     """
     x, s = captures(layer)
     h = state.hyper
@@ -197,9 +200,9 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
                                   h.momentum_rank or adapter.rank,
                                   state.init_seed)
 
-    terms = [(1.0, adapter.u, adapter.v), (-h.eta, s.T, x.T)]
+    terms = [(1.0, adapter), (-h.eta, s.T, x.T)]
     if h.alpha > 0.0:
-        terms.append((-h.eta * h.alpha, momentum.u, momentum.v))
+        terms.append((-h.eta * h.alpha, momentum))
     new_pair = lorsum(terms, num_iters=h.num_iters, lam=h.lam * h.eta,
                       mode=h.mode, metric_u=metric_u, metric_v=metric_v)
 

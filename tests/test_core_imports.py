@@ -1,19 +1,24 @@
-"""Only two modules reach ``matcore``'s unchecked cores.
+"""Each module reaches only the ``matcore`` cores it is allowed.
 
-``lorsum``, and ``lowrank``'s ``truncated_svd`` and product distances,
-check their operands once (a ``FactorPair`` when it is built) and then
-call the cores, which skip the checks (see ``matcore``'s validation
-contract).  The check reads each module under ``src/`` with the
-standard library's ``ast``, so a new caller of a core fails here rather
-than silently joining the unchecked path.
+``lorsum``, ``lowrank``'s ``truncated_svd`` and product distances, and
+``nets``' layer pass check their operands once (a ``FactorPair`` when it
+is built) and then call the cores, which skip the checks (see
+``matcore``'s validation contract).  The check reads each module under
+``src/`` with the standard library's ``ast``, so a new caller of a core,
+or a caller reaching a core it was not given, fails here rather than
+silently joining the unchecked path.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CORES = {"_product", "_sandwich", "_cholesky_solve", "_gram", "_eigh_top"}
-CALLERS = {"lorsum.py", "lowrank.py"}
+# module file -> the cores it may import
+ALLOWED = {
+    "lorsum.py": {"_cholesky_solve", "_gram", "_product", "_sandwich"},
+    "lowrank.py": {"_eigh_top", "_gram", "_product"},
+    "nets.py": {"_product"},
+}
 
 
 def private_matcore_names(source):
@@ -36,12 +41,12 @@ def test_scan_finds_both_forms():
     assert private_matcore_names(source) == {"_gram", "_product"}
 
 
-def test_only_lorsum_and_lowrank_import_the_cores():
-    users = {}
+def test_each_module_imports_only_its_cores():
+    stray = {}
     for path in sorted(SRC.rglob("*.py")):
         if path.name != "matcore.py":
             names = private_matcore_names(path.read_text())
-            if names:
-                users[path.name] = names
-    assert set(users) <= CALLERS, f"unchecked cores used in: {users}"
-    assert set().union(*users.values()) <= CORES
+            extra = names - ALLOWED.get(path.name, set())
+            if extra:
+                stray[path.name] = extra
+    assert not stray, f"unchecked cores used outside their callers: {stray}"

@@ -622,3 +622,54 @@ class TestBoundaryChecks:
                     (-0.1, s, terms[1][2])], num_iters=2, lam=0.0,
                    metric_v=Metric(factors["metric_v"], 1e-4))
         assert (counters().flops, counters().peak_alloc) == (182612, 960)
+
+
+class TestPairTerms:
+    """A ``(c, pair)`` term is the ``(c, pair.u, pair.v)`` term, with the
+    factors the pair checked when it was built left unchecked."""
+
+    @staticmethod
+    def paired(terms):
+        # the oplora step's form: anchor and momentum as pairs, the
+        # gradient raw
+        (c0, u0, v0), grad, (c2, u2, v2) = terms
+        return [(c0, FactorPair(u0, v0)), grad, (c2, FactorPair(u2, v2))]
+
+    @pytest.mark.parametrize("sides", [(), ("metric_u", "metric_v")])
+    @pytest.mark.parametrize("mode", ["alternating", "simultaneous"])
+    def test_bit_identical_to_raw_terms(self, mode, sides):
+        g = rng(22)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        metrics = {side: Metric(factors[side], 1e-4) for side in sides}
+        raw = lorsum(terms, num_iters=2, lam=1e-4, mode=mode, **metrics)
+        paired = lorsum(self.paired(terms), num_iters=2, lam=1e-4,
+                        mode=mode, **metrics)
+        assert np.array_equal(paired.u, raw.u)
+        assert np.array_equal(paired.v, raw.v)
+
+    def test_pair_factors_never_reach_as_matrix(self, monkeypatch):
+        terms = self.paired(desk_terms(rng(22)))
+        checked, real = [], matcore.as_matrix
+
+        def counting(a, name="operand"):
+            checked.append(id(a))
+            return real(a, name)
+
+        for module in (matcore, sys.modules["oplora.lorsum"], lowrank):
+            monkeypatch.setattr(module, "as_matrix", counting)
+        out = lorsum(terms, num_iters=2, lam=1e-4)
+        _, left, right = terms[1]
+        assert checked == [id(left), id(right), id(out.u), id(out.v)]
+
+    def test_pair_dimensions_checked_against_the_anchor(self):
+        g = rng(23)
+        terms = self.paired(desk_terms(g))
+        terms[2] = (terms[2][0], random_pair(g, 40, 120, 8))
+        with pytest.raises(ShapeError, match="term 2 dimensions disagree"):
+            lorsum(terms)
+
+    def test_non_finite_pair_coefficient_rejected(self):
+        terms = self.paired(desk_terms(rng(24)))
+        terms[0] = (np.nan, terms[0][1])
+        with pytest.raises(ShapeError, match="term 0 has a non-finite"):
+            lorsum(terms)

@@ -170,7 +170,7 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.ones((2, 3)), np.ones((2, 3)))
-        # a layer's forward relies on this check for its input width
+        # a layer's forward checks its input width with the same message
         layer = LoraLinear(None, FactorPair(np.ones((4, 1)), np.ones((3, 1))))
         with pytest.raises(ShapeError, match="inner dimensions disagree"):
             layer.forward(np.ones((2, 5)))

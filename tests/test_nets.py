@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oplora import matcore, nets
 from oplora.errors import NonFiniteError, ShapeError, StaleCaptureError
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, truncated_svd
@@ -502,3 +503,97 @@ class TestMlpTask:
         s = g.standard_normal((3, 5))
         assert np.array_equal(dense.backward(s), s @ w)
         assert np.array_equal(weight_grad(dense), s.T @ x)
+
+
+def identity_mlp(big=None, adapter=None):
+    """A 3-layer relu MLP on 2 features: every base weight the identity,
+    every adapter a zero rank-1 pair, except ``big = (layer, scale)``
+    scaling that layer's base weight and ``adapter = (layer, pair)``."""
+    task = MlpTask([2, 2, 2, 2], "relu", "mse", 4)
+    layers = [LoraLinear(np.eye(2), FactorPair(np.zeros((2, 1)),
+                                               np.zeros((2, 1))))
+              for _ in range(3)]
+    if big is not None:
+        layers[big[0]].w0 *= big[1]
+    if adapter is not None:
+        layers[adapter[0]].adapter = adapter[1]
+    return task, layers
+
+
+class TestCheckedPass:
+    """Each array is checked once where it enters the MLP pass, and a NaN
+    or inf anywhere in it still raises :class:`NonFiniteError`."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, value):
+        task, layers = identity_mlp()
+        x = np.ones((4, 2))
+        x[1, 0] = value
+        with pytest.raises(NonFiniteError, match="x contains"):
+            mlp_forward_backward(task, layers, x, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("index, name", [(0, "pre-activation"),
+                                             (1, "pre-activation"),
+                                             (2, "logits")])
+    def test_nan_written_into_a_built_base_weight(self, index, name):
+        # the full baseline steps w0 in place, past the layer's own check
+        task, layers = identity_mlp()
+        layers[index].w0[0, 1] = np.nan
+        with pytest.raises(NonFiniteError, match=name):
+            mlp_forward_backward(task, layers, np.ones((4, 2)),
+                                 np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("index, name", [(1, "pre-activation"),
+                                             (2, "logits")])
+    def test_thin_product_overflows(self, index, name):
+        # finite factors whose x @ v overflows inside the layer
+        pair = FactorPair(np.ones((2, 1)), np.full((2, 1), 1e308))
+        task, layers = identity_mlp(adapter=(index, pair))
+        with pytest.raises(NonFiniteError, match=name):
+            mlp_forward_backward(task, layers, np.ones((4, 2)),
+                                 np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_input_gradient_overflows(self, index):
+        # a far target makes S about 2.5e299; the layer's 1e10 base
+        # weight takes its input gradient past the largest float, which
+        # the layer below checks as its S
+        task, layers = identity_mlp(big=(index, 1e10))
+        with pytest.raises(NonFiniteError, match="s contains"):
+            mlp_forward_backward(task, layers, np.ones((4, 2)),
+                                 np.full((4, 2), -1e300))
+
+    def test_each_array_checked_once(self, monkeypatch):
+        task = MlpTask([6, 5, 4, 3], n_samples=8)
+        g = rng(23)
+        x, y = make_mlp_dataset(task, g)
+        layers = make_mlp_layers(task, 2, g)
+        names, real = [], nets.as_matrix
+
+        def recording(a, name="operand"):
+            names.append(name)
+            return real(a, name)
+
+        for module in (nets, matcore):
+            monkeypatch.setattr(module, "as_matrix", recording)
+        mlp_forward_backward(task, layers, x, y)
+        assert names == ["x", "pre-activation", "x", "pre-activation", "x",
+                         "logits", "s", "s", "s"]
+
+    @pytest.mark.parametrize("with_base", [True, False])
+    def test_products_equal_the_plain_chain(self, with_base):
+        g = rng(24)
+        layer = random_layer(g, with_base=with_base)
+        u, v = layer.adapter.u, layer.adapter.v
+        x = g.standard_normal((4, 5))
+        s = g.standard_normal((4, 7))
+        out, grad = layer.forward(x), layer.backward(s)
+        want_out, want_grad = (x @ v) @ u.T, (s @ u) @ v.T
+        if with_base:
+            want_out = want_out + x @ layer.w0.T
+            want_grad = want_grad + s @ layer.w0
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(grad, want_grad)
+        assert layer.captured_x is x and layer.captured_s is s

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -625,3 +626,26 @@ class TestMemoryBudget:
                              metric_rank=8)
         optim.oplora_step(layer, state)
         assert state_scalar_count(state) <= 4 * adapter_params
+
+
+class TestOploraStepChecks:
+    def test_step_with_momentum_checks_each_array_once(self, monkeypatch):
+        # the adapter and the momentum enter lorsum as pairs; only the
+        # gradient's two factors and each call's result are checked
+        g = rng(60)
+        layer = make_layer(g)
+        state = oplora_state(0.1, alpha=0.5, num_iters=2)
+        optim.oplora_step(layer, state)  # builds the momentum
+        layer.captured_x = g.standard_normal((5, 9))
+        layer.captured_s = g.standard_normal((5, 12))
+        names, real = [], sys.modules["oplora.matcore"].as_matrix
+
+        def recording(a, name="operand"):
+            names.append(name)
+            return real(a, name)
+
+        for module in ("matcore", "lowrank", "lorsum", "nets", "optim"):
+            monkeypatch.setattr(sys.modules[f"oplora.{module}"], "as_matrix",
+                                recording)
+        optim.oplora_step(layer, state)
+        assert names == ["terms[1].left", "terms[1].right", "u", "v"] * 2
