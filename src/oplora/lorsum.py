@@ -21,8 +21,12 @@ formed.
 
 :func:`lorsum` checks a ``(c, left, right)`` term's factors once on
 entry; a ``(c, pair)`` term's were checked when its ``FactorPair`` was
-built, and :class:`Metric` checks each metric factor and its damping.
-Everything after that calls ``matcore``'s unchecked cores.  Each side's
+built, or where they were made for a pair built unchecked (the oplora
+step's captured gradient), and :class:`Metric` checks each metric
+factor and its damping.  Everything after that calls ``matcore``'s
+unchecked cores, and the result is returned unchecked: each factor is
+the last solution of its side, which the Cholesky core tested finite.
+The identity at each rank is built once per process.  Each side's
 blocks are stacked once, its non-anchor columns scaled by the side's
 inverse metric together (one Woodbury solve per side), and weighted by
 one multiply with each column's coefficient.  A half-step
@@ -36,12 +40,13 @@ contract); the half-step only says where that happened.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from numbers import Integral
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, SingularMetricError
-from .lowrank import FactorPair
+from .lowrank import FactorPair, _unchecked_pair
 from .matcore import _cholesky_solve, _gram, _product, _sandwich, as_matrix
 
 MODES = ("alternating", "simultaneous")
@@ -80,6 +85,14 @@ def _check_rows(m: Metric, x):
             f"rows {x.shape[0]}")
 
 
+@cache
+def _eye(n) -> np.ndarray:
+    """The read-only n x n identity, built once per ``n``."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _inverse_metric(m: Metric, x) -> np.ndarray:
     """``(F F^T + delta I)^{-1} x`` via Woodbury (thin solves only) for a
     checked ``x``; ``None`` returns ``x`` itself."""
@@ -87,7 +100,7 @@ def _inverse_metric(m: Metric, x) -> np.ndarray:
         return x
     f = m.factor
     y = _product(f.T, x)
-    small = _gram(f) / m.delta + np.eye(f.shape[1])
+    small = _gram(f) / m.delta + _eye(f.shape[1])
     try:
         z = _cholesky_solve(small, y)
     except NonFiniteError as exc:
@@ -188,7 +201,9 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     :class:`SingularMetricError` naming the updated side and iteration
     when an r x r system is not positive definite (a degenerate anchor
     needs ``lam > 0`` or metric damping to be rescued), and
-    :class:`NonFiniteError` naming them when it holds a NaN or inf.
+    :class:`NonFiniteError` naming them when it holds a NaN or inf or
+    its solution overflows, so the returned pair, built without a
+    pair's checks, holds finite float64 factors of the anchor's shapes.
     """
     check_count(num_iters, "num_iters")
     if not lam >= 0:
@@ -213,7 +228,7 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
     v_side = ("V", lam * right0, _weighted(ins_u, rank, metric_v, coefs),
               ins_v, metric_u)
 
-    lam_eye = lam * np.eye(rank)
+    lam_eye = lam * _eye(rank)
     cur_u, cur_v = left0, right0
     for k in range(num_iters):
         if mode == "simultaneous":
@@ -222,4 +237,4 @@ def lorsum(terms, num_iters: int = 1, lam: float = 0.0,
         else:
             cur_v = _half_step(v_side, cur_u, k, lam_eye)
             cur_u = _half_step(u_side, cur_v, k, lam_eye)
-    return FactorPair(cur_u, cur_v)
+    return _unchecked_pair(cur_u, cur_v)

@@ -7,9 +7,11 @@ column in both changes neither the product nor any distance computed
 from it.  A weighted sum of such products is a plain list of
 ``(c, left, right)`` or ``(c, pair)`` terms, which
 :func:`oplora.lorsum.lorsum` compresses; it checks a raw term's factors
-and takes a pair's as the pair checked them.  No function here forms
-the dense product of a pair: the distances between products go through
-r x r Grams.
+and takes a pair's as the pair checked them.  ``_unchecked_pair``
+builds a pair without those checks, for ``lorsum``'s result and the
+oplora step's captured gradient only (``tests/test_core_imports.py``).
+No function here forms the dense product of a pair: the distances
+between products go through r x r Grams.
 
 :func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
 once and then call ``matcore``'s unchecked cores (see its validation
@@ -62,6 +64,16 @@ class FactorPair:
     @property
     def d_in(self) -> int:
         return self.v.shape[0]
+
+
+def _unchecked_pair(u, v) -> FactorPair:
+    """A :class:`FactorPair` of float64 matrices ``u`` and ``v`` that
+    their maker has checked, built without ``__post_init__``'s checks:
+    ``lorsum``'s solved factors, and ``oplora_step``'s captured gradient
+    ``(S^T, X^T)``, whose width B may exceed the rank bound."""
+    pair = object.__new__(FactorPair)
+    pair.u, pair.v = u, v
+    return pair
 
 
 def truncated_svd(w, r: int) -> FactorPair:

@@ -12,11 +12,19 @@ exactly the inputs an entrywise test would).  On the optimizer's step
 they are made once, where an array enters it, and not again on every
 product: a ``FactorPair`` checks its factors when it is built, a
 ``LoraLinear`` its base weight, its ``forward`` the input and its
-``backward`` the output gradient, and ``lorsum`` a raw term's factors.
+``backward`` the output gradient, ``linear_task_grad`` its S capture,
+and ``lorsum`` a raw term's factors.
 An activation can zero a NaN or -inf pre-activation before it reaches
 the step's result, so the MLP pass checks every layer's output (each
 pre-activation and the logits) before an activation or the loss sees
-it.
+it.  ``oplora_step`` then checks nothing again: the adapter and the
+momentum are pairs, and the captured gradient ``(S^T, X^T)`` is built
+once as a pair without the pair's checks (``lowrank._unchecked_pair``),
+since the pass checked S and X (an index X becomes a one-hot, finite by
+construction) and B may exceed a pair's rank bound.  ``lorsum`` returns
+its last two solutions through the same constructor: each is a
+``_cholesky_solve`` solution, tested finite as it was solved, of the
+anchor's shape.
 
 Each checked kernel is its checks followed by a private core that
 charges and computes without them: ``matmul`` calls :func:`_product`,

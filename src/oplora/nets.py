@@ -9,8 +9,11 @@ and its pass (:func:`linear_task_grad`, :func:`mlp_forward_backward`)
 leaves fresh captures on every layer; all of it is manual, no autodiff.
 
 An array is checked where it enters the pass: ``forward`` checks its
-input X, ``backward`` its output gradient S, and
-:func:`mlp_forward_backward` every layer's output.  The adapter's
+input X, ``backward`` its output gradient S, :func:`linear_task_grad`
+its S, and :func:`mlp_forward_backward` every layer's output.  So every
+capture an optimizer step reads was checked (an index X becomes a
+one-hot, finite by construction), and ``oplora_step`` takes them as
+they are.  The adapter's
 factors were checked when its ``FactorPair`` was built and ``w0`` when
 its layer was, so the layer products call ``matcore``'s unchecked
 ``_product`` (see its validation contract), which charges what
@@ -188,13 +191,15 @@ def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
     MLP's: leaves the column indices idx (X is their B x d_in one-hot)
     and S = ((d_in / B) (w0 + U V^T - W)[:, idx])^T as captures, so
     S^T X is the unbiased sampled loss's gradient.  Returns that loss.
+    S is checked, as ``backward`` checks it, so a diverging iterate is
+    rejected here as a non-finite ``s``, and no capture is set.
     """
     idx, scale = _sampled(task, indices)
     pred = _product(layer.adapter.u, layer.adapter.v[idx, :].T)
     if layer.w0 is not None:
         pred = pred + layer.w0[:, idx]
     diff = pred - task.target[:, idx]
-    layer.captured_x, layer.captured_s = idx, (scale * diff).T
+    layer.captured_x, layer.captured_s = idx, as_matrix((scale * diff).T, "s")
     return 0.5 * scale * float(np.sum(diff * diff))
 
 

@@ -3,7 +3,8 @@
 The main step refines the adapter toward the rank-r least-squares
 solution of the proximal sub-problem built from the captured batch
 input X and output gradient S (so the full gradient S^T X is only ever
-handled as a thin pair).  Momentum is kept as a separate low-rank pair
+handled as a thin pair, built once per step from the captures the pass
+checked).  Momentum is kept as a separate low-rank pair
 refreshed by the same alternating subroutine; an optional pair of
 damped low-rank metrics tracks running averages of X^T X / B and
 S^T S / B as non-Euclidean scales.
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, ShapeError
-from .lowrank import FactorPair, truncated_svd
+from .lowrank import FactorPair, _unchecked_pair, truncated_svd
 from .lorsum import Metric, check_count, lorsum
 from .matcore import as_matrix, gram, matmul, solve_spd, thin_qr
 from .nets import add_weight_grad, captures, factor_grads, seeded_stream
@@ -157,15 +158,16 @@ def kfac_scale_update(state: OploraState, x_batch, s_batch, beta):
 
 
 def momentum_update_lor(state: OploraState, momentum: FactorPair,
-                        grad_left, grad_right) -> FactorPair:
+                        *grad) -> FactorPair:
     """Refresh the low-rank momentum pair toward alpha * M + G.
 
-    The gradient enters as the thin pair ``grad_left @ grad_right.T``.
-    A tiny rescue weight keeps the solves positive definite while the
-    buffer is still rank-deficient.
+    ``grad`` is the body of a ``lorsum`` term for the thin gradient:
+    ``(left, right)``, checked there, or ``(pair,)``, a pair taken as
+    checked.  A tiny rescue weight keeps the solves positive definite
+    while the buffer is still rank-deficient.
     """
     h = state.hyper
-    terms = [(h.alpha, momentum), (1.0, grad_left, grad_right)]
+    terms = [(h.alpha, momentum), (1.0, *grad)]
     return lorsum(terms, num_iters=h.num_iters, lam=RESCUE_LAMBDA)
 
 
@@ -175,12 +177,15 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     The weight update passes the full unprojected momentum step
     ``U V^T - eta G - eta alpha M`` to the subroutine (three thin
     terms); the momentum buffer is then refreshed separately.  State and
-    layer are only mutated once everything has succeeded.  The adapter
-    and the momentum enter ``lorsum`` as ``(c, pair)`` terms, checked
-    when their pairs were built; the gradient enters as the raw term
-    ``(s.T, x.T)``, which may be wider than a ``FactorPair`` allows.
+    layer are only mutated once everything has succeeded.  Every array
+    enters both ``lorsum`` calls as a ``(c, pair)`` term, unchecked
+    there: the adapter and the momentum were checked when their pairs
+    were built, and the captured gradient ``(S^T, X^T)`` where the pass
+    made it (see ``nets``), so it is one pair built once, unchecked, as
+    its width B may exceed a ``FactorPair``'s rank bound.
     """
     x, s = captures(layer)
+    grad = _unchecked_pair(s.T, x.T)
     h = state.hyper
     adapter = layer.adapter
     d_out, d_in = adapter.d_out, adapter.d_in
@@ -200,7 +205,7 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
                                   h.momentum_rank or adapter.rank,
                                   state.init_seed)
 
-    terms = [(1.0, adapter), (-h.eta, s.T, x.T)]
+    terms = [(1.0, adapter), (-h.eta, grad)]
     if h.alpha > 0.0:
         terms.append((-h.eta * h.alpha, momentum))
     new_pair = lorsum(terms, num_iters=h.num_iters, lam=h.lam * h.eta,
@@ -208,7 +213,7 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
 
     new_momentum = momentum
     if h.alpha > 0.0:
-        new_momentum = momentum_update_lor(state, momentum, s.T, x.T)
+        new_momentum = momentum_update_lor(state, momentum, grad)
 
     state.metric_u = metric_u
     state.metric_v = metric_v

@@ -369,14 +369,15 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_is_located_in_the_manifest(self, tmp_path):
-        # factor SGD at this step size overflows inside step 13's gradient
+        # factor SGD at this step size diverges: the pass of step 13
+        # rejects its S capture, before any layer is stepped
         doc = base_config(tmp_path, method="lora_sgd", eta=0.1, alpha=0.5,
                           batch={"mode": "minibatch", "size": 8})
         manifest = run_experiment(ExperimentConfig.from_dict(doc), quiet=True)
         entry = manifest["runs"][0]
         assert entry["status"] == "failed" and entry["csv"] is None
-        assert entry["error"] == ("NonFiniteError at step 13, layer 0: "
-                                  "a contains non-finite entries")
+        assert entry["error"] == ("NonFiniteError at step 13: "
+                                  "s contains non-finite entries")
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("eta, step", [(1000.0, 51), (10000.0, 38)])

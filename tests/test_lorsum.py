@@ -554,9 +554,10 @@ class TestBoundaryChecks:
 
         for module in (matcore, sys.modules["oplora.lorsum"], lowrank):
             monkeypatch.setattr(module, "as_matrix", counting)
-        out = lorsum(terms, num_iters=2, lam=1e-4, **metrics)
-        inputs = [id(a) for _, left, right in terms for a in (left, right)]
-        assert checked == inputs + [id(out.u), id(out.v)]
+        lorsum(terms, num_iters=2, lam=1e-4, **metrics)
+        # each solve's solution was tested, so the result is not again
+        assert checked == [id(a) for _, left, right in terms
+                           for a in (left, right)]
 
     # calls other than desk_call's, on desk_terms and desk_metrics
     OTHER_CALLS = {
@@ -624,6 +625,55 @@ class TestBoundaryChecks:
         assert (counters().flops, counters().peak_alloc) == (182612, 960)
 
 
+class TestUncheckedResult:
+    """``lorsum``'s result is built without the pair's checks: every
+    factor it returns is a solution its Cholesky core has tested."""
+
+    @pytest.mark.parametrize("sides", [(), ("metric_u", "metric_v")])
+    @pytest.mark.parametrize("mode", ["alternating", "simultaneous"])
+    def test_result_is_what_a_checked_pair_holds(self, mode, sides):
+        g = rng(25)
+        terms, factors = desk_terms(g), desk_metrics(g)
+        metrics = {side: Metric(factors[side], 1e-4) for side in sides}
+        out = lorsum(terms, num_iters=2, lam=1e-4, mode=mode, **metrics)
+        for got, entry in ((out.u, terms[0][1]), (out.v, terms[0][2])):
+            assert got.dtype == np.float64 and got.shape == entry.shape
+            assert np.isfinite(got).all()
+        checked = FactorPair(out.u, out.v)
+        assert np.array_equal(materialize(checked), materialize(out))
+        assert (checked.rank, checked.d_out, checked.d_in) == (
+            out.rank, out.d_out, out.d_in)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflow_in_the_last_u_half_step_is_named(self, monkeypatch):
+        # the last half-step's solution is the returned U: its numerator
+        # is finite but near the largest float and its system is scaled
+        # to a largest eigenvalue of 1e-2, so the solve overflows
+        module, calls = sys.modules["oplora.lorsum"], []
+        sandwich, metric_gram = module._sandwich, module._metric_gram
+
+        def big_num(a, b, c):
+            num = sandwich(a, b, c)
+            if len(calls) == 3:
+                num *= 1e308 / np.abs(num).max()
+            calls.append(None)
+            return num
+
+        def small_den(metric, x):
+            den = metric_gram(metric, x)
+            if len(calls) == 4:
+                den /= 100.0 * np.linalg.eigvalsh(den).max()
+            return den
+
+        monkeypatch.setattr(module, "_sandwich", big_num)
+        monkeypatch.setattr(module, "_metric_gram", small_den)
+        with pytest.raises(NonFiniteError,
+                           match="on the U side at iteration 1$") as err:
+            desk_call(desk_terms(rng(26)), {})
+        assert type(err.value) is NonFiniteError
+        assert len(calls) == 4
+
+
 class TestPairTerms:
     """A ``(c, pair)`` term is the ``(c, pair.u, pair.v)`` term, with the
     factors the pair checked when it was built left unchecked."""
@@ -657,9 +707,9 @@ class TestPairTerms:
 
         for module in (matcore, sys.modules["oplora.lorsum"], lowrank):
             monkeypatch.setattr(module, "as_matrix", counting)
-        out = lorsum(terms, num_iters=2, lam=1e-4)
+        lorsum(terms, num_iters=2, lam=1e-4)
         _, left, right = terms[1]
-        assert checked == [id(left), id(right), id(out.u), id(out.v)]
+        assert checked == [id(left), id(right)]
 
     def test_pair_dimensions_checked_against_the_anchor(self):
         g = rng(23)

@@ -250,6 +250,22 @@ class TestLinearTask:
         assert np.allclose(s, (6 / 3) * resid.T, atol=1e-12)
         assert np.isclose(loss, 0.5 * (6 / 3) * np.sum(resid ** 2))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "overflow"])
+    def test_non_finite_s_capture_rejected(self, value):
+        # the step takes the captures as the pass checked them
+        g = rng(19)
+        task = LinearTask(make_linear_target(5, 6, g))
+        pair = FactorPair(g.standard_normal((5, 2)), g.standard_normal((6, 2)))
+        if value == "overflow":  # finite factors whose product overflows
+            pair = FactorPair(np.full((5, 2), 1e200), np.full((6, 2), 1e200))
+        else:
+            task.target[1, 2] = value
+        layer = LoraLinear(None, pair)
+        with pytest.raises(NonFiniteError, match="s contains non-finite"):
+            linear_task_grad(task, layer, np.array([2, 0]))
+        assert layer.captured_x is None and layer.captured_s is None
+
     def test_pass_and_captures_allocate_linearly_in_the_side(self):
         # the one-hot X grows with d_in; a d_in x d_in identity would not
         def calls_at(side):

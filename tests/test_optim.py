@@ -8,7 +8,8 @@ from oplora import optim
 from oplora.errors import (ConvergenceError, NonFiniteError, ShapeError,
                            SingularMetricError, StaleCaptureError)
 from oplora.instrument import counters
-from oplora.lowrank import FactorPair, product_distance, truncated_svd
+from oplora.lowrank import (FactorPair, _unchecked_pair, product_distance,
+                            truncated_svd)
 from oplora.nets import (LinearTask, LoraLinear, linear_task_grad,
                          linear_task_grad_dense, make_linear_target)
 
@@ -286,6 +287,21 @@ class TestMomentumLor:
             momentum = optim.momentum_update_lor(state, momentum,
                                                  zero_l, zero_r)
             assert np.allclose(materialize(momentum), 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.75])
+    def test_pair_and_raw_gradient_agree_bit_for_bit(self, alpha):
+        # oplora_step passes its captured gradient as one unchecked pair
+        g = rng(61)
+        state = oplora_state(0.1, alpha=alpha, num_iters=2)
+        s, x = g.standard_normal((16, 14)), g.standard_normal((16, 10))
+        momentum = optim._init_momentum(14, 10, 3, 0)
+        pair = _unchecked_pair(s.T, x.T)
+        for _ in range(3):
+            raw = optim.momentum_update_lor(state, momentum, s.T, x.T)
+            paired = optim.momentum_update_lor(state, momentum, pair)
+            assert np.array_equal(paired.u, raw.u)
+            assert np.array_equal(paired.v, raw.v)
+            momentum = raw
 
 
 class TestPrecLora:
@@ -630,14 +646,15 @@ class TestMemoryBudget:
 
 class TestOploraStepChecks:
     def test_step_with_momentum_checks_each_array_once(self, monkeypatch):
-        # the adapter and the momentum enter lorsum as pairs; only the
-        # gradient's two factors and each call's result are checked
+        # the adapter and the momentum were checked as pairs, the captures
+        # by the pass's forward and backward, and each lorsum result by
+        # its solves: the step checks nothing again
         g = rng(60)
         layer = make_layer(g)
         state = oplora_state(0.1, alpha=0.5, num_iters=2)
         optim.oplora_step(layer, state)  # builds the momentum
-        layer.captured_x = g.standard_normal((5, 9))
-        layer.captured_s = g.standard_normal((5, 12))
+        layer.forward(g.standard_normal((5, 9)))
+        layer.backward(g.standard_normal((5, 12)))
         names, real = [], sys.modules["oplora.matcore"].as_matrix
 
         def recording(a, name="operand"):
@@ -648,4 +665,4 @@ class TestOploraStepChecks:
             monkeypatch.setattr(sys.modules[f"oplora.{module}"], "as_matrix",
                                 recording)
         optim.oplora_step(layer, state)
-        assert names == ["terms[1].left", "terms[1].right", "u", "v"] * 2
+        assert names == []
