@@ -20,10 +20,10 @@ O(K * max(d_out, d_in) * sum_i k_i * r) and no full-size matrix is ever
 formed.
 
 :func:`lorsum` checks a ``(c, left, right)`` term's factors once on
-entry; a ``(c, pair)`` term's were checked when its ``FactorPair`` was
-built, or where they were made for a pair built unchecked (the oplora
-step's captured gradient), and :class:`Metric` checks each metric
-factor and its damping.  Everything after that calls ``matcore``'s
+entry and takes a ``(c, pair)`` term's as the pair holds them (see
+``matcore``'s validation contract for where each was checked), and
+:class:`Metric` checks each metric factor and its damping.  Everything
+after that calls ``matcore``'s
 unchecked cores, and the result is returned unchecked: each factor is
 the last solution of its side, which the Cholesky core tested finite.
 The identity at each rank is built once per process.  Each side's

@@ -8,8 +8,8 @@ from it.  A weighted sum of such products is a plain list of
 ``(c, left, right)`` or ``(c, pair)`` terms, which
 :func:`oplora.lorsum.lorsum` compresses; it checks a raw term's factors
 and takes a pair's as the pair checked them.  ``_unchecked_pair``
-builds a pair without those checks, for ``lorsum``'s result and the
-oplora step's captured gradient only (``tests/test_core_imports.py``).
+builds a pair without those checks, in ``lorsum`` and ``optim`` only
+(``tests/test_core_imports.py``).
 No function here forms the dense product of a pair: the distances
 between products go through r x r Grams.
 
@@ -69,8 +69,9 @@ class FactorPair:
 def _unchecked_pair(u, v) -> FactorPair:
     """A :class:`FactorPair` of float64 matrices ``u`` and ``v`` that
     their maker has checked, built without ``__post_init__``'s checks:
-    ``lorsum``'s solved factors, and ``oplora_step``'s captured gradient
-    ``(S^T, X^T)``, whose width B may exceed the rank bound."""
+    ``lorsum``'s solved factors, ``oplora_step``'s captured gradient
+    ``(S^T, X^T)``, whose width B may exceed the rank bound, and the
+    metric EMA's terms, a metric's factor and a captured batch."""
     pair = object.__new__(FactorPair)
     pair.u, pair.v = u, v
     return pair

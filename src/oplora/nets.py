@@ -10,14 +10,12 @@ leaves fresh captures on every layer; all of it is manual, no autodiff.
 
 An array is checked where it enters the pass: ``forward`` checks its
 input X, ``backward`` its output gradient S, :func:`linear_task_grad`
-its S, and :func:`mlp_forward_backward` every layer's output.  So every
-capture an optimizer step reads was checked (an index X becomes a
-one-hot, finite by construction), and ``oplora_step`` takes them as
-they are.  The adapter's
+its S, and :func:`mlp_forward_backward` every layer's output, so
+``oplora_step`` takes the captures as they are (``matcore``'s
+validation contract lists every check on the step).  The adapter's
 factors were checked when its ``FactorPair`` was built and ``w0`` when
 its layer was, so the layer products call ``matcore``'s unchecked
-``_product`` (see its validation contract), which charges what
-``matmul`` charges.
+``_product``, which charges what ``matmul`` charges.
 """
 
 import math

@@ -7,7 +7,8 @@ handled as a thin pair, built once per step from the captures the pass
 checked).  Momentum is kept as a separate low-rank pair
 refreshed by the same alternating subroutine; an optional pair of
 damped low-rank metrics tracks running averages of X^T X / B and
-S^T S / B as non-Euclidean scales.
+S^T S / B as non-Euclidean scales, refreshed by it too from pairs of
+each metric's factor and the captured batch.
 
 Baselines: the one-step preconditioned factor update, heavy-ball SGD
 and AdamW on the factors, projected factor momentum, and the
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, _unchecked_pair, truncated_svd
 from .lorsum import Metric, check_count, lorsum
-from .matcore import as_matrix, gram, matmul, solve_spd, thin_qr
+from .matcore import gram, matmul, solve_spd, thin_qr
 from .nets import add_weight_grad, captures, factor_grads, seeded_stream
 
 # Tiny proximal weight that keeps the r x r systems positive definite
@@ -127,30 +128,28 @@ def _metric_ema(metric: Metric, batch, beta, num_iters) -> Metric:
 
     Tracks ``beta * D + (1 - beta) * batch^T batch / B`` with the same
     alternating subroutine used everywhere else, then re-symmetrizes so
-    both metric factors stay equal.
+    both metric factors stay equal.  Both terms are pairs built
+    unchecked: the metric's factor, which :class:`Metric` checked, and
+    the batch, which the pass checked.
     """
     b = batch.shape[0]
     f = metric.factor
-    terms = [(beta, f, f), ((1.0 - beta) / b, batch.T, batch.T)]
+    terms = [(beta, _unchecked_pair(f, f)),
+             ((1.0 - beta) / b, _unchecked_pair(batch.T, batch.T))]
     est = lorsum(terms, num_iters=num_iters, lam=RESCUE_LAMBDA)
     factor = _sym_psd_factor(est.u, est.v, f.shape[1])
     return Metric(factor, metric.delta)
 
 
 def kfac_scale_update(state: OploraState, x_batch, s_batch, beta):
-    """EMA-update both metrics from a captured batch.
+    """EMA-update both metrics from a captured batch with ``beta < 1``.
 
-    Returns the updated ``(metric_u, metric_v)`` without touching the
-    state; ``beta == 1`` returns the metrics unchanged.
+    Takes the state's built metrics and the pass's checked captures as
+    they are, and returns the updated ``(metric_u, metric_v)`` without
+    touching the state.
     """
-    if beta == 1.0:
-        return state.metric_u, state.metric_v
-    x_batch = as_matrix(x_batch, "x_batch")
-    s_batch = as_matrix(s_batch, "s_batch")
     if x_batch.shape[0] == 0 or s_batch.shape[0] == 0:
         raise ShapeError("metric update needs a nonempty batch")
-    if state.metric_u is None or state.metric_v is None:
-        raise ShapeError("metric factors are not initialized")
     k = state.hyper.num_iters
     metric_u = _metric_ema(state.metric_u, s_batch, beta, k)
     metric_v = _metric_ema(state.metric_v, x_batch, beta, k)
@@ -177,12 +176,11 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     The weight update passes the full unprojected momentum step
     ``U V^T - eta G - eta alpha M`` to the subroutine (three thin
     terms); the momentum buffer is then refreshed separately.  State and
-    layer are only mutated once everything has succeeded.  Every array
-    enters both ``lorsum`` calls as a ``(c, pair)`` term, unchecked
-    there: the adapter and the momentum were checked when their pairs
-    were built, and the captured gradient ``(S^T, X^T)`` where the pass
-    made it (see ``nets``), so it is one pair built once, unchecked, as
-    its width B may exceed a ``FactorPair``'s rank bound.
+    layer are only mutated once everything has succeeded.  Every
+    ``lorsum`` call, the metric EMA's included, takes only ``(c, pair)``
+    terms, so the step checks no array again (see ``matcore``'s
+    validation contract); the captured gradient ``(S^T, X^T)`` is one
+    pair, built once for the weight and momentum calls.
     """
     x, s = captures(layer)
     grad = _unchecked_pair(s.T, x.T)

@@ -6,7 +6,8 @@ only ``lorsum`` and ``optim`` build a ``FactorPair`` unchecked.
 is built) and then call the cores, which skip the checks (see
 ``matcore``'s validation contract).  ``lowrank._unchecked_pair`` skips a
 pair's checks: ``lorsum`` wraps its tested solutions in it, and
-``oplora_step`` the captures its pass checked.  The check reads each
+``optim``'s step and metric EMA the arrays checked where they entered
+the step (the contract lists them).  The check reads each
 module under ``src/`` with the standard library's ``ast``, so a new
 caller of a core or of the constructor, or a caller reaching a core it
 was not given, fails here rather than silently joining the unchecked
