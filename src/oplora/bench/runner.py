@@ -3,10 +3,14 @@
 Each (method, eta, seed) combination is an independent run writing one
 CSV with the fixed header ``step,loss,oracle_gap,flops,wall_ms``.  Row
 ``t`` records the loss of the iterate *before* step ``t`` (so row 0 is
-the initial loss).  Factor trajectories are optionally saved alongside
-for cross-run product-distance reports.  Runs execute sequentially;
-failures are recorded in the manifest and do not stop the remaining
-runs.  The manifest is rewritten after every run.
+the initial loss).  ``flops`` and ``wall_ms`` count the task passes and
+the steps: not the set-up, and not the telemetry (the linear task's
+loss and gap), whose charges and seconds the run loop takes out as it
+runs, so that every method is counted alike.  Factor trajectories are
+optionally saved alongside for cross-run product-distance reports.
+Runs execute sequentially; failures are recorded in the manifest and do
+not stop the remaining runs.  The manifest is rewritten after every
+run.
 """
 
 import json
@@ -20,7 +24,7 @@ import numpy as np
 from .. import nets
 from ..errors import OploraError, SweepError
 from ..instrument import counters
-from ..lowrank import product_distance, product_distance_to_dense, truncated_svd
+from ..lowrank import loss_and_gap, telemetry_reference, truncated_svd
 from ..matcore import matmul
 from .aggregate import f17, write_aggregate
 from .config import ExperimentConfig, eta_tag
@@ -77,7 +81,9 @@ class _LinearProblem:
 
     The loss column reports the full objective (cheap to get thin);
     minibatching only affects the gradients.  The full baseline's layer
-    is scored at its dense weight, every other one at its adapter.
+    is scored at its dense weight, every other one at its adapter,
+    against a reference built once here: the target checked and the
+    oracle, each with its squared norm (``lowrank.telemetry_reference``).
     """
 
     def __init__(self, cfg: ExperimentConfig, seed):
@@ -92,25 +98,25 @@ class _LinearProblem:
             init_pair = nets.init_adapter_random(
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
-        self.oracle = truncated_svd(target, cfg.rank)
-        with np.errstate(over="ignore"):  # inf is the telemetry's signal
-            self.target_sq = float(np.sum(target * target))
+        oracle = truncated_svd(target, cfg.rank)
+        self.reference = telemetry_reference(target, oracle)
         # only the full baseline's gap is read against the dense oracle
-        self.oracle_dense = (matmul(self.oracle.u, self.oracle.v.T)
+        self.oracle_dense = (matmul(oracle.u, oracle.v.T)
                              if cfg.method == "full" else None)
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
 
-    def evaluate(self, layers):
-        """Draw a batch, run the pass on it; return (loss, gap)."""
-        layer = layers[0]
+    def task_pass(self, layers):
+        """Draw a batch and run the pass on it, which sets the captures."""
         idx = nets.sample_batch(self.task.d_in, self.cfg.batch.size, self.rng)
-        nets.linear_task_grad(self.task, layer, idx)
+        nets.linear_task_grad(self.task, layers[0], idx)
+
+    def telemetry(self, layers):
+        """The (loss, gap) of the layer; records its factors in the trail."""
+        layer = layers[0]
         if layer.w0 is None:
-            loss = 0.5 * product_distance_to_dense(
-                layer.adapter, self.task.target, self.target_sq) ** 2
-            gap = product_distance(layer.adapter, self.oracle)
+            loss, gap = loss_and_gap(layer.adapter, self.reference)
         else:
             loss = 0.5 * float(np.sum((layer.w0 - self.task.target) ** 2))
             gap = float(np.linalg.norm(layer.w0 - self.oracle_dense))
@@ -122,7 +128,9 @@ class _LinearProblem:
 
 
 class _MlpProblem:
-    """The synthetic MLP task: one adapter layer per weight, row batches."""
+    """The synthetic MLP task: one adapter layer per weight, row batches.
+    Its loss is the batch loss its pass computes, so it has no
+    telemetry of its own."""
 
     def __init__(self, cfg: ExperimentConfig, seed):
         self.task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
@@ -133,14 +141,17 @@ class _MlpProblem:
             self.task, cfg.rank, nets.seeded_stream(cfg.task.seed, 4))
         self.rng = nets.seeded_stream(seed, 5)
         self.batch_size = cfg.batch.size
+        self.loss = None
         self.trail = []  # never recorded for the MLP
 
-    def evaluate(self, layers):
+    def task_pass(self, layers):
         rows = nets.sample_batch(self.task.n_samples, self.batch_size,
                                  self.rng)
-        loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
-                                         self.y[rows])
-        return loss, None
+        self.loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
+                                              self.y[rows])
+
+    def telemetry(self, layers):
+        return self.loss, None
 
 
 def run_single(cfg: ExperimentConfig, eta, seed):
@@ -160,7 +171,12 @@ def run_single(cfg: ExperimentConfig, eta, seed):
     for t in range(cfg.steps):
         i = None  # the layer being stepped; None while evaluating
         try:
-            loss, gap = problem.evaluate(layers)
+            problem.task_pass(layers)
+            # the telemetry's charges and seconds stay out of the columns
+            flops1, t1 = counters().flops, time.perf_counter()
+            loss, gap = problem.telemetry(layers)
+            flops0 += counters().flops - flops1
+            t0 += time.perf_counter() - t1
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
             records.append(RunRecord(t, loss, gap,
                                      counters().flops - flops0, wall))

@@ -13,15 +13,26 @@ builds a pair without those checks, in ``lorsum`` and ``optim`` only
 No function here forms the dense product of a pair: the distances
 between products go through r x r Grams.
 
-:func:`truncated_svd` and :func:`product_distance_to_dense` check ``w``
-once and then call ``matcore``'s unchecked cores (see its validation
-contract); the Gram that truncated_svd builds goes to ``_eigh_top``.
-The product distances form each r x r Gram of the pairs' factors once,
-with the unchecked core: a pair checks its factors when it is built,
-and nothing changes them afterwards.
+:func:`truncated_svd`, :func:`product_distance_to_dense` and
+:func:`telemetry_reference` check ``w`` once and then call ``matcore``'s
+unchecked cores (see its validation contract); the Gram that
+truncated_svd builds goes to ``_eigh_top``.  The product distances form
+each r x r Gram of the pairs' factors once, with the unchecked core: a
+pair checks its factors when it is built, and nothing changes them
+afterwards.
+
+The runner's linear telemetry calls neither distance: it calls
+:func:`loss_and_gap` against a :class:`TelemetryReference` that it
+builds once per run.  It returns the loss and the gap the two distances
+give, bit for bit, from 5 charged products instead of 9.
+``report.gap_report`` calls :func:`product_distance`.  All of them take
+the route ``|P|^2 + |Q|^2 - 2 <P, Q>``, which cancels where the
+distance is small next to the products; it stays until the exact gaps
+of ROADMAP item 12.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,7 +154,19 @@ def product_inner(p: FactorPair, q: FactorPair) -> float:
 def _inner(p: FactorPair, q: FactorPair) -> float:
     """Frobenius inner product of two pairs' products, from r x r Grams
     of their factors, which the pairs checked when they were built."""
-    return float(np.sum(_product(p.u.T, q.u) * _product(p.v.T, q.v)))
+    return _sum(_product(p.u.T, q.u) * _product(p.v.T, q.v))
+
+
+def _sum(a) -> float:
+    """``float(np.sum(a))`` of a float64 array: the same pairwise
+    reduction, without ``np.sum``'s dispatch."""
+    return float(np.add.reduce(a, None))
+
+
+def _root(sq) -> float:
+    """The distance whose square ``sq`` a Gram route computed; a
+    negative ``sq`` is cancellation and reads 0."""
+    return float(np.sqrt(max(sq, 0.0)))
 
 
 def product_distance(p: FactorPair, q: FactorPair) -> float:
@@ -154,7 +177,15 @@ def product_distance(p: FactorPair, q: FactorPair) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = _inner(p, p) + _inner(q, q) - 2.0 * _inner(p, q)
-    return float(np.sqrt(max(sq, 0.0)))
+    return _root(sq)
+
+
+def _check_shape(w, p: FactorPair) -> None:
+    """Reject a ``w`` that is not ``p``'s ``d_out x d_in``: a mismatch
+    can broadcast to a distance instead of failing."""
+    if w.shape != (p.d_out, p.d_in):
+        raise ShapeError(f"w {w.shape} does not match the pair's "
+                         f"({p.d_out}, {p.d_in})")
 
 
 def product_distance_to_dense(p: FactorPair, w, w_sq=None) -> float:
@@ -164,12 +195,51 @@ def product_distance_to_dense(p: FactorPair, w, w_sq=None) -> float:
     caller that measures many pairs against the same ``w``.
     """
     w = as_matrix(w, "w")
-    if w.shape != (p.d_out, p.d_in):
-        raise ShapeError(f"w {w.shape} does not match the pair's "
-                         f"({p.d_out}, {p.d_in})")
+    _check_shape(w, p)
     with np.errstate(over="ignore", invalid="ignore"):
         if w_sq is None:
-            w_sq = float(np.sum(w * w))
-        cross = float(np.sum(p.u * _product(w, p.v)))
+            w_sq = _sum(w * w)
+        cross = _sum(p.u * _product(w, p.v))
         sq = _inner(p, p) - 2.0 * cross + w_sq
-    return float(np.sqrt(max(sq, 0.0)))
+    return _root(sq)
+
+
+class TelemetryReference(NamedTuple):
+    """A linear run's target ``w`` and oracle pair ``q``, with their
+    squared norms ``w_sq`` and ``q_sq``: the constants of
+    :func:`loss_and_gap`, built once per run by
+    :func:`telemetry_reference`."""
+
+    w: np.ndarray
+    w_sq: float
+    q: FactorPair
+    q_sq: float
+
+
+def telemetry_reference(w, q: FactorPair) -> TelemetryReference:
+    """Check the target ``w`` against the oracle ``q``'s shape once and
+    compute both squared norms; an overflow to inf is kept, as the
+    distances keep it."""
+    w = as_matrix(w, "w")
+    _check_shape(w, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TelemetryReference(w, _sum(w * w), q, _inner(q, q))
+
+
+def loss_and_gap(p: FactorPair, ref: TelemetryReference):
+    """``(0.5 * ||u v^T - w||_F^2, ||u v^T - u_q v_q^T||_F)``: the linear
+    task's loss and oracle gap of the pair ``p``.
+
+    Bit for bit ``0.5 * product_distance_to_dense(p, ref.w, ref.w_sq)
+    ** 2`` and ``product_distance(p, ref.q)``, with the same products
+    and summation order, but p's Grams are formed once for both and the
+    reference's norms come from set-up: 5 charged products instead of
+    9.  A diverging ``p`` gives inf or NaN, without a warning.
+    """
+    _check_shape(ref.w, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_sq = _inner(p, p)
+        cross = _sum(p.u * _product(ref.w, p.v))
+        loss_sq = p_sq - 2.0 * cross + ref.w_sq
+        gap_sq = p_sq + ref.q_sq - 2.0 * _inner(p, ref.q)
+    return 0.5 * _root(loss_sq) ** 2, _root(gap_sq)

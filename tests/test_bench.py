@@ -27,7 +27,7 @@ from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
 from oplora import lowrank, nets, optim
 from oplora.errors import (ConfigError, OploraError, ReportError,
                            SingularMetricError, StaleCaptureError)
-from oplora.instrument import counters
+from oplora.instrument import charge, counters
 
 from conftest import rng
 from helpers import (bootstrap_median_ci_loop, product_error,
@@ -345,6 +345,29 @@ class TestRunExperiment:
                                             manifest["runs"][0]["csv"]))
         flops = [r.flops for r in records]
         assert all(b > a for a, b in zip(flops, flops[1:]))
+
+    def test_flops_column_leaves_the_telemetry_out(self, tmp_path,
+                                                   monkeypatch):
+        def run(out_dir):
+            cfg = ExperimentConfig.from_dict(base_config(out_dir, steps=6))
+            manifest = run_experiment(cfg, quiet=True)
+            return read_run_csv(os.path.join(str(out_dir),
+                                             manifest["runs"][0]["csv"]))
+
+        plain = run(tmp_path / "plain")
+        # row 0 counts the first full-batch task pass alone: U V[idx]^T
+        # at d_out 24, rank 4 and 16 columns
+        assert plain[0].flops == 2 * 24 * 4 * 16
+        real = runner.loss_and_gap
+
+        def charging(p, ref):
+            charge(flops=10 ** 6)
+            return real(p, ref)
+
+        monkeypatch.setattr(runner, "loss_and_gap", charging)
+        charged = run(tmp_path / "charged")
+        assert counters().flops > 6 * 10 ** 6
+        assert charged == plain
 
     def test_killed_sweep_leaves_a_readable_manifest(self, tmp_path,
                                                      monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from oplora import lowrank, matcore
 from oplora.errors import NonFiniteError, ShapeError
 from oplora.instrument import counters
-from oplora.lowrank import (FactorPair, product_distance,
+from oplora.lowrank import (FactorPair, loss_and_gap, product_distance,
                             product_distance_to_dense, product_inner,
-                            truncated_svd)
+                            telemetry_reference, truncated_svd)
 from oplora.matcore import gram, matmul, svd_dense
 from oplora.nets import MlpTask, make_linear_target, make_mlp_layers
 
@@ -320,7 +322,7 @@ class TestProductHelpers:
         assert checked == [id(w)]
 
     def test_distance_to_dense_with_cached_norm_is_identical(self):
-        # the runner passes the target's sum(w * w), computed at set-up
+        # a caller measuring many pairs passes sum(w * w), computed once
         g = rng(22)
         p = random_pair(g, 8, 6, 3)
         w = g.standard_normal((8, 6))
@@ -358,3 +360,92 @@ class TestProductHelpers:
         padded = pad_rank(p, 5, g)
         assert padded.rank == 5
         assert np.allclose(materialize(padded), materialize(p))
+
+
+class TestLossAndGap:
+    """The runner's telemetry: the loss and the oracle gap of one pair
+    against a reference built once per run."""
+
+    @staticmethod
+    def expected(p, w, q):
+        w_sq = float(np.sum(w * w))
+        return (0.5 * product_distance_to_dense(p, w, w_sq) ** 2,
+                product_distance(p, q))
+
+    @pytest.mark.parametrize("d_out, d_in, r", [(24, 16, 4), (120, 40, 8),
+                                                (600, 200, 8)])
+    def test_bit_identical_to_the_distances(self, d_out, d_in, r):
+        g = rng(24)
+        w = g.standard_normal((d_out, d_in))
+        q = random_pair(g, d_out, d_in, r)
+        ref = telemetry_reference(w, q)
+        for _ in range(3):
+            p = random_pair(g, d_out, d_in, r)
+            assert loss_and_gap(p, ref) == self.expected(p, w, q)
+        # the oracle itself, where the gap's sum cancels to about 0
+        assert loss_and_gap(q, ref) == self.expected(q, w, q)
+
+    @pytest.mark.parametrize("v_scale, value", [(1.0, np.inf),
+                                                (1e200, np.nan)])
+    def test_overflow_is_the_divergence_signal(self, v_scale, value):
+        # U^T U overflows, so both squares hold an inf; where the cross
+        # terms overflow to both signs too, the sums are NaN
+        g = rng(25)
+        w = g.standard_normal((24, 16))
+        q = random_pair(g, 24, 16, 4)
+        ref = telemetry_reference(w, q)
+        p = FactorPair(np.full((24, 1), 1e160), np.full((16, 1), v_scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loss_and_gap(p, ref)
+            want = self.expected(p, w, q)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, [value, value])
+
+    @pytest.mark.parametrize("shape", [(8, 8), (120, 8), (200, 600)])
+    def test_sums_as_np_sum_does(self, shape):
+        # _sum skips np.sum's dispatch, not its pairwise reduction
+        a = rng(28).standard_normal(shape) * 10.0 ** rng(29).uniform(
+            -8, 8, shape)
+        for view in (a, a.T, a[::2]):
+            assert lowrank._sum(view) == float(np.sum(view))
+
+    def test_checks_the_target_once_at_set_up(self, monkeypatch):
+        g = rng(26)
+        w = g.standard_normal((8, 6))
+        q, p = random_pair(g, 8, 6, 3), random_pair(g, 8, 6, 3)
+        checked = record_checks(monkeypatch)
+        ref = telemetry_reference(w, q)
+        assert checked == [id(w)]
+        loss_and_gap(p, ref)
+        assert checked == [id(w)]
+
+    def test_rejects_a_bad_target_or_pair(self):
+        g = rng(27)
+        q = random_pair(g, 8, 6, 3)
+        with pytest.raises(ShapeError, match=r"w \(6, 8\) .* \(8, 6\)"):
+            telemetry_reference(np.ones((6, 8)), q)
+        with pytest.raises(NonFiniteError):
+            telemetry_reference(np.full((8, 6), np.nan), q)
+        ref = telemetry_reference(np.ones((8, 6)), q)
+        with pytest.raises(ShapeError, match=r"w \(8, 6\) .* \(1, 6\)"):
+            loss_and_gap(random_pair(g, 1, 6, 1), ref)
+
+    # p's Grams are formed once for both values, and the reference's
+    # norms at set-up: 5 products where the two distances charge 9
+    @pytest.mark.parametrize("d_out, d_in, flops, peak_alloc", [
+        (120, 40, 117760, 960),
+        (600, 200, 2124800, 4800),
+    ])
+    def test_charges_five_products(self, d_out, d_in, flops, peak_alloc):
+        g = rng(23)
+        p, q = random_pair(g, d_out, d_in, 8), random_pair(g, d_out, d_in, 8)
+        ref = telemetry_reference(g.standard_normal((d_out, d_in)), q)
+        reset_counters()
+        loss_and_gap(p, ref)
+        assert (counters().flops, counters().peak_alloc) == (flops,
+                                                             peak_alloc)
+        reset_counters()
+        product_distance_to_dense(p, ref.w, ref.w_sq)
+        product_distance(p, q)
+        assert counters().flops == flops + 2 * (2 * 8 * (d_out + d_in) * 8)
