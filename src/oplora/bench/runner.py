@@ -11,6 +11,12 @@ optionally saved alongside for cross-run product-distance reports.
 Runs execute sequentially; failures are recorded in the manifest and do
 not stop the remaining runs.  The manifest is rewritten after every
 run.
+
+What depends only on the task, the rank and the method is built once
+per experiment and shared, read-only, by its runs: the linear task's
+target, initial pair, telemetry reference and ``full``'s dense oracle,
+or the MLP's dataset and each layer's base weight and initial pair.
+Each run builds its own batch stream, layers, method state and trail.
 """
 
 import json
@@ -75,6 +81,13 @@ def read_run_csv(path):
     return records
 
 
+def _read_only(*arrays):
+    """Mark a shared set-up's arrays read-only: a run that wrote into one
+    would change every later run of the experiment, so it fails instead."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class _LinearProblem:
     """The linear task as one layer fitted by column sampling:
     ``nets.linear_task_grad`` sets its captures, as the MLP pass does.
@@ -82,16 +95,18 @@ class _LinearProblem:
     The loss column reports the full objective (cheap to get thin);
     minibatching only affects the gradients.  The full baseline's layer
     is scored at its dense weight, every other one at its adapter,
-    against a reference built once here: the target checked and the
+    against a reference built at set-up: the target checked and the
     oracle, each with its squared norm (``lowrank.telemetry_reference``).
     """
 
-    def __init__(self, cfg: ExperimentConfig, seed):
-        self.cfg = cfg
+    @staticmethod
+    def setup(cfg: ExperimentConfig):
+        """The task, the initial pair, the telemetry reference and
+        ``full``'s dense oracle: all of them depend on the task, the rank
+        and the method only, so every run of the config shares them."""
         target = nets.make_linear_target(cfg.task.d_out, cfg.task.d_in,
                                          nets.seeded_stream(cfg.task.seed, 0),
                                          cfg.task.singular_values)
-        self.task = nets.LinearTask(target)
         if cfg.task.init == "svd":
             init_pair = nets.init_adapter_svd(target, cfg.rank)
         else:
@@ -99,10 +114,17 @@ class _LinearProblem:
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
         oracle = truncated_svd(target, cfg.rank)
-        self.reference = telemetry_reference(target, oracle)
         # only the full baseline's gap is read against the dense oracle
-        self.oracle_dense = (matmul(oracle.u, oracle.v.T)
-                             if cfg.method == "full" else None)
+        oracle_dense = (matmul(oracle.u, oracle.v.T)
+                        if cfg.method == "full" else None)
+        _read_only(target, init_pair.u, init_pair.v, oracle.u, oracle.v,
+                   *([] if oracle_dense is None else [oracle_dense]))
+        return (nets.LinearTask(target), init_pair,
+                telemetry_reference(target, oracle), oracle_dense)
+
+    def __init__(self, cfg: ExperimentConfig, seed, setup):
+        self.cfg = cfg
+        self.task, init_pair, self.reference, self.oracle_dense = setup
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
         self.trail = []
@@ -132,13 +154,22 @@ class _MlpProblem:
     Its loss is the batch loss its pass computes, so it has no
     telemetry of its own."""
 
-    def __init__(self, cfg: ExperimentConfig, seed):
-        self.task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
-                                 cfg.task.loss, cfg.task.n_samples)
-        self.x, self.y = nets.make_mlp_dataset(
-            self.task, nets.seeded_stream(cfg.task.seed, 3))
-        self.layers = nets.make_mlp_layers(
-            self.task, cfg.rank, nets.seeded_stream(cfg.task.seed, 4))
+    @staticmethod
+    def setup(cfg: ExperimentConfig):
+        """The task, its dataset and each layer's base weight and initial
+        pair, shared by every run of the config."""
+        task = nets.MlpTask(cfg.task.dims, cfg.task.nonlinearity,
+                            cfg.task.loss, cfg.task.n_samples)
+        x, y = nets.make_mlp_dataset(task, nets.seeded_stream(cfg.task.seed, 3))
+        layers = nets.make_mlp_layers(task, cfg.rank,
+                                      nets.seeded_stream(cfg.task.seed, 4))
+        _read_only(x, y, *(a for layer in layers for a in
+                           (layer.w0, layer.adapter.u, layer.adapter.v)))
+        return task, x, y, [(layer.w0, layer.adapter) for layer in layers]
+
+    def __init__(self, cfg: ExperimentConfig, seed, setup):
+        self.task, self.x, self.y, weights = setup
+        self.layers = [nets.LoraLinear(w0, pair) for w0, pair in weights]
         self.rng = nets.seeded_stream(seed, 5)
         self.batch_size = cfg.batch.size
         self.loss = None
@@ -154,12 +185,21 @@ class _MlpProblem:
         return self.loss, None
 
 
-def run_single(cfg: ExperimentConfig, eta, seed):
+_PROBLEMS = {"linear": _LinearProblem, "mlp": _MlpProblem}
+
+
+def run_single(cfg: ExperimentConfig, eta, seed, setup=None):
     """One (eta, seed) run of the config's method; returns the step
-    records and the factor trail (None when none was recorded)."""
+    records and the factor trail (None when none was recorded).
+
+    ``setup`` is the config's shared set-up, the problem type's
+    ``setup(cfg)``, which ``run_experiment`` builds once for all its
+    runs; a run called without it builds its own."""
     method = METHODS[cfg.method]
-    problem_type = _LinearProblem if cfg.task.kind == "linear" else _MlpProblem
-    problem = problem_type(cfg, seed)
+    problem_type = _PROBLEMS[cfg.task.kind]
+    if setup is None:
+        setup = problem_type.setup(cfg)
+    problem = problem_type(cfg, seed, setup)
     layers, states = [], []
     for layer in problem.layers:
         layer, state = method.init(cfg, eta, seed, layer)
@@ -207,14 +247,17 @@ def _write_manifest(out_dir, manifest):
 def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
     """Execute every (eta, seed) run of the config and aggregate.
 
-    Returns the manifest dict.  ``manifest.json`` is rewritten after each
-    run, so a killed sweep leaves one listing the runs finished so far.
-    Optimizer errors mark the run failed; the remaining runs continue.
+    Returns the manifest dict.  The config's set-up is built once, before
+    the first run, and shared by every run.  ``manifest.json`` is
+    rewritten after each run, so a killed sweep leaves one listing the
+    runs finished so far.  Optimizer errors mark the run failed; the
+    remaining runs continue.
     """
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"schema_version": 1, "config": cfg.to_dict(), "runs": []}
     per_eta_records = {}
+    setup = None
     for eta in cfg.etas():
         for seed in cfg.seeds:
             name = _run_name(cfg.method, eta, seed)
@@ -222,7 +265,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
                      "status": "ok", "error": None,
                      "csv": f"{name}.csv", "trail": None}
             try:
-                records, trail = run_single(cfg, eta, seed)
+                # built in the first run's try: an error in it fails the
+                # run, as an error in a run's own set-up would
+                if setup is None:
+                    setup = _PROBLEMS[cfg.task.kind].setup(cfg)
+                records, trail = run_single(cfg, eta, seed, setup)
             except OploraError as exc:
                 where = "" if exc.step is None else f" at step {exc.step}"
                 if exc.layer is not None:

@@ -23,8 +23,8 @@ afterwards.
 
 The runner's linear telemetry calls neither distance: it calls
 :func:`loss_and_gap` against a :class:`TelemetryReference` that it
-builds once per run.  It returns the loss and the gap the two distances
-give, bit for bit, from 5 charged products instead of 9.
+builds once per experiment.  It returns the loss and the gap the two
+distances give, bit for bit, from 5 charged products instead of 9.
 ``report.gap_report`` calls :func:`product_distance`.  All of them take
 the route ``|P|^2 + |Q|^2 - 2 <P, Q>``, which cancels where the
 distance is small next to the products; it stays until the exact gaps
@@ -207,7 +207,7 @@ def product_distance_to_dense(p: FactorPair, w, w_sq=None) -> float:
 class TelemetryReference(NamedTuple):
     """A linear run's target ``w`` and oracle pair ``q``, with their
     squared norms ``w_sq`` and ``q_sq``: the constants of
-    :func:`loss_and_gap`, built once per run by
+    :func:`loss_and_gap`, built once per experiment by
     :func:`telemetry_reference`."""
 
     w: np.ndarray

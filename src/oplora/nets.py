@@ -193,12 +193,14 @@ def linear_task_grad(task: LinearTask, layer: LoraLinear, indices) -> float:
     rejected here as a non-finite ``s``, and no capture is set.
     """
     idx, scale = _sampled(task, indices)
-    pred = _product(layer.adapter.u, layer.adapter.v[idx, :].T)
+    # the prediction becomes the residual, then its square, in place
+    diff = _product(layer.adapter.u, layer.adapter.v[idx, :].T)
     if layer.w0 is not None:
-        pred = pred + layer.w0[:, idx]
-    diff = pred - task.target[:, idx]
+        diff += layer.w0[:, idx]
+    diff -= task.target[:, idx]
     layer.captured_x, layer.captured_s = idx, as_matrix((scale * diff).T, "s")
-    return 0.5 * scale * float(np.sum(diff * diff))
+    diff *= diff
+    return 0.5 * scale * float(np.sum(diff))
 
 
 def linear_task_grad_dense(task: LinearTask, w, indices):

@@ -602,6 +602,99 @@ class TestMethodRegistry:
         assert err.value.field == "method"
 
 
+# each case's REGISTRY_CASES entry and method
+SHARED_SETUP_CASES = {
+    "linear_random": ("linear_minibatch", "oplora"),
+    "linear_svd": ("linear_minibatch", "oplora"),
+    "linear_svdlora": ("linear_minibatch", "svdlora"),
+    "linear_full": ("linear_minibatch", "full"),
+    "mlp_oplora": ("mlp_minibatch", "oplora"),
+    "mlp_full": ("mlp_minibatch", "full"),
+}
+
+
+def _shared_setup_config(case, out_dir):
+    registry_case, method = SHARED_SETUP_CASES[case]
+    doc = REGISTRY_CASES[registry_case](out_dir, method=method, alpha=0.5,
+                                        steps=6, seeds=[0, 1],
+                                        record_factors=True)
+    if case == "linear_svd":
+        doc["task"]["init"] = "svd"
+    del doc["eta"]
+    doc["eta_grid"] = [0.02, 0.05]
+    return ExperimentConfig.from_dict(doc)
+
+
+def _rows_but_wall_ms(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+def _captured_setups(monkeypatch):
+    """Run ``runner.run_single`` as it is, recording the set-up that
+    ``run_experiment`` passes to each call."""
+    run_single, setups = runner.run_single, []
+
+    def capture(*args):
+        setups.append(args[3])
+        return run_single(*args)
+
+    monkeypatch.setattr(runner, "run_single", capture)
+    return setups
+
+
+class TestSharedSetup:
+    @pytest.mark.parametrize("case", sorted(SHARED_SETUP_CASES))
+    def test_sharing_changes_no_output(self, case, tmp_path, monkeypatch):
+        """Every (eta, seed) run of a sweep, which shares one set-up,
+        writes the rows and trail that ``run_single`` writes alone."""
+        cfg = _shared_setup_config(case, tmp_path)
+        setups = _captured_setups(monkeypatch)
+        manifest = run_experiment(cfg, quiet=True)
+        monkeypatch.undo()
+        assert len(setups) == 4
+        assert all(setup is setups[0] for setup in setups)
+        for entry in manifest["runs"]:
+            assert entry["status"] == "ok", entry["error"]
+            records, trail = runner.run_single(cfg, entry["eta"],
+                                               entry["seed"])
+            alone = tmp_path / "alone.csv"
+            runner.write_run_csv(str(alone), records)
+            assert (_rows_but_wall_ms(tmp_path / entry["csv"])
+                    == _rows_but_wall_ms(alone))
+            assert (entry["trail"] is None) == (trail is None)
+            if trail is not None:
+                saved = np.load(tmp_path / entry["trail"])
+                assert np.array_equal(saved["u"], trail[0])
+                assert np.array_equal(saved["v"], trail[1])
+
+    @pytest.mark.parametrize("case", ["linear_full", "mlp_full"])
+    def test_shared_arrays_are_read_only(self, case, tmp_path, monkeypatch):
+        """A write into the shared target, base weights or initial
+        factors raises, so no run can leak into the next; ``full``
+        trains a copy of its dense weight and runs on regardless."""
+        cfg = _shared_setup_config(case, tmp_path)
+        setups = _captured_setups(monkeypatch)
+        manifest = run_experiment(cfg, quiet=True)
+        assert [e["status"] for e in manifest["runs"]] == ["ok"] * 4
+        if case == "linear_full":
+            task, pair, reference, oracle_dense = setups[0]
+            shared = [task.target, pair.u, pair.v, reference.q.u,
+                      reference.q.v, oracle_dense]
+            layer = nets.LoraLinear(None, pair)
+        else:
+            task, x, y, weights = setups[0]
+            shared = [x, y] + [a for w0, pair in weights
+                               for a in (w0, pair.u, pair.v)]
+            layer = nets.LoraLinear(*weights[0])
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1
+        # full trains a dense weight of its own
+        trained, _ = METHODS["full"].init(cfg, 0.05, 0, layer)
+        assert trained.w0.flags.writeable
+        assert not any(np.shares_memory(trained.w0, a) for a in shared)
+
+
 def _products_after_steps(method, kind, twist, tmp_path, steps=20):
     """Each layer's product (the dense weight for ``full``) after
     ``steps`` steps of ``method`` at lambda 0, from fixed random

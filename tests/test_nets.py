@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from conftest import rng
 from helpers import (assert_alloc_linear_in_side,
                      linear_task_grad_dense_reference, linear_task_loss,
                      mlp_loss, product_error, reset_counters,
-                     truncated_svd_reference, weight_grad)
+                     traced_peak_bytes, truncated_svd_reference,
+                     weight_grad)
 
 
 def random_layer(g, d_out=7, d_in=5, r=2, with_base=True):
@@ -281,6 +284,37 @@ class TestLinearTask:
                 yield call
 
         assert_alloc_linear_in_side(calls_at)
+
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_pass_peak_is_at_most_three_batch_blocks(self, with_base):
+        # the residual is formed and squared in place: about 2.2 blocks of
+        # d_out x B (the residual and S); out-of-place temporaries make 4
+        g = rng(21)
+        d_out, d_in, b = 600, 200, 64
+        task = LinearTask(g.standard_normal((d_out, d_in)))
+        layer = random_layer(g, d_out, d_in, 8, with_base)
+        idx = sample_batch(d_in, b, g)
+        tracemalloc.start()
+        try:
+            peak = traced_peak_bytes(
+                lambda: linear_task_grad(task, layer, idx))
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * b * d_out * 8
+
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_in_place_pass_matches_the_out_of_place_one(self, with_base):
+        g = rng(22)
+        task = LinearTask(g.standard_normal((60, 20)))
+        layer = random_layer(g, 60, 20, 3, with_base)
+        idx = sample_batch(20, 7, g)
+        loss = linear_task_grad(task, layer, idx)
+        pred = layer.adapter.u @ layer.adapter.v[idx, :].T
+        if with_base:
+            pred = pred + layer.w0[:, idx]
+        diff = pred - task.target[:, idx]
+        assert np.array_equal(layer.captured_s, ((20 / 7) * diff).T)
+        assert loss == 0.5 * (20 / 7) * float(np.sum(diff * diff))
 
     def test_bad_indices_rejected(self):
         g = rng(15)
