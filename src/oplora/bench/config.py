@@ -221,9 +221,10 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
     def validate(self):
-        # The target (or each layer's weight) and the MLP's activations
-        # are the largest dense arrays of a run; numpy cannot index one
-        # of more than sys.maxsize bytes (8 bytes a float64 entry).
+        # The target (or each layer's weight), the MLP's activations and
+        # a recorded linear run's trail blocks are the largest arrays of
+        # a run; numpy cannot index one of more than sys.maxsize bytes
+        # (8 bytes a float64 entry).
         t = self.task
         if t.kind == "linear":
             arrays = [("task.d_out", t.d_out, "task.d_in", t.d_in)]
@@ -243,6 +244,12 @@ class ExperimentConfig:
             _check(value is None or 1 <= value <= side,
                    f"{name} must lie in [1, {side}], the smallest layer side",
                    name)
+        if t.kind == "linear" and self.record_factors:
+            # one (steps, side, rank) block per factor, rank now in range
+            _check(8 * self.steps * max(t.d_out, t.d_in) * self.rank
+                   <= sys.maxsize,
+                   f"a {self.steps}-step factor trail is past numpy's "
+                   "size limit", "steps")
         _check((self.eta is None) != (self.eta_grid is None),
                "exactly one of eta and eta_grid is required", "eta")
         if self.eta is not None:

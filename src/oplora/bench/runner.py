@@ -7,7 +7,11 @@ the initial loss).  ``flops`` and ``wall_ms`` count the task passes and
 the steps: not the set-up, and not the telemetry (the linear task's
 loss and gap), whose charges and seconds the run loop takes out as it
 runs, so that every method is counted alike.  Factor trajectories are
-optionally saved alongside for cross-run product-distance reports.
+optionally saved alongside for cross-run product-distance reports: a
+linear run records its trail a step at a time into one block per
+factor, ``(steps, d_out, r)`` and ``(steps, d_in, r)``, allocated at
+its first record, and ``run_experiment`` drops it once its ``.npz`` is
+written, so a sweep holds one trail at a time.
 Runs execute sequentially; failures are recorded in the manifest and do
 not stop the remaining runs.  The manifest is rewritten after every
 run.
@@ -108,12 +112,13 @@ class _LinearProblem:
                                          nets.seeded_stream(cfg.task.seed, 0),
                                          cfg.task.singular_values)
         if cfg.task.init == "svd":
-            init_pair = nets.init_adapter_svd(target, cfg.rank)
+            # the initial pair is the oracle; both are only read
+            init_pair = oracle = nets.init_adapter_svd(target, cfg.rank)
         else:
             init_pair = nets.init_adapter_random(
                 cfg.task.d_out, cfg.task.d_in, cfg.rank,
                 nets.seeded_stream(cfg.task.seed, 1))
-        oracle = truncated_svd(target, cfg.rank)
+            oracle = truncated_svd(target, cfg.rank)
         # only the full baseline's gap is read against the dense oracle
         oracle_dense = (matmul(oracle.u, oracle.v.T)
                         if cfg.method == "full" else None)
@@ -127,25 +132,29 @@ class _LinearProblem:
         self.task, init_pair, self.reference, self.oracle_dense = setup
         self.layers = [nets.LoraLinear(None, init_pair)]
         self.rng = nets.seeded_stream(seed, 2)
-        self.trail = []
+        self.trail = None
 
     def task_pass(self, layers):
         """Draw a batch and run the pass on it, which sets the captures."""
         idx = nets.sample_batch(self.task.d_in, self.cfg.batch.size, self.rng)
         nets.linear_task_grad(self.task, layers[0], idx)
 
-    def telemetry(self, layers):
-        """The (loss, gap) of the layer; records its factors in the trail."""
+    def telemetry(self, layers, t):
+        """The (loss, gap) of the layer; records its factors as row ``t``
+        of the trail."""
         layer = layers[0]
         if layer.w0 is None:
             loss, gap = loss_and_gap(layer.adapter, self.reference)
         else:
             loss = 0.5 * float(np.sum((layer.w0 - self.task.target) ** 2))
             gap = float(np.linalg.norm(layer.w0 - self.oracle_dense))
-        # the full baseline's empty adapter has no trail; nothing mutates
-        # a pair's factors, so they are kept as they are, not copied
-        if self.cfg.record_factors and layer.adapter.rank:
-            self.trail.append((layer.adapter.u, layer.adapter.v))
+        # the full baseline's empty adapter has no trail
+        pair = layer.adapter
+        if self.cfg.record_factors and pair.rank:
+            if self.trail is None:
+                self.trail = tuple(np.empty((self.cfg.steps,) + a.shape)
+                                   for a in (pair.u, pair.v))
+            self.trail[0][t], self.trail[1][t] = pair.u, pair.v
         return loss, gap
 
 
@@ -173,7 +182,7 @@ class _MlpProblem:
         self.rng = nets.seeded_stream(seed, 5)
         self.batch_size = cfg.batch.size
         self.loss = None
-        self.trail = []  # never recorded for the MLP
+        self.trail = None  # never recorded for the MLP
 
     def task_pass(self, layers):
         rows = nets.sample_batch(self.task.n_samples, self.batch_size,
@@ -181,7 +190,7 @@ class _MlpProblem:
         self.loss = nets.mlp_forward_backward(self.task, layers, self.x[rows],
                                               self.y[rows])
 
-    def telemetry(self, layers):
+    def telemetry(self, layers, t):
         return self.loss, None
 
 
@@ -190,7 +199,8 @@ _PROBLEMS = {"linear": _LinearProblem, "mlp": _MlpProblem}
 
 def run_single(cfg: ExperimentConfig, eta, seed, setup=None):
     """One (eta, seed) run of the config's method; returns the step
-    records and the factor trail (None when none was recorded).
+    records and the factor trail, a ``(steps, d_out, r)`` and a
+    ``(steps, d_in, r)`` block (None when none was recorded).
 
     ``setup`` is the config's shared set-up, the problem type's
     ``setup(cfg)``, which ``run_experiment`` builds once for all its
@@ -214,7 +224,7 @@ def run_single(cfg: ExperimentConfig, eta, seed, setup=None):
             problem.task_pass(layers)
             # the telemetry's charges and seconds stay out of the columns
             flops1, t1 = counters().flops, time.perf_counter()
-            loss, gap = problem.telemetry(layers)
+            loss, gap = problem.telemetry(layers, t)
             flops0 += counters().flops - flops1
             t0 += time.perf_counter() - t1
             wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
@@ -225,10 +235,7 @@ def run_single(cfg: ExperimentConfig, eta, seed, setup=None):
         except OploraError as exc:
             exc.step, exc.layer = t, i
             raise
-    if not problem.trail:
-        return records, None
-    trail_u, trail_v = zip(*problem.trail)
-    return records, (np.stack(trail_u), np.stack(trail_v))
+    return records, problem.trail
 
 
 def _run_name(method, eta, seed) -> str:
@@ -285,6 +292,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, quiet=False) -> dict:
                     entry["trail"] = f"{name}.npz"
                     np.savez(os.path.join(out_dir, entry["trail"]),
                              u=trail[0], v=trail[1])
+                    trail = None  # written: free it before the next run
                 per_eta_records.setdefault(eta, []).append(records)
                 if not quiet:
                     print(f"[bench] {name}: ok "

@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +272,16 @@ class TestConfig:
             choices = f.metadata.get("choices")
             assert choices is None or f.default in choices, f.name
             assert f.default >= f.metadata.get("min", f.default), f.name
+
+    def test_trail_past_numpy_size_limit_rejected(self, tmp_path):
+        """A recorded linear run's (steps, side, rank) trail block must be
+        one numpy can hold; without a trail the same steps are fine."""
+        doc = base_config(tmp_path, steps=2**60)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.field == "steps"
+        doc["record_factors"] = False
+        assert ExperimentConfig.from_dict(doc).steps == 2**60
 
     def test_rank_bounded_by_every_mlp_layer(self, tmp_path):
         doc = base_config(tmp_path, batch={"mode": "minibatch", "size": 16},
@@ -693,6 +704,82 @@ class TestSharedSetup:
         trained, _ = METHODS["full"].init(cfg, 0.05, 0, layer)
         assert trained.w0.flags.writeable
         assert not any(np.shares_memory(trained.w0, a) for a in shared)
+
+    def test_svd_init_computes_one_truncated_svd(self, tmp_path,
+                                                 monkeypatch):
+        """With ``task.init`` "svd" the initial pair is the oracle: the
+        set-up makes one truncated SVD of the target, not two."""
+        cfg = _shared_setup_config("linear_svd", tmp_path)
+        calls = []
+
+        def counted(w, r):
+            calls.append(w.shape)
+            return lowrank.truncated_svd(w, r)
+
+        for module in (runner, nets):
+            monkeypatch.setattr(module, "truncated_svd", counted)
+        task, pair, reference, _ = runner._LinearProblem.setup(cfg)
+        assert calls == [task.target.shape]
+        assert reference.q is pair
+
+
+def _desk_linear_config(out_dir):
+    with open(os.path.join(CONFIG_DIR, "desk_linear_minibatch.json")) as fh:
+        doc = json.load(fh)
+    doc.update(out_dir=str(out_dir), timing=False)
+    return ExperimentConfig.from_dict(doc)
+
+
+class TestTrailMemory:
+    """At the desk linear shape (120 x 40, rank 8, 200 steps) a trail is
+    1.95 MiB: one preallocated block per factor, filled a step at a
+    time, and dropped by the sweep once its ``.npz`` is written."""
+
+    @staticmethod
+    def _peak_in_trails(cfg, call):
+        tracemalloc.start()
+        try:
+            peak = traced_peak_bytes(call)
+        finally:
+            tracemalloc.stop()
+        t = cfg.task
+        return peak / (8 * cfg.steps * (t.d_out + t.d_in) * cfg.rank)
+
+    def test_run_holds_one_trail(self, tmp_path):
+        """A recorded run peaks at the trail plus a quarter of it; a list
+        of per-step factors stacked at the end took twice the trail."""
+        cfg = _desk_linear_config(tmp_path)
+        ratio = self._peak_in_trails(
+            cfg, lambda: runner.run_single(cfg, cfg.eta, cfg.seeds[0]))
+        assert ratio <= 1.25, f"peak {ratio:.2f} trails"
+
+    def test_sweep_holds_one_trail_at_a_time(self, tmp_path):
+        """A 5-seed sweep peaks at one trail, the ``.npz`` writer's copy
+        of its U block and the rest of the run; per-step factors stacked
+        at the end, and kept through the next run, took 3.2 trails."""
+        cfg = _desk_linear_config(tmp_path)
+        assert len(cfg.seeds) == 5
+        ratio = self._peak_in_trails(
+            cfg, lambda: run_experiment(cfg, quiet=True))
+        assert ratio <= 2.25, f"peak {ratio:.2f} trails"
+
+    def test_sweep_drops_each_trail_before_the_next_run(self, tmp_path,
+                                                        monkeypatch):
+        """Once a run's ``.npz`` is written nothing holds its trail, so
+        the next run's block does not join it."""
+        cfg = _shared_setup_config("linear_random", tmp_path)
+        run_single, written, alive_at_start = runner.run_single, [], []
+
+        def tracked(*args):
+            alive_at_start.append([ref() is not None for ref in written])
+            records, trail = run_single(*args)
+            written.extend(weakref.ref(a) for a in trail)
+            return records, trail
+
+        monkeypatch.setattr(runner, "run_single", tracked)
+        manifest = run_experiment(cfg, quiet=True)
+        assert all(entry["trail"] for entry in manifest["runs"])
+        assert alive_at_start == [[False] * 2 * i for i in range(4)]
 
 
 def _products_after_steps(method, kind, twist, tmp_path, steps=20):
