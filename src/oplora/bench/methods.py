@@ -2,11 +2,12 @@
 
 A row holds what is method-specific about one layer.
 ``init(cfg, eta, seed, layer)`` returns the layer to train and its
-state; ``step(cfg, eta, layer, state)`` updates them from the captures
-the task's pass left on the layer.  The dense baselines keep only their
-dense momentum as the state and add the captured gradient into it;
-svdlora's iterate is the layer's adapter, and the full baseline's layer
-is its dense weight under an empty adapter, updated in place.
+state; ``step(cfg, eta, layer, state)`` is one ``optim.*_step`` call,
+which reads the captures the task's pass left on the layer, updates
+the layer and the state, and clears the captures.  The dense baselines
+keep only their dense momentum as the state; svdlora's iterate is the
+layer's adapter, and the full baseline's layer is its dense weight
+under an empty adapter, which ``optim.full_step`` updates in place.
 
 Steps call ``optim`` through the module attribute at call time, so that
 wrappers put on the module (the benchmark's timing and tracing) see
@@ -41,18 +42,6 @@ def _oplora_init(cfg, eta, seed, layer):
     return layer, optim.OploraState(hyper, init_seed=seed)
 
 
-def _sgd_step(cfg, eta, layer, state):
-    grads = nets.factor_grads(layer)
-    layer.adapter = optim.sgd_step(layer.adapter, grads, eta, cfg.alpha, state)
-    layer.clear_captures()
-
-
-def _adamw_step(cfg, eta, layer, state):
-    grads = nets.factor_grads(layer)
-    layer.adapter = optim.adamw_step(layer.adapter, grads, eta, state=state)
-    layer.clear_captures()
-
-
 def _full_init(cfg, eta, seed, layer):
     w = matmul(layer.adapter.u, layer.adapter.v.T)
     if layer.w0 is not None:
@@ -61,17 +50,15 @@ def _full_init(cfg, eta, seed, layer):
     return nets.LoraLinear(w, empty), np.zeros_like(w)
 
 
-def _full_step(cfg, eta, layer, state):
-    optim.dense_heavy_ball(layer, layer.w0, state, eta, cfg.alpha)
-    layer.clear_captures()
-
-
 _OPLORA = Method(_oplora_init, lambda cfg, eta, layer, state:
                  optim.oplora_step(layer, state))
 
 METHODS = {
-    "lora_sgd": Method(_like(optim.SgdState), _sgd_step),
-    "lora_adamw": Method(_like(optim.AdamwState), _adamw_step),
+    "lora_sgd": Method(_like(optim.SgdState), lambda cfg, eta, layer, state:
+                       optim.sgd_step(layer, state, eta, cfg.alpha)),
+    "lora_adamw": Method(_like(optim.AdamwState),
+                         lambda cfg, eta, layer, state:
+                         optim.adamw_step(layer, state, eta)),
     "prec_lora": Method(lambda cfg, eta, seed, layer: (layer, None),
                         lambda cfg, eta, layer, state:
                         optim.prec_lora_step(layer, eta, cfg.lam)),
@@ -86,5 +73,6 @@ METHODS = {
                                         layer.adapter.d_in))),
                       lambda cfg, eta, layer, state:
                       optim.svdlora_step(layer, state, eta, cfg.alpha)),
-    "full": Method(_full_init, _full_step),
+    "full": Method(_full_init, lambda cfg, eta, layer, state:
+                   optim.full_step(layer, layer.w0, state, eta, cfg.alpha)),
 }

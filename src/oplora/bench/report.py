@@ -106,12 +106,17 @@ def _load_trail(path):
         return data["u"], data["v"]
 
 
-def _mean_product_distance(run: RunInfo, ref: RunInfo) -> float:
+def _mean_product_distance(run: RunInfo, ref: RunInfo, ref_trails) -> float:
+    """Mean per-step product distance of two runs' trails; a reference
+    trail is loaded once into ``ref_trails``, one report's dict of them
+    by path, however many variant groups it is matched in."""
     runs = f"{run.csv_path} and {ref.csv_path}"
     if run.trail_path is None or ref.trail_path is None:
         raise ReportError(f"{runs} were recorded without factor trajectories")
     u_a, v_a = _load_trail(run.trail_path)
-    u_b, v_b = _load_trail(ref.trail_path)
+    if ref.trail_path not in ref_trails:
+        ref_trails[ref.trail_path] = _load_trail(ref.trail_path)
+    u_b, v_b = ref_trails[ref.trail_path]
     if u_a.shape[0] != u_b.shape[0]:
         raise ReportError(f"trajectory lengths differ: {runs} hold "
                           f"{u_a.shape[0]} and {u_b.shape[0]} steps")
@@ -158,7 +163,7 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
             f"runs vary both k {k_values} and momentum_rank {rank_values}; "
             f"report one axis at a time")
 
-    rows = []
+    rows, ref_trails = [], {}
     for (k, m_rank), runs in sorted(groups.items()):
         if sorted(_by_key(runs)) != sorted(ref_by_key):
             raise ReportError(
@@ -178,7 +183,7 @@ def gap_report(method_dir, reference_dir, out_path=None) -> dict:
             # absolute gap: "approaching" the reference means this shrinks,
             # whichever side of the reference the run lands on
             gaps.append(abs(loss - ref_loss))
-            dists.append(_mean_product_distance(run, ref))
+            dists.append(_mean_product_distance(run, ref, ref_trails))
         rows.append({
             "k": k,
             "momentum_rank": m_rank,

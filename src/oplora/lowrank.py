@@ -188,19 +188,13 @@ def _check_shape(w, p: FactorPair) -> None:
                          f"({p.d_out}, {p.d_in})")
 
 
-def product_distance_to_dense(p: FactorPair, w, w_sq=None) -> float:
-    """``||u v^T - w||_F`` without forming the pair's product.
-
-    ``w_sq``, when given, is ``float(np.sum(w * w))``, computed once by a
-    caller that measures many pairs against the same ``w``.
-    """
+def product_distance_to_dense(p: FactorPair, w) -> float:
+    """``||u v^T - w||_F`` without forming the pair's product."""
     w = as_matrix(w, "w")
     _check_shape(w, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        if w_sq is None:
-            w_sq = _sum(w * w)
         cross = _sum(p.u * _product(w, p.v))
-        sq = _inner(p, p) - 2.0 * cross + w_sq
+        sq = _inner(p, p) - 2.0 * cross + _sum(w * w)
     return _root(sq)
 
 

@@ -11,9 +11,13 @@ S^T S / B as non-Euclidean scales, refreshed by it too from pairs of
 each metric's factor and the captured batch.
 
 Baselines: the one-step preconditioned factor update, heavy-ball SGD
-and AdamW on the factors, projected factor momentum, and the
-dense projection oracle that takes a full step and truncates back to
-rank r by SVD.
+and AdamW on the factors, projected factor momentum, the dense heavy
+ball of full training, and the dense projection oracle that takes that
+step from U V^T and truncates back to rank r by SVD.
+
+Each method's step is one ``*_step`` function of the captured layer:
+it reads the pass's captures, updates the layer and its state, and
+clears the captures once it has succeeded.
 """
 
 from dataclasses import dataclass
@@ -221,24 +225,25 @@ def oplora_step(layer, state: OploraState) -> FactorPair:
     return new_pair
 
 
-def dense_heavy_ball(layer, w: np.ndarray, momentum: np.ndarray,
-                     eta: float, alpha: float) -> None:
-    """Both dense baselines' heavy ball, in place on the arrays it is
-    given: M <- alpha M + S^T X from the layer's captures, then
-    W <- W - eta M."""
+def full_step(layer, w: np.ndarray, momentum: np.ndarray,
+              eta: float, alpha: float) -> None:
+    """The dense heavy ball, in place on the arrays it is given:
+    M <- alpha M + S^T X from the layer's captures, then W <- W - eta M.
+    The captures are cleared once both have succeeded.  The ``full``
+    baseline steps its layer's dense weight."""
     add_weight_grad(layer, momentum, alpha)
     w -= eta * momentum
+    layer.clear_captures()
 
 
 def svdlora_step(layer, momentum: np.ndarray, eta: float,
                  alpha: float) -> FactorPair:
-    """A dense heavy-ball step from the adapter's U V^T, projected back
-    to its rank by SVD; the momentum stays full rank."""
+    """:func:`full_step` on the adapter's U V^T, projected back to its
+    rank by SVD; the momentum stays full rank."""
     pair = layer.adapter
     w = matmul(pair.u, pair.v.T)
-    dense_heavy_ball(layer, w, momentum, eta, alpha)
+    full_step(layer, w, momentum, eta, alpha)
     layer.adapter = truncated_svd(w, pair.rank)
-    layer.clear_captures()
     return layer.adapter
 
 
@@ -252,14 +257,15 @@ class SgdState:
         return SgdState(np.zeros_like(pair.u), np.zeros_like(pair.v))
 
 
-def sgd_step(factors: FactorPair, grads, eta: float, alpha: float,
-             state: SgdState) -> FactorPair:
+def sgd_step(layer, state: SgdState, eta: float, alpha: float) -> FactorPair:
     """Heavy-ball SGD treating U and V as independent parameter blocks."""
-    g_u, g_v = grads
+    g_u, g_v = factor_grads(layer)
     state.momentum_u = alpha * state.momentum_u + g_u
     state.momentum_v = alpha * state.momentum_v + g_v
-    return FactorPair(factors.u - eta * state.momentum_u,
-                      factors.v - eta * state.momentum_v)
+    layer.adapter = FactorPair(layer.adapter.u - eta * state.momentum_u,
+                               layer.adapter.v - eta * state.momentum_v)
+    layer.clear_captures()
+    return layer.adapter
 
 
 @dataclass
@@ -291,16 +297,17 @@ def _adamw_block(p, g, m, v, t, eta):
     return p, m, v
 
 
-def adamw_step(factors: FactorPair, grads, eta: float,
-               state: AdamwState) -> FactorPair:
+def adamw_step(layer, state: AdamwState, eta: float) -> FactorPair:
     """AdamW with decoupled weight decay on both factors."""
-    g_u, g_v = grads
+    g_u, g_v = factor_grads(layer)
     state.t += 1
     new_u, state.m_u, state.v_u = _adamw_block(
-        factors.u, g_u, state.m_u, state.v_u, state.t, eta)
+        layer.adapter.u, g_u, state.m_u, state.v_u, state.t, eta)
     new_v, state.m_v, state.v_v = _adamw_block(
-        factors.v, g_v, state.m_v, state.v_v, state.t, eta)
-    return FactorPair(new_u, new_v)
+        layer.adapter.v, g_v, state.m_v, state.v_v, state.t, eta)
+    layer.adapter = FactorPair(new_u, new_v)
+    layer.clear_captures()
+    return layer.adapter
 
 
 @dataclass

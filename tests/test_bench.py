@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oplora.bench import aggregate
+from oplora.bench import report as report_module
 from oplora.bench.aggregate import (AGG_HEADER, N_RESAMPLES,
                                     bootstrap_median_ci)
 from oplora.bench.cli import main as cli_main
 from oplora.bench.config import (BatchSpec, ExperimentConfig, TaskSpec,
                                  is_125_grid_value)
-from oplora.bench.methods import METHODS
+from oplora.bench.methods import METHODS, Method
 from oplora.bench import runner
 from oplora.bench.report import collect_runs, gap_report
 from oplora.bench.runner import (RUN_HEADER, lr_sweep, read_run_csv,
@@ -562,6 +563,53 @@ class TestMethodRegistry:
         METHODS[method].step(cfg, 0.1, layer, state)
         with pytest.raises(StaleCaptureError):
             METHODS[method].step(cfg, 0.1, layer, state)
+
+    @pytest.mark.parametrize("case", ["linear_minibatch", "mlp_minibatch"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_each_step_is_one_optim_step(self, method, case, tmp_path,
+                                         monkeypatch):
+        """Every layer step of a run is one top-level call of an
+        ``optim`` function whose name ends in ``_step`` (the functions
+        perfbench's first-step probe wraps), and it leaves the layer
+        without fresh captures."""
+        extra = {"beta": 0.9} if method == "oplora_scaled" else {}
+        cfg = ExperimentConfig.from_dict(REGISTRY_CASES[case](
+            tmp_path, method=method, eta=0.05, alpha=0.5, steps=2, **extra))
+        calls, depth = [], [0]
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name, fn in sorted(vars(optim).items()):
+            if name.endswith("_step") and callable(fn):
+                monkeypatch.setattr(optim, name, counted(name, fn))
+        row, steps = METHODS[method], []
+
+        def step(cfg, eta, layer, state):
+            start = len(calls)
+            row.step(cfg, eta, layer, state)
+            try:
+                nets.captures(layer)
+                fresh = True
+            except StaleCaptureError:
+                fresh = False
+            steps.append((calls[start:], fresh))
+
+        monkeypatch.setitem(METHODS, method, Method(row.init, step))
+        runner.run_single(cfg, cfg.eta, 0)
+        n_layers = 1 if case.startswith("linear") else 2
+        assert len(steps) == 2 * n_layers
+        for step_calls, fresh in steps:
+            assert len(step_calls) == 1, step_calls
+            assert not fresh
 
     @pytest.mark.parametrize("case", ["linear_full", "linear_minibatch"])
     def test_svdlora_flops_do_not_depend_on_record_factors(self, case,
@@ -1106,6 +1154,23 @@ class TestGapReport:
         assert ks == sorted(ks)
         assert report["monotone_distance_in_k"] is True
         assert (tmp_path / "gap_report.json").exists()
+
+    def test_each_trail_is_loaded_once(self, tmp_path, monkeypatch):
+        # two variant groups matched against one reference set: 4
+        # variant trails and 2 reference trails, each loaded once
+        ref = self._run(tmp_path, "ref", method="svdlora")
+        for k in (1, 2):
+            self._run(tmp_path / "var", f"k{k}", method="oplora", k=k)
+        expected = gap_report(str(tmp_path / "var"), str(ref))
+        load, loaded = report_module._load_trail, []
+
+        def counted(path):
+            loaded.append(path)
+            return load(path)
+
+        monkeypatch.setattr(report_module, "_load_trail", counted)
+        assert gap_report(str(tmp_path / "var"), str(ref)) == expected
+        assert len(loaded) == len(set(loaded)) == 6
 
     def test_mixed_k_and_momentum_rank_grid_rejected(self, tmp_path):
         ref = self._run(tmp_path, "ref3", method="svdlora")

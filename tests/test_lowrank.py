@@ -320,20 +320,8 @@ class TestProductHelpers:
         assert product_distance_to_dense(p, w) == expected
         # the pair's factors were checked when it was built
         assert checked == [id(w)]
-
-    def test_distance_to_dense_with_cached_norm_is_identical(self):
-        # a caller measuring many pairs passes sum(w * w), computed once
-        g = rng(22)
-        p = random_pair(g, 8, 6, 3)
-        w = g.standard_normal((8, 6))
-        w_sq = float(np.sum(w * w))
-        assert (product_distance_to_dense(p, w, w_sq)
-                == product_distance_to_dense(p, w))
-        # the cached value is used as given, and w is still checked
-        assert (product_distance_to_dense(p, w, 2.0 * w_sq)
-                > product_distance_to_dense(p, w))
         with pytest.raises(NonFiniteError):
-            product_distance_to_dense(p, np.full((8, 6), np.nan), w_sq)
+            product_distance_to_dense(p, np.full((8, 6), np.nan))
 
     # the work the runner's loss and gap charge to the flops column of
     # every oplora run; skipping the factors' checks must not change it
@@ -368,8 +356,7 @@ class TestLossAndGap:
 
     @staticmethod
     def expected(p, w, q):
-        w_sq = float(np.sum(w * w))
-        return (0.5 * product_distance_to_dense(p, w, w_sq) ** 2,
+        return (0.5 * product_distance_to_dense(p, w) ** 2,
                 product_distance(p, q))
 
     @pytest.mark.parametrize("d_out, d_in, r", [(24, 16, 4), (120, 40, 8),
@@ -446,6 +433,6 @@ class TestLossAndGap:
         assert (counters().flops, counters().peak_alloc) == (flops,
                                                              peak_alloc)
         reset_counters()
-        product_distance_to_dense(p, ref.w, ref.w_sq)
+        product_distance_to_dense(p, ref.w)
         product_distance(p, q)
         assert counters().flops == flops + 2 * (2 * 8 * (d_out + d_in) * 8)

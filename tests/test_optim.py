@@ -421,51 +421,75 @@ class TestSvdLora:
         assert losses[-1] - floor <= 0.1 * (losses[0] - floor)
 
 
+def feed_grads(monkeypatch, layer, grads):
+    """Make each step on ``layer`` read the next of ``grads`` as its
+    factor gradients, and set new captures for it to consume."""
+    queue = iter(grads)
+    monkeypatch.setattr(optim, "factor_grads", lambda _: next(queue))
+    g = rng(0)
+
+    def fresh():
+        layer.captured_x = g.standard_normal((3, layer.adapter.d_in))
+        layer.captured_s = g.standard_normal((3, layer.adapter.d_out))
+    return fresh
+
+
 class TestSgdAdamw:
     def test_sgd_zero_gradient_identity(self):
         g = rng(14)
         pair = well_conditioned_pair(g, 8, 6, 2)
+        layer = LoraLinear(None, pair)
+        layer.captured_x = g.standard_normal((5, 6))
+        layer.captured_s = np.zeros((5, 8))
         state = optim.SgdState.like(pair)
-        out = optim.sgd_step(pair, (np.zeros((8, 2)), np.zeros((6, 2))),
-                             eta=0.1, alpha=0.9, state=state)
+        out = optim.sgd_step(layer, state, eta=0.1, alpha=0.9)
         assert np.array_equal(out.u, pair.u)
         assert np.array_equal(out.v, pair.v)
 
-    def test_sgd_heavy_ball_two_steps(self):
+    def test_sgd_heavy_ball_two_steps(self, monkeypatch):
         g = rng(15)
         pair = well_conditioned_pair(g, 6, 5, 2)
         gu = g.standard_normal((6, 2))
         gv = g.standard_normal((5, 2))
+        layer = LoraLinear(None, pair)
+        fresh = feed_grads(monkeypatch, layer, [(gu, gv)] * 2)
         state = optim.SgdState.like(pair)
         eta, alpha = 0.1, 0.5
-        out = optim.sgd_step(pair, (gu, gv), eta, alpha, state)
-        out = optim.sgd_step(out, (gu, gv), eta, alpha, state)
+        fresh()
+        optim.sgd_step(layer, state, eta, alpha)
+        fresh()
+        out = optim.sgd_step(layer, state, eta, alpha)
         exp_u = pair.u - eta * gu - eta * (1 + alpha) * gu
         assert np.allclose(out.u, exp_u, atol=1e-12)
 
-    def test_adamw_first_step_closed_form(self):
+    def test_adamw_first_step_closed_form(self, monkeypatch):
         g = rng(16)
         pair = well_conditioned_pair(g, 7, 5, 2)
         gu = g.standard_normal((7, 2))
         gv = g.standard_normal((5, 2))
+        layer = LoraLinear(None, pair)
+        fresh = feed_grads(monkeypatch, layer, [(gu, gv)])
         state = optim.AdamwState.like(pair)
         eta, eps, wd = 0.01, 1e-8, 1e-2
-        out = optim.adamw_step(pair, (gu, gv), eta, state)
+        fresh()
+        out = optim.adamw_step(layer, state, eta)
         exp_u = pair.u * (1 - eta * wd) - eta * gu / (np.abs(gu) + eps)
         assert np.allclose(out.u, exp_u, atol=1e-9)
         exp_v = pair.v * (1 - eta * wd) - eta * gv / (np.abs(gv) + eps)
         assert np.allclose(out.v, exp_v, atol=1e-9)
 
-    def test_adamw_trace_matches_scalar_recursion(self):
+    def test_adamw_trace_matches_scalar_recursion(self, monkeypatch):
         g = rng(17)
         pair = FactorPair(g.standard_normal((3, 1)), g.standard_normal((2, 1)))
         grads = [(g.standard_normal((3, 1)), g.standard_normal((2, 1)))
                  for _ in range(5)]
+        layer = LoraLinear(None, pair)
+        fresh = feed_grads(monkeypatch, layer, grads)
         state = optim.AdamwState.like(pair)
         eta, b1, b2, eps, wd = 0.05, 0.9, 0.999, 1e-8, 0.01
-        out = pair
-        for gu, gv in grads:
-            out = optim.adamw_step(out, (gu, gv), eta, state)
+        for _ in grads:
+            fresh()
+            out = optim.adamw_step(layer, state, eta)
         # scalar reference applied independently to every coordinate
         flat_p = np.concatenate([pair.u.ravel(), pair.v.ravel()])
         flat_g = [np.concatenate([gu.ravel(), gv.ravel()]) for gu, gv in grads]
