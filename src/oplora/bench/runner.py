@@ -197,19 +197,16 @@ class _MlpProblem:
 _PROBLEMS = {"linear": _LinearProblem, "mlp": _MlpProblem}
 
 
-def run_single(cfg: ExperimentConfig, eta, seed, setup=None):
+def run_single(cfg: ExperimentConfig, eta, seed, setup):
     """One (eta, seed) run of the config's method; returns the step
     records and the factor trail, a ``(steps, d_out, r)`` and a
     ``(steps, d_in, r)`` block (None when none was recorded).
 
     ``setup`` is the config's shared set-up, the problem type's
     ``setup(cfg)``, which ``run_experiment`` builds once for all its
-    runs; a run called without it builds its own."""
+    runs."""
     method = METHODS[cfg.method]
-    problem_type = _PROBLEMS[cfg.task.kind]
-    if setup is None:
-        setup = problem_type.setup(cfg)
-    problem = problem_type(cfg, seed, setup)
+    problem = _PROBLEMS[cfg.task.kind](cfg, seed, setup)
     layers, states = [], []
     for layer in problem.layers:
         layer, state = method.init(cfg, eta, seed, layer)

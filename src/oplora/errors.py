@@ -20,10 +20,6 @@ class NonFiniteError(ShapeError):
     """An operand holds NaN or inf entries, typically a diverged iterate."""
 
 
-class DegenerateInputError(OploraError, ValueError):
-    """Input is rank-deficient or otherwise unusable for the operation."""
-
-
 class SingularMetricError(OploraError, ArithmeticError):
     """A matrix that must be positive definite is not.
 

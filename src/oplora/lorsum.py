@@ -95,9 +95,7 @@ def _eye(n) -> np.ndarray:
 
 def _inverse_metric(m: Metric, x) -> np.ndarray:
     """``(F F^T + delta I)^{-1} x`` via Woodbury (thin solves only) for a
-    checked ``x``; ``None`` returns ``x`` itself."""
-    if m is None:
-        return x
+    checked ``x``."""
     f = m.factor
     y = _product(f.T, x)
     small = _gram(f) / m.delta + _eye(f.shape[1])

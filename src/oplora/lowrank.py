@@ -224,8 +224,8 @@ def loss_and_gap(p: FactorPair, ref: TelemetryReference):
     """``(0.5 * ||u v^T - w||_F^2, ||u v^T - u_q v_q^T||_F)``: the linear
     task's loss and oracle gap of the pair ``p``.
 
-    Bit for bit ``0.5 * product_distance_to_dense(p, ref.w, ref.w_sq)
-    ** 2`` and ``product_distance(p, ref.q)``, with the same products
+    Bit for bit ``0.5 * product_distance_to_dense(p, ref.w) ** 2`` and
+    ``product_distance(p, ref.q)``, with the same products
     and summation order, but p's Grams are formed once for both and the
     reference's norms come from set-up: 5 charged products instead of
     9.  A diverging ``p`` gives inf or NaN, without a warning.

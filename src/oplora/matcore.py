@@ -29,14 +29,16 @@ same constructor.  A scaled step checks only the two metric factors
 that LAPACK made, as ``Metric`` builds them.
 
 Each checked kernel is its checks followed by a private core that
-charges and computes without them: ``matmul`` calls :func:`_product`,
-``gram`` :func:`_gram` and ``solve_spd`` :func:`_cholesky_solve`.  Two
-cores have no checked kernel.  :func:`_sandwich`, ``a @ (b.T @ c)``, is
-a lorsum half-step's product, charged once with the flops of both
-products and the larger of their sizes, as two ``_product`` calls would
-charge them.  :func:`_eigh_top` computes truncated_svd's top
-eigenpairs.  A Gram is exactly symmetric as ``a.T @ a`` forms it, and
-its consumers (``dposv`` and ``dsyevr``) read one triangle.
+charges and computes without them: ``matmul`` calls :func:`_product` and
+``solve_spd`` :func:`_cholesky_solve`.  Three cores have no checked
+kernel.  :func:`_gram` is ``a.T @ a``, which a checked caller forms as
+``matmul(a.T, a)``, the same product with the same charge.
+:func:`_sandwich`, ``a @ (b.T @ c)``, is a lorsum half-step's product,
+charged once with the flops of both products and the larger of their
+sizes, as two ``_product`` calls would charge them.  :func:`_eigh_top`
+computes truncated_svd's top eigenpairs.  A Gram is exactly symmetric
+as ``a.T @ a`` forms it, and its consumers (``dposv`` and ``dsyevr``)
+read one triangle.
 ``matmul(a, b)`` takes its operands as multiplied, as ``_product``
 does: a transpose is passed as a ``.T`` view, which :func:`as_matrix`
 returns unchanged, so it is neither copied nor checked twice.  Three
@@ -71,7 +73,6 @@ from scipy.linalg.lapack import dposv
 
 from .errors import (
     ConvergenceError,
-    DegenerateInputError,
     NonFiniteError,
     ShapeError,
     SingularMetricError,
@@ -80,7 +81,6 @@ from .instrument import charge
 
 SYMMETRY_TOL = 1e-10
 PIVOT_TOL = 1e-12
-RANK_TOL = 1e-12
 
 
 def as_matrix(a, name="operand") -> np.ndarray:
@@ -135,11 +135,6 @@ def _product(left, right) -> np.ndarray:
     return left @ right
 
 
-def gram(a) -> np.ndarray:
-    """``a.T @ a``, exactly symmetric (see :func:`_gram`)."""
-    return _gram(as_matrix(a, "a"))
-
-
 def _sandwich(a, b, c) -> np.ndarray:
     """``a @ (b.T @ c)`` of conforming float64 matrices, unchecked, with
     one charge for both products."""
@@ -149,9 +144,9 @@ def _sandwich(a, b, c) -> np.ndarray:
 
 
 def _gram(a) -> np.ndarray:
-    """:func:`gram` of a finite float64 matrix, unchecked.  numpy forms
-    ``a.T @ a`` with BLAS's symmetric rank-k update and mirrors one
-    triangle, so the result is exactly symmetric as it stands."""
+    """``a.T @ a`` of a finite float64 matrix, unchecked.  numpy forms
+    it with BLAS's symmetric rank-k update and mirrors one triangle, so
+    the result is exactly symmetric as it stands."""
     n, k = a.shape
     charge(flops=2 * k * n * k, alloc=k * k)
     return a.T @ a
@@ -218,18 +213,16 @@ def thin_qr(a):
     """Reduced QR of a tall matrix, as ``np.linalg.qr`` returns it.
 
     Returns ``(q, r_factor)`` with orthonormal ``q`` columns and an
-    upper-triangular R whose diagonal carries LAPACK's signs.  Raises on
-    rank deficiency (smallest |R_jj| at or below 1e-12); an operand with
-    no columns has the empty factorization.
+    upper-triangular R whose diagonal carries LAPACK's signs.  A
+    rank-deficient operand is factored too: Householder's ``q`` stays
+    orthonormal, and R's diagonal holds the zeros.  An operand with no
+    columns has the empty factorization.
     """
     a = as_matrix(a, "a")
     d, r = a.shape
     if d < r:
         raise ShapeError(f"thin_qr needs rows >= cols, got {a.shape}")
     q, rm = np.linalg.qr(a, mode="reduced")
-    if r and float(np.min(np.abs(np.diagonal(rm)))) <= RANK_TOL:
-        raise DegenerateInputError(
-            "input is rank deficient (tiny diagonal in R)")
     charge(flops=2 * d * r * r, alloc=d * r)
     return q, rm
 

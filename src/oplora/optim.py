@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, ShapeError
 from .lowrank import FactorPair, _unchecked_pair, truncated_svd
 from .lorsum import Metric, check_count, lorsum
-from .matcore import gram, matmul, solve_spd, thin_qr
+from .matcore import matmul, solve_spd, thin_qr
 from .nets import add_weight_grad, captures, factor_grads, seeded_stream
 
 # Tiny proximal weight that keeps the r x r systems positive definite
@@ -341,8 +341,8 @@ def momentum_update_proj(state: ProjMomentumState, layer,
             state.momentum_u, matmul(state.prev.v.T, v))
         num_v = num_v + alpha * matmul(
             state.momentum_v, matmul(state.prev.u.T, u))
-    state.momentum_u = solve_spd(gram(v) + lam * eye, num_u.T).T
-    state.momentum_v = solve_spd(gram(u) + lam * eye, num_v.T).T
+    state.momentum_u = solve_spd(matmul(v.T, v) + lam * eye, num_u.T).T
+    state.momentum_v = solve_spd(matmul(u.T, u) + lam * eye, num_v.T).T
     state.prev = layer.adapter
     return state.momentum_u, state.momentum_v
 

@@ -1,4 +1,5 @@
-"""Test-only helpers: counter resets, dense references, reference losses,
+"""Test-only helpers: counter resets, a run with a set-up of its own,
+dense references, reference losses,
 a layer's dense weight gradient, the linear task's dense-gradient
 reference, a layer whose captures
 carry a given gradient, pair copies, rank padding,
@@ -14,10 +15,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from oplora import instrument, lowrank
+from oplora.bench import runner
 from oplora.bench.aggregate import BOOTSTRAP_SEED, N_RESAMPLES
 from oplora.errors import ShapeError
 from oplora.lowrank import FactorPair
-from oplora.matcore import as_matrix, gram, solve_spd, svd_dense
+from oplora.matcore import as_matrix, matmul, solve_spd, svd_dense
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, _act,
                          _loss_and_logit_grad, _sampled, add_weight_grad,
                          factor_grads, linear_task_grad)
@@ -29,6 +31,14 @@ def reset_counters() -> None:
     c = instrument.counters()
     c.flops = 0
     c.peak_alloc = 0
+
+
+def run_alone(cfg, eta, seed):
+    """``runner.run_single`` on a set-up of its own, built at call time, so
+    a patch of what the set-up calls (such as ``nets.init_adapter_random``)
+    reaches it."""
+    setup = runner._PROBLEMS[cfg.task.kind].setup(cfg)
+    return runner.run_single(cfg, eta, seed, setup)
 
 
 def materialize(s) -> np.ndarray:
@@ -175,8 +185,8 @@ def momentum_update_naive(state: ProjMomentumState, layer,
     g_u, g_v = factor_grads(layer)
     u, v = layer.adapter.u, layer.adapter.v
     eye = np.eye(layer.adapter.rank)
-    pre_u = solve_spd(gram(v) + lam * eye, g_u.T).T
-    pre_v = solve_spd(gram(u) + lam * eye, g_v.T).T
+    pre_u = solve_spd(matmul(v.T, v) + lam * eye, g_u.T).T
+    pre_v = solve_spd(matmul(u.T, u) + lam * eye, g_v.T).T
     state.momentum_u = pre_u + alpha * state.momentum_u
     state.momentum_v = pre_v + alpha * state.momentum_v
     state.prev = layer.adapter

@@ -33,8 +33,8 @@ from oplora.instrument import charge, counters
 
 from conftest import rng
 from helpers import (bootstrap_median_ci_loop, product_error,
-                     reset_counters, svd_operands, traced_peak_bytes,
-                     truncated_svd_reference)
+                     reset_counters, run_alone, svd_operands,
+                     traced_peak_bytes, truncated_svd_reference)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -604,7 +604,7 @@ class TestMethodRegistry:
             steps.append((calls[start:], fresh))
 
         monkeypatch.setitem(METHODS, method, Method(row.init, step))
-        runner.run_single(cfg, cfg.eta, 0)
+        run_alone(cfg, cfg.eta, 0)
         n_layers = 1 if case.startswith("linear") else 2
         assert len(steps) == 2 * n_layers
         for step_calls, fresh in steps:
@@ -643,9 +643,9 @@ class TestMethodRegistry:
             starts.append((pair.u, pair.u * sign))
             return lowrank.FactorPair(pair.u * sign, pair.v * sign)
 
-        runs = [runner.run_single(cfg, cfg.eta, 0)]
+        runs = [run_alone(cfg, cfg.eta, 0)]
         monkeypatch.setattr(nets, "init_adapter_random", flipped)
-        runs.append(runner.run_single(cfg, cfg.eta, 0))
+        runs.append(run_alone(cfg, cfg.eta, 0))
         [(u0, u0_flipped)] = starts
         assert not np.array_equal(u0, u0_flipped)
         (records, trail), (records_f, trail_f) = runs
@@ -714,8 +714,7 @@ class TestSharedSetup:
         assert all(setup is setups[0] for setup in setups)
         for entry in manifest["runs"]:
             assert entry["status"] == "ok", entry["error"]
-            records, trail = runner.run_single(cfg, entry["eta"],
-                                               entry["seed"])
+            records, trail = run_alone(cfg, entry["eta"], entry["seed"])
             alone = tmp_path / "alone.csv"
             runner.write_run_csv(str(alone), records)
             assert (_rows_but_wall_ms(tmp_path / entry["csv"])
@@ -798,7 +797,7 @@ class TestTrailMemory:
         of per-step factors stacked at the end took twice the trail."""
         cfg = _desk_linear_config(tmp_path)
         ratio = self._peak_in_trails(
-            cfg, lambda: runner.run_single(cfg, cfg.eta, cfg.seeds[0]))
+            cfg, lambda: run_alone(cfg, cfg.eta, cfg.seeds[0]))
         assert ratio <= 1.25, f"peak {ratio:.2f} trails"
 
     def test_sweep_holds_one_trail_at_a_time(self, tmp_path):

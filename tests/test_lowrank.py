@@ -11,7 +11,7 @@ from oplora.instrument import counters
 from oplora.lowrank import (FactorPair, loss_and_gap, product_distance,
                             product_distance_to_dense, product_inner,
                             telemetry_reference, truncated_svd)
-from oplora.matcore import gram, matmul, svd_dense
+from oplora.matcore import _gram, matmul, svd_dense
 from oplora.nets import MlpTask, make_linear_target, make_mlp_layers
 
 from conftest import rng
@@ -97,7 +97,7 @@ class TestTruncatedSvd:
     def test_balance_property(self, seed):
         w = rng(seed).standard_normal((9, 7))
         pair = truncated_svd(w, 4)
-        gu, gv = gram(pair.u), gram(pair.v)
+        gu, gv = _gram(pair.u), _gram(pair.v)
         assert np.linalg.norm(gu - gv) <= 1e-8 * np.linalg.norm(gu)
 
     def test_zero_singular_values_give_zero_columns(self):
@@ -212,7 +212,7 @@ class TestTruncatedSvdGramRoute:
         w = rng(seed).standard_normal(shape)
         pair = truncated_svd(w, 5)
         _, sigma, _ = svd_dense(w)
-        gu, gv = gram(pair.u), gram(pair.v)
+        gu, gv = _gram(pair.u), _gram(pair.v)
         scale = sigma[0]
         assert np.abs(gu - np.diag(sigma[:5])).max() <= 1e-12 * scale
         assert np.abs(gv - np.diag(sigma[:5])).max() <= 1e-12 * scale
@@ -267,26 +267,32 @@ class TestTruncatedSvdGramRoute:
 class TestGram:
     def test_orthonormal(self):
         q, _ = np.linalg.qr(rng(11).standard_normal((9, 4)))
-        assert np.allclose(gram(q), np.eye(4), atol=1e-10)
+        assert np.allclose(_gram(q), np.eye(4), atol=1e-10)
 
     def test_single_column(self):
         x = rng(12).standard_normal((6, 1))
-        assert np.isclose(gram(x)[0, 0], np.dot(x[:, 0], x[:, 0]))
+        assert np.isclose(_gram(x)[0, 0], np.dot(x[:, 0], x[:, 0]))
 
     def test_matches_matmul(self):
+        # the checked route to a Gram: the same product, bits and charge
         a = rng(13).standard_normal((8, 3))
-        assert np.allclose(gram(a), matmul(a.T, a))
+        reset_counters()
+        g = _gram(a)
+        charged = (counters().flops, counters().peak_alloc)
+        reset_counters()
+        assert np.array_equal(g, matmul(a.T, a))
+        assert (counters().flops, counters().peak_alloc) == charged
 
     def test_symmetric(self):
         a = rng(14).standard_normal((50, 7))
-        g = gram(a)
+        g = _gram(a)
         assert np.array_equal(g, g.T)
 
     def test_finite_gram_does_not_overflow(self):
         # 4 * 5.4e153**2 = 1.1664e308 is finite; doubling it to symmetrize
         # would overflow
         a = np.full((4, 1), 5.4e153)
-        g = gram(a)
+        g = _gram(a)
         assert np.isfinite(g).all()
         assert np.array_equal(g, a.T @ a)
 

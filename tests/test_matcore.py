@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from oplora import matcore
-from oplora.errors import (ConvergenceError, DegenerateInputError,
-                           NonFiniteError, ShapeError, SingularMetricError)
+from oplora.errors import (ConvergenceError, NonFiniteError, ShapeError,
+                           SingularMetricError)
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair
 from oplora.matcore import (PIVOT_TOL, as_matrix, matmul, solve_spd,
@@ -405,11 +405,12 @@ class TestThinQr:
         assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
         assert np.allclose(r, np.triu(r), atol=1e-14)
 
-    def test_rank_deficient_rejected(self):
+    def test_rank_deficient_stays_orthonormal(self):
         col = rng(9).standard_normal((6, 1))
         a = np.hstack([col, 2.0 * col])
-        with pytest.raises(DegenerateInputError):
-            thin_qr(a)
+        q, r = thin_qr(a)
+        assert np.allclose(q.T @ q, np.eye(2), rtol=0, atol=1e-12)
+        assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
 
     def test_wide_rejected(self):
         with pytest.raises(ShapeError):

@@ -7,7 +7,6 @@ from oplora import matcore, nets
 from oplora.errors import NonFiniteError, ShapeError, StaleCaptureError
 from oplora.instrument import counters
 from oplora.lowrank import FactorPair, truncated_svd
-from oplora.matcore import gram
 from oplora.nets import (LinearTask, LoraLinear, MlpTask, captures,
                          factor_grads, init_adapter_lora,
                          init_adapter_random, init_adapter_svd,
@@ -473,7 +472,8 @@ class TestAdapterInits:
         ref = truncated_svd_reference(m / np.linalg.norm(m, 2), 4)
         assert product_error(pair, ref) <= 1e-12
         assert abs(pair.u[:, 0] @ pair.u[:, 0] - 1.0) <= 1e-12
-        assert np.allclose(gram(pair.u), gram(pair.v), rtol=0, atol=1e-12)
+        assert np.allclose(matcore._gram(pair.u), matcore._gram(pair.v),
+                           rtol=0, atol=1e-12)
 
     def test_lora_init_has_zero_product(self):
         g = rng(18)
